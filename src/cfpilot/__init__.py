@@ -5,25 +5,19 @@ from .airframe import (
     REGIME_UPG,
     REGIME_UPNG,
     ReceivedFrame,
-    RegimeConfig,
-    build_augmented_sequence,
     read_frame_dump,
     synthesize_frame,
     write_frame_dump,
 )
 from .analytics import (
-    PowerBreakdown,
     RateReport,
     conjugate_bf_rate,
     crosscorr_comparison,
-    dft_interference_power,
     find_crossover,
     interference_profile,
-    mf_power_breakdown,
     nmse_aggregate,
     overhead_factor,
     overlap_time,
-    random_seq_interference_power,
 )
 from .channel import (
     ChannelMatrixSet,
@@ -35,18 +29,7 @@ from .channel import (
     sample_fading,
     sample_shadowing,
 )
-from .estimator import (
-    ChannelEstimate,
-    CovariancePair,
-    LinkEstimates,
-    MFOutput,
-    closed_form_covariances,
-    empirical_covariance_oracle,
-    estimate_trial_links,
-    expected_link_nmse,
-    lmmse_estimate,
-    matched_filter,
-)
+from .estimator import LinkEstimates, estimate_trial_links
 from .geometry import (
     NetworkRealization,
     PlacementError,
@@ -69,7 +52,6 @@ from .harness import (
     run_figure,
     run_sweep,
     run_trial,
-    synchronous_baseline,
 )
 from .pilots import (
     MFSequence,
@@ -77,8 +59,6 @@ from .pilots import (
     SCHEME_DFT,
     SCHEME_DFT_EXT,
     SCHEME_RANDOM,
-    dft_cross_inner,
-    dft_cross_power_factor,
     dft_sequence,
     make_mf_sequence,
     make_pilot_book,

@@ -12,7 +12,7 @@ with L = tau_p + tau_ex.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,18 +23,6 @@ REGIMES = (REGIME_UPG, REGIME_UPNG)
 DEFAULT_DATA_ALPHABET = np.exp(2j * np.pi * np.arange(4) / 4)
 
 FRAME_MAGIC = b"ACFE"
-
-
-@dataclass(frozen=True)
-class RegimeConfig:
-    regime: str
-    data_alphabet: np.ndarray = field(default_factory=lambda: DEFAULT_DATA_ALPHABET)
-
-    def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}")
-        if not np.allclose(np.abs(self.data_alphabet), 1.0):
-            raise ValueError("data alphabet must be unit magnitude")
 
 
 @dataclass
@@ -59,30 +47,14 @@ class ReceivedFrame:
     chan: object
     link_phases: np.ndarray
 
-    def n_cols(self, r):
-        return self.y[r].shape[1]
 
+def augmented_matrix(book, net, regime, r, rng, data_alphabet=DEFAULT_DATA_ALPHABET):
+    """Augmented transmit rows of every UE at AP r, shape (U, L + t_max_r).
 
-def build_augmented_sequence(book, net, regime, r, u, rng,
-                             data_alphabet=DEFAULT_DATA_ALPHABET):
-    """Single augmented row: [zeros(t_ur), pilot, tail] of length L + t_max_r.
-
-    The tail (t_max_r - t_ur samples) is zeros under UPG and i.i.d.
-    unit-magnitude data symbols under UPNG.
+    Row u is [zeros(t_ur), pilot, tail]; the tail (t_max_r - t_ur samples)
+    is zeros under UPG and i.i.d. symbols of ``data_alphabet`` drawn from
+    ``rng`` under UPNG.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
-    t = int(net.t_ur[r, u])
-    tail = int(net.t_max_r[r]) - t
-    row = np.zeros(book.seq_len + int(net.t_max_r[r]), dtype=complex)
-    row[t:t + book.seq_len] = book.sequences[u]
-    if regime == REGIME_UPNG and tail > 0:
-        row[t + book.seq_len:] = data_alphabet[rng.integers(0, len(data_alphabet), size=tail)]
-    return row
-
-
-def _augmented_matrix(book, net, regime, r, rng, data_alphabet):
-    """All-UE augmented rows at AP r, vectorized: (U, L + t_max_r)."""
     n_ue = net.n_ues
     length = book.seq_len
     total = length + int(net.t_max_r[r])
@@ -121,7 +93,7 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng,
     scale = np.sqrt(p_ul)
     sigma = np.sqrt(chan.noise_w / 2.0)
     for r in range(n_aps):
-        x = _augmented_matrix(book, net, regime, r, rng, data_alphabet)
+        x = augmented_matrix(book, net, regime, r, rng, data_alphabet)
         x *= link_phases[r][:, None]
         z = sigma * (rng.standard_normal((chan.m_antennas, x.shape[1]))
                      + 1j * rng.standard_normal((chan.m_antennas, x.shape[1])))

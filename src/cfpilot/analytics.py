@@ -1,8 +1,8 @@
-"""Closed-form reference computations, cross-correlation comparison tables,
-NMSE aggregation and the downlink conjugate-beamforming rate bound.
+"""Per-interferer matched-filter power factors, cross-correlation comparison
+tables, NMSE aggregation and the downlink conjugate-beamforming rate bound.
 
-The per-interferer matched-filter power factors implemented here are the
-single source of truth for the estimator's covariance assembly:
+The per-interferer factors of :func:`interference_profile` are the single
+source of truth for the estimator's covariance assembly:
 
 * random pilots: expected power equals the sequence overlap time (the pilot
   overlap under a guard time; the full pilot length when an earlier
@@ -63,7 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airframe import REGIME_UPG, REGIME_UPNG, REGIMES, _augmented_matrix
+from .airframe import REGIME_UPG, REGIME_UPNG, REGIMES, augmented_matrix
+from .geometry import significant_set
 from .pilots import SCHEME_DFT, SCHEME_DFT_EXT, SCHEME_RANDOM
 
 NMSE_LINEAR_FLOOR = 1e-15
@@ -88,53 +89,30 @@ def overlap_time(regime, t_u, t_other, tau_p):
     return out if out.ndim else int(out)
 
 
-def random_seq_interference_power(beta, psi, m_antennas, tau_overlap):
-    """Expected MF interference power of one random-pilot interferer."""
-    if np.any(np.asarray(tau_overlap) < 0):
-        raise ValueError("tau_overlap must be nonnegative")
-    return m_antennas * beta * psi * np.asarray(tau_overlap, dtype=float)
+def dft_cross_power(regime, k, tau_p, delta):
+    """Expected squared MF cross term of a DFT-pilot interferer at unit gain.
 
-
-def _sin_ratio_sq(k, tau_p, tau_overlap):
-    """Vectorized squared sin-ratio for index differences k != 0 (mod tau_p)."""
-    num = np.sin(np.pi * k * tau_overlap / tau_p)
-    den = np.sin(np.pi * k / tau_p)
-    return (num / den) ** 2
-
-
-def dft_interference_power(regime, m, n, beta, psi, m_antennas, tau_p, t_u, t_other):
-    """Expected MF interference power of one DFT-pilot interferer.
-
-    ``t_u`` is the MF target's delay, ``t_other`` the interferer's. Co-pilot
-    pairs (m == n) add coherently over the pilot overlap; without a guard
-    time an earlier interferer additionally bleeds t_u - t_other data
-    samples (capped at tau_p) into the window.
+    ``k`` is the pilot index difference (target minus interferer) and
+    ``delta`` the delay difference t_target - t_interferer; both broadcast.
+    Over the overlap ov = clip(tau_p - |delta|, 0, tau_p) the pilot part is
+    ov^2 for co-pilot pairs (k = 0 mod tau_p), exactly 0 on the lattice
+    k ov = 0 (mod tau_p) (e.g. full overlap), and otherwise the squared
+    sin-ratio (sin(pi k ov / tau_p) / sin(pi k / tau_p))^2. Without a guard
+    time an earlier interferer adds min(delta, tau_p) data samples.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
-    pil_ov = int(np.clip(tau_p - abs(t_u - t_other), 0, tau_p))
-    if (m - n) % tau_p == 0:
-        base = float(pil_ov) ** 2
-    elif ((m - n) * pil_ov) % tau_p == 0:
-        base = 0.0  # lattice zero of the sin ratio (e.g. full overlap)
-    else:
-        base = float(_sin_ratio_sq(m - n, tau_p, pil_ov))
-    if regime == REGIME_UPNG and t_u > t_other:
-        base += min(tau_p, t_u - t_other)
-    return m_antennas * beta * psi * base
+    # np.minimum/np.maximum, not np.clip: this runs once per served link
+    ov = np.minimum(tau_p, np.maximum(tau_p - np.abs(delta), 0))
+    copilot = k % tau_p == 0
+    ratio = np.sin(np.pi * k * ov / tau_p) / np.sin(np.pi * np.where(copilot, 1, k) / tau_p)
+    out = np.where(copilot, ov * ov, np.where(k * ov % tau_p == 0, 0.0, ratio ** 2))
+    if regime == REGIME_UPNG:
+        out += np.minimum(tau_p, np.maximum(delta, 0))
+    return out
 
 
 def pilot_matrix(book, net, r):
     """Zero-padded pilot-only rows of every UE at AP r (no data tail)."""
-    return _augmented_matrix(book, net, REGIME_UPG, r, None, None)
-
-
-def significant_mask(book, net, r):
-    """Boolean mask over UEs: pilot covers AP r's MF window, or UE is served."""
-    t = net.t_ur[r]
-    tw = net.t_w_r[r]
-    mask = (t <= tw) & (tw - t <= book.tau_ex)
-    return mask | net.served_mask(r)
+    return augmented_matrix(book, net, REGIME_UPG, r, None)
 
 
 def interference_profile(book, net, gains, regime, r, u, mf_row=None, pilot_mat=None):
@@ -157,25 +135,17 @@ def interference_profile(book, net, gains, regime, r, u, mf_row=None, pilot_mat=
         ov = overlap_time(regime, tu, t, tau_p)
         factor = np.asarray(ov, dtype=float)
     elif book.scheme == SCHEME_DFT:
-        delta = tu - t
-        pil_ov = np.clip(tau_p - np.abs(delta), 0, tau_p)
-        k = m_idx[u] - m_idx
-        copilot = (k % tau_p == 0)
-        factor = np.zeros(n_ue)
-        factor[copilot] = pil_ov[copilot].astype(float) ** 2
-        factor[~copilot] = _sin_ratio_sq(k[~copilot], tau_p, pil_ov[~copilot])
-        if regime == REGIME_UPNG:
-            factor += np.clip(delta, 0, tau_p)
+        factor = dft_cross_power(regime, m_idx[u] - m_idx, tau_p, tu - t)
     elif book.scheme == SCHEME_DFT_EXT:
         if mf_row is None:
             raise ValueError("extended scheme needs the MF row for the partial terms")
         tw = int(net.t_w_r[r])
         lam = book.seq_len
-        sig = significant_mask(book, net, r)
-        copilot = m_idx == m_idx[u]
+        inside = np.zeros(n_ue, dtype=bool)
+        inside[significant_set(net, r, book.tau_ex)] = True
         factor = np.zeros(n_ue)
-        factor[sig & copilot] = float(tau_p) ** 2
-        outside = ~sig
+        factor[inside & (m_idx == m_idx[u])] = float(tau_p) ** 2
+        outside = ~inside
         if outside.any():
             if pilot_mat is None:
                 pilot_mat = pilot_matrix(book, net, r)
@@ -190,28 +160,6 @@ def interference_profile(book, net, gains, regime, r, u, mf_row=None, pilot_mat=
     out = g * factor
     out[u] = 0.0
     return out
-
-
-@dataclass
-class PowerBreakdown:
-    """Expected MF power split for one link: desired / per-interferer / noise."""
-
-    desired: float
-    interference: np.ndarray
-    noise: float
-
-    @property
-    def total(self):
-        return self.desired + self.interference.sum() + self.noise
-
-
-def mf_power_breakdown(book, net, gains, regime, r, u, noise_w, p_ul, m_antennas,
-                       mf_row=None, pilot_mat=None):
-    prof = interference_profile(book, net, gains, regime, r, u,
-                                mf_row=mf_row, pilot_mat=pilot_mat)
-    desired = m_antennas * gains.gain[r, u] * float(book.tau_p) ** 2
-    noise = m_antennas * noise_w * book.tau_p / p_ul
-    return PowerBreakdown(desired=desired, interference=m_antennas * prof, noise=noise)
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +188,13 @@ def _random_cross_mc(tau_p, delay, regime, trials, rng, phase_levels):
 
 def _dft_cross_closed(tau_p, delay, regime, pair_mode):
     if pair_mode == "adjacent":
-        return dft_interference_power(regime, 1, 0, 1.0, 1.0, 1, tau_p, delay, 0)
-    if pair_mode == "mean_pairs":
-        vals = [
-            dft_interference_power(regime, m, n, 1.0, 1.0, 1, tau_p, delay, 0)
-            for m in range(tau_p) for n in range(tau_p) if m != n
-        ]
-        return float(np.mean(vals))
-    raise ValueError(f"unknown pair_mode {pair_mode!r}")
+        k = 1
+    elif pair_mode == "mean_pairs":
+        m, n = np.divmod(np.arange(tau_p * tau_p), tau_p)
+        k = (m - n)[m != n]
+    else:
+        raise ValueError(f"unknown pair_mode {pair_mode!r}")
+    return float(np.mean(dft_cross_power(regime, k, tau_p, delay)))
 
 
 def crosscorr_comparison(tau_p_values, delay, rng, trials=2000,

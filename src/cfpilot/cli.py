@@ -22,29 +22,27 @@ def _add_common(parser):
                         help="override a dotted config key (repeatable)")
 
 
-def _config_from_args(args):
-    overrides = {}
-    if getattr(args, "config", None):
-        overrides.update(harness.parse_config_file(args.config))
-    for item in getattr(args, "set", []):
+FLAG_FIELDS = (("seed", "seed"), ("trials", "trials"), ("workers", "workers"),
+               ("out", "out_path"), ("format", "out_format"))
+
+
+def _config_fields(args):
+    """Config field values from --config, then each --set, then the flags."""
+    pairs = list(harness.parse_config_file(args.config).items()) if args.config else []
+    for item in args.set:
         if "=" not in item:
             raise harness.ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, raw = (part.strip() for part in item.split("=", 1))
-        if key not in harness.CONFIG_KEYS:
-            raise harness.ConfigError(f"--set: unknown config key {key!r}")
-        overrides[key] = raw
-    direct = {}
-    if args.seed is not None:
-        direct["seed"] = args.seed
-    if args.trials is not None:
-        direct["trials"] = args.trials
-    if getattr(args, "workers", None) is not None:
-        direct["workers"] = args.workers
-    if args.out is not None:
-        direct["out_path"] = args.out
-    if args.format is not None:
-        direct["out_format"] = args.format
-    return harness.build_config(overrides, **direct)
+        pairs.append(tuple(part.strip() for part in item.split("=", 1)))
+    if args.command == "figure":
+        for key, _ in pairs:
+            if key in ("pilot.scheme", "frame.regime"):
+                raise harness.ConfigError(
+                    f"{key!r} does not apply to figure presets (use run.curves)")
+    values = harness.config_fields(pairs)
+    for flag, attr in FLAG_FIELDS:
+        if getattr(args, flag) is not None:
+            values[attr] = getattr(args, flag)
+    return values
 
 
 def build_parser():
@@ -86,7 +84,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "sweep":
-            cfg = _config_from_args(args)
+            cfg = harness.build_config(**_config_fields(args))
             result = harness.run_sweep(cfg, diag=bool(args.diag), progress=True)
             out = cfg.out_path or "sweep_results." + cfg.out_format
             harness.write_rows(result.rows, out, cfg.out_format)
@@ -94,38 +92,12 @@ def main(argv=None):
                 harness.write_csv(result.diag_rows, args.diag, columns=harness.DIAG_COLUMNS)
             print(out)
         elif args.command == "figure":
-            seed = args.seed if args.seed is not None else 1
-            fmt = args.format or "csv"
-            out = args.out or f"{args.figure_id}." + fmt
-            if args.figure_id == "fig3":
-                rows, info = harness.run_figure("fig3", out_path=out, fmt=fmt, seed=seed)
-                print(f"{out} crossover={info['crossover']}")
-            else:
-                overrides = {}
-                pairs = []
-                if args.config:
-                    pairs.extend(harness.parse_config_file(args.config).items())
-                for item in args.set:
-                    if "=" not in item:
-                        raise harness.ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-                    pairs.append(tuple(part.strip() for part in item.split("=", 1)))
-                for key, raw in pairs:
-                    if key not in harness.CONFIG_KEYS:
-                        raise harness.ConfigError(f"unknown config key {key!r}")
-                    attr, kind = harness.CONFIG_KEYS[key]
-                    if attr.startswith("_"):
-                        raise harness.ConfigError(
-                            f"{key!r} does not apply to figure presets (use run.curves)")
-                    overrides[attr] = harness._coerce(key, kind, raw)
-                if args.trials is not None:
-                    overrides["trials"] = args.trials
-                if args.workers is not None:
-                    overrides["workers"] = args.workers
-                overrides["seed"] = seed
-                rows, info = harness.run_figure(args.figure_id, desk_scale=args.desk_scale,
-                                                out_path=out, fmt=fmt, progress=True,
-                                                **overrides)
-                print(out)
+            values = _config_fields(args)
+            fmt = values.pop("out_format", "csv")
+            out = values.pop("out_path", None) or f"{args.figure_id}.{fmt}"
+            _, info = harness.run_figure(args.figure_id, desk_scale=args.desk_scale,
+                                         out_path=out, fmt=fmt, progress=True, **values)
+            print(f"{out} crossover={info['crossover']}" if args.figure_id == "fig3" else out)
         elif args.command == "crosscorr":
             rng = np.random.default_rng(np.random.SeedSequence((args.seed, 3)))
             rows = analytics.crosscorr_comparison(
@@ -136,7 +108,7 @@ def main(argv=None):
             harness.write_rows(rows, out, args.format, columns=harness.CROSSCORR_COLUMNS)
             print(f"{out} crossover={analytics.find_crossover(rows)}")
         elif args.command == "dump-frame":
-            cfg = _config_from_args(args)
+            cfg = harness.build_config(**_config_fields(args))
             out = cfg.out_path or "frame.bin"
             harness.dump_frame(cfg, out, ap=args.ap)
             print(out)

@@ -1,14 +1,17 @@
-"""Matched filtering and LMMSE channel estimation.
+"""Matched filtering and LMMSE channel estimation over every served link.
 
-The MF output for a served link is y = Y_r phi_MF^H / sqrt(p_ul); its
-covariance under each scheme/regime is assembled in closed form from the
-per-interferer factors in :mod:`cfpilot.analytics` (identity-scaled for the
-i.i.d. channel model), with an empirical Monte-Carlo oracle provided for
-validation. The LMMSE step solves Sigma_y x = y and applies the
-cross-covariance; with identity-scaled covariances this reduces to a scalar
-gain, but a general Hermitian solve is kept for reuse with correlated
-models. For the extended scheme the known window phase (MFSequence
-``align_phase``) de-rotates the observation before the gain is applied.
+The MF output for a served link is y = Y_r phi_MF^H / sqrt(p_ul). Under the
+i.i.d. channel model its covariance is Sigma_y * I with
+
+    Sigma_y = tau_p^2 beta psi + sum_v interference_v + noise_w tau_p / p_ul,
+
+the per-interferer terms coming from
+:func:`cfpilot.analytics.interference_profile`, and its cross-covariance
+with the channel is tau_p beta psi * I. The LMMSE estimate is therefore the
+scalar gain tau_p beta psi / Sigma_y times the observation; for the extended
+scheme the known window phase (MFSequence ``align_phase``) de-rotates the
+observation first. A link's expected NMSE is 1 - gamma / (beta psi), and its
+desired, interference and noise powers sum to M * Sigma_y.
 """
 
 from dataclasses import dataclass
@@ -16,40 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .airframe import DEFAULT_DATA_ALPHABET, REGIME_UPNG, REGIMES
-from .channel import sample_fading
-from .pilots import SCHEME_DFT_EXT, SCHEME_RANDOM, dft_sequence, make_mf_sequence
-
-
-@dataclass
-class MFOutput:
-    """Matched-filter output vector plus an optional exact decomposition.
-
-    ``components`` (when the frame retains its parts) holds the desired
-    coefficient (complex scalar multiplying h_ru), the summed interference
-    vector and the filtered-noise vector; their recombination equals ``y``
-    up to float reassociation.
-    """
-
-    y: np.ndarray
-    align_phase: complex
-    ap: int
-    ue: int
-    components: dict = None
-
-
-@dataclass
-class CovariancePair:
-    """Cross-covariance of (aligned MF output, channel) and MF output covariance."""
-
-    sigma_yh: np.ndarray
-    sigma_y: np.ndarray
-
-
-@dataclass
-class ChannelEstimate:
-    h_hat: np.ndarray
-    nmse: float
+from .airframe import REGIME_UPNG
+from .pilots import make_mf_sequence
 
 
 @dataclass
@@ -74,77 +45,6 @@ class LinkEstimates:
     gain_scale: np.ndarray
     cross: np.ndarray
     bleed: np.ndarray
-
-
-def matched_filter(frame, mf, p_ul):
-    """Apply one MF sequence to a received frame (divided by sqrt(p_ul))."""
-    if p_ul <= 0:
-        raise ValueError("p_ul must be positive")
-    r = mf.ap
-    if mf.row.shape[0] != frame.n_cols(r):
-        raise ValueError("MF row length does not match frame column count")
-    y = frame.y[r] @ mf.row.conj() / np.sqrt(p_ul)
-    components = None
-    if frame.x_aug is not None:
-        coeffs = frame.x_aug[r] @ mf.row.conj()
-        desired_scale = complex(coeffs[mf.ue])
-        coeffs = coeffs.copy()
-        coeffs[mf.ue] = 0.0
-        interference = coeffs @ frame.chan.h[r]
-        noise = frame.noise[r] @ mf.row.conj() / np.sqrt(p_ul)
-        components = {
-            "desired_scale": desired_scale,
-            "interference": interference,
-            "noise": noise,
-        }
-    return MFOutput(y=y, align_phase=mf.align_phase, ap=r, ue=mf.ue,
-                    components=components)
-
-
-def covariance_scales(book, net, gains, regime, r, u, noise_w, p_ul,
-                      mf_row=None, pilot_mat=None):
-    """Scalar (yh, y) covariance scales for one served link.
-
-    Sigma_yh = yh * I and Sigma_y = y * I with
-    yh = tau_p beta psi and
-    y  = tau_p^2 beta psi + sum over interferers + noise_w tau_p / p_ul.
-    """
-    tau_p = book.tau_p
-    g = gains.gain[r, u]
-    prof = analytics.interference_profile(book, net, gains, regime, r, u,
-                                          mf_row=mf_row, pilot_mat=pilot_mat)
-    yh = tau_p * g
-    y = tau_p**2 * g + prof.sum() + noise_w * tau_p / p_ul
-    return yh, y
-
-
-def closed_form_covariances(book, net, gains, regime, r, u, noise_w, p_ul, m_antennas,
-                            mf_row=None, pilot_mat=None):
-    """Identity-scaled covariance pair for one served link (see module doc)."""
-    if book.scheme == SCHEME_DFT_EXT and mf_row is None:
-        mf_row = make_mf_sequence(book, net, r, u).row
-    yh, y = covariance_scales(book, net, gains, regime, r, u, noise_w, p_ul,
-                              mf_row=mf_row, pilot_mat=pilot_mat)
-    eye = np.eye(m_antennas)
-    return CovariancePair(sigma_yh=yh * eye, sigma_y=y * eye)
-
-
-def lmmse_estimate(mf_out, cov, h_true):
-    """LMMSE channel estimate from the (phase-aligned) MF output.
-
-    Solves Sigma_y x = y_aligned and returns Sigma_yh x together with the
-    realized NMSE against ``h_true``.
-    """
-    obs = np.conj(mf_out.align_phase) * mf_out.y
-    h_hat = cov.sigma_yh @ np.linalg.solve(cov.sigma_y, obs)
-    err = h_true - h_hat
-    nmse = float(np.vdot(err, err).real / np.vdot(h_true, h_true).real)
-    return ChannelEstimate(h_hat=h_hat, nmse=nmse)
-
-
-def expected_link_nmse(gain, yh_scale, y_scale):
-    """Closed-form expected NMSE (error energy over channel energy) per link."""
-    return 1.0 - yh_scale**2 / (y_scale * gain)
 
 
 def estimate_trial_links(frame):
@@ -210,85 +110,3 @@ def estimate_trial_links(frame):
         cross=np.array(cross),
         bleed=np.array(bleeds),
     )
-
-
-def empirical_covariance_oracle(book, net, gains, regime, r, u, noise_w, p_ul,
-                                trials, rng, m_antennas=8, batch=10000,
-                                data_alphabet=DEFAULT_DATA_ALPHABET):
-    """Estimate the MF-output covariances by Monte-Carlo.
-
-    Fresh fading, noise, data symbols and (for the random scheme) pilot
-    phases are drawn every trial with the large-scale gains frozen; the MF
-    noise is drawn directly from its exact law CN(0, noise_w tau_p / p_ul)
-    per antenna. Returns empirical (Sigma_yh, Sigma_y) matrices.
-    """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    tau_p = book.tau_p
-    lam = book.seq_len
-    t = net.t_ur[r].astype(int)
-    n_ue = net.n_ues
-    g = gains.gain[r]
-
-    if book.scheme == SCHEME_DFT_EXT:
-        if u not in net.serving[r]:
-            raise ValueError("extended-DFT oracle runs on served links")
-        w0 = int(net.t_w_r[r])
-        m_u = int(book.assignment[u])
-        tgt_fixed = dft_sequence(m_u, tau_p)
-        align = np.exp(2j * np.pi * m_u * (w0 - t[u]) / tau_p)
-    else:
-        w0 = int(t[u])
-        tgt_fixed = book.sequences[u, :tau_p]
-        align = 1.0 + 0j
-
-    a = np.maximum(w0, t)
-    b = np.minimum(w0 + tau_p, t + lam)
-    if regime == REGIME_UPNG:
-        n_data = np.clip(w0 + tau_p - (t + lam), 0, tau_p)
-    else:
-        n_data = np.zeros(n_ue, dtype=int)
-
-    randomized = book.scheme == SCHEME_RANDOM
-    if randomized:
-        used = np.unique(book.assignment)
-        slot = {int(m): i for i, m in enumerate(used)}
-        p_lev = book.phase_levels
-
-    accum_y = np.zeros((m_antennas, m_antennas), dtype=complex)
-    accum_yh = np.zeros((m_antennas, m_antennas), dtype=complex)
-    done = 0
-    while done < trials:
-        nb = min(batch, trials - done)
-        if randomized:
-            pool = np.exp(2j * np.pi * rng.integers(0, p_lev, (nb, len(used), tau_p)) / p_lev)
-            tgt = pool[:, slot[int(book.assignment[u])], :]
-        else:
-            tgt = tgt_fixed[None, :]
-        c = np.zeros((nb, n_ue), dtype=complex)
-        for up in range(n_ue):
-            if b[up] > a[up]:
-                i0 = int(a[up] - t[up])
-                j0 = int(a[up] - w0)
-                ln = int(b[up] - a[up])
-                if randomized:
-                    s_i = pool[:, slot[int(book.assignment[up])], i0:i0 + ln]
-                else:
-                    s_i = book.sequences[up, i0:i0 + ln][None, :]
-                c[:, up] = (s_i * tgt[..., j0:j0 + ln].conj()).sum(axis=-1)
-            if n_data[up] > 0:
-                nd = int(n_data[up])
-                j0 = int(max(w0, t[up] + lam) - w0)
-                syms = data_alphabet[rng.integers(0, len(data_alphabet), (nb, nd))]
-                c[:, up] += (syms * tgt[..., j0:j0 + nd].conj()).sum(axis=-1)
-        h = np.sqrt(g)[None, :, None] * sample_fading(m_antennas, rng, size=(nb, n_ue))
-        z = np.sqrt(noise_w * tau_p / p_ul / 2.0) * (
-            rng.standard_normal((nb, m_antennas)) + 1j * rng.standard_normal((nb, m_antennas)))
-        y = np.einsum("bu,bum->bm", c, h) + z
-        y_al = np.conj(align) * y
-        accum_y += np.einsum("bm,bn->mn", y, y.conj())
-        accum_yh += np.einsum("bm,bn->mn", y_al, h[:, u, :].conj())
-        done += nb
-    return CovariancePair(sigma_yh=accum_yh / trials, sigma_y=accum_y / trials)

@@ -102,7 +102,6 @@ CONFIG_KEYS = {
     "sweep.values": ("sweep_values", "number_list"),
     "sweep.p_dbm": ("sweep_values", "p_dbm_list"),
     "run.trials": ("trials", int),
-    "trials": ("trials", int),
     "run.curves": ("curves", "str_list"),
     "run.workers": ("workers", int),
     "out.path": ("out_path", str),
@@ -176,31 +175,42 @@ def parse_curve(curve):
     return scheme, regime
 
 
+def config_fields(pairs):
+    """Turn dotted-key (key, value) pairs into ExperimentConfig field values.
+
+    String values are parsed by the key's type, and a later pair wins.
+    ``sweep.p_dbm`` sets a power sweep over its values; ``pilot.scheme`` and
+    ``frame.regime`` form one ``scheme:regime`` curve (default ``dft:upg``)
+    that replaces ``run.curves``.
+    """
+    out, scheme, regime = {}, None, None
+    for key, raw in pairs:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        attr, kind = CONFIG_KEYS[key]
+        value = _coerce(key, kind, raw) if isinstance(raw, str) else raw
+        if key == "sweep.p_dbm":
+            out.update(sweep_variable="p_dbm", sweep_values=tuple(value))
+        elif attr == "_scheme":
+            scheme = value
+        elif attr == "_regime":
+            regime = value
+        else:
+            out[attr] = value
+    if scheme or regime:
+        out["curves"] = (f"{scheme or 'dft'}:{regime or 'upg'}",)
+    return out
+
+
 def build_config(file_overrides=None, **direct):
-    """Assemble an ExperimentConfig from dotted-key overrides plus kwargs."""
-    cfg = ExperimentConfig()
-    pending_scheme, pending_regime = None, None
-    if file_overrides:
-        for key, raw in file_overrides.items():
-            attr, kind = CONFIG_KEYS[key]
-            value = _coerce(key, kind, raw) if isinstance(raw, str) else raw
-            if key == "sweep.p_dbm":
-                cfg = replace(cfg, sweep_variable="p_dbm", sweep_values=tuple(value))
-            elif attr == "_scheme":
-                pending_scheme = value
-            elif attr == "_regime":
-                pending_regime = value
-            else:
-                cfg = replace(cfg, **{attr: value})
-    if pending_scheme or pending_regime:
-        scheme = pending_scheme or "dft"
-        regime = pending_regime or "upg"
-        cfg = replace(cfg, curves=(f"{scheme}:{regime}",))
+    """Assemble an ExperimentConfig from dotted-key overrides plus field values."""
+    values = config_fields((file_overrides or {}).items())
+    values.update(direct)
     valid = {f.name for f in fields(ExperimentConfig)}
-    for attr, value in direct.items():
+    for attr in values:
         if attr not in valid:
             raise ConfigError(f"unknown config field {attr!r}")
-        cfg = replace(cfg, **{attr: value})
+    cfg = replace(ExperimentConfig(), **values)
     validate_config(cfg)
     return cfg
 
@@ -218,10 +228,11 @@ def validate_config(cfg):
         raise ConfigError(f"out.format: unknown format {cfg.out_format!r}")
     if not isinstance(cfg.tau_ex, int) and cfg.tau_ex != "auto_min":
         raise ConfigError(f"pilot.tau_ex: expected integer or 'auto_min', got {cfg.tau_ex!r}")
-    if cfg.sweep_variable == "tau_ex":
-        for v in cfg.sweep_values:
-            if v < 0 or v != int(v):
-                raise ConfigError("sweep.values: tau_ex values must be nonnegative integers")
+    if cfg.sweep_variable in ("tau_p", "tau_ex"):
+        low = int(cfg.sweep_variable == "tau_p")
+        if any(v < low or not float(v).is_integer() for v in cfg.sweep_values):
+            raise ConfigError(f"sweep.values: {cfg.sweep_variable} values must be "
+                              f"integers >= {low}")
     for curve in cfg.curves:
         parse_curve(curve)
     cfg.area()  # surfaces geometric errors with their own message
@@ -238,14 +249,46 @@ def _trial_streams(seed, trial, curve_index=None):
     return np.random.default_rng(np.random.SeedSequence((seed, trial, 2, curve_index)))
 
 
-def resolve_tau_ex(cfg, net, scheme, sweep_value=None):
+def configured_tau_ex(cfg, scheme, sweep_value):
+    """A curve's extension as configured: 0, an integer or ``"auto_min"``."""
     if scheme != SCHEME_DFT_EXT:
         return 0
-    if cfg.sweep_variable == "tau_ex" and sweep_value is not None:
+    if cfg.sweep_variable == "tau_ex":
         return int(sweep_value)
-    if cfg.tau_ex == "auto_min":
-        return delay_spread_min_extension(net)
-    return int(cfg.tau_ex)
+    return cfg.tau_ex
+
+
+def trial_frames(cfg, sweep_value, trial):
+    """Yield (curve, ReceivedFrame) for every configured curve of one trial.
+
+    The network, large-scale gains and fading are drawn once and shared by
+    all curves (paired comparison); each curve's pilot book, UPNG data and
+    noise come from its own transmit stream, and the ``sync`` curve runs on
+    the synchronized network. The sweep value sets the power, pilot length
+    or extension; ``auto_min`` resolves to the curve network's largest
+    in-cluster delay spread.
+    """
+    net_rng, fad_rng = _trial_streams(cfg.seed, trial)
+    net = sample_topology(cfg.area(), cfg.cluster_size, net_rng)
+    gains = draw_link_gains(net, net_rng, cfg.sigma_sh_db)
+    p_ul = dbm_to_watts(sweep_value if cfg.sweep_variable == "p_dbm" else cfg.p_dbm)
+    tau_p = int(sweep_value) if cfg.sweep_variable == "tau_p" else cfg.tau_p
+    chan = draw_channels(net, gains, cfg.antennas, fad_rng, cfg.noise_w, p_ul)
+    for ci, curve in enumerate(cfg.curves):
+        scheme, regime = parse_curve(curve)
+        tx_rng = _trial_streams(cfg.seed, trial, ci)
+        cnet = net
+        if scheme == CURVE_SYNC:
+            cnet, scheme = synchronize(net), SCHEME_DFT
+        tau_ex = configured_tau_ex(cfg, scheme, sweep_value)
+        if tau_ex == "auto_min":
+            tau_ex = delay_spread_min_extension(cnet)
+        book = make_pilot_book(scheme, tau_p, tau_ex, cnet.n_ues, tx_rng,
+                               phase_levels=cfg.phase_levels,
+                               assignment=cfg.assignment,
+                               ue_positions=cnet.ue_pos)
+        yield curve, synthesize_frame(book, cnet, chan, regime, p_ul, tx_rng,
+                                      random_link_phase=cfg.random_link_phase)
 
 
 @dataclass
@@ -264,31 +307,13 @@ class TrialRecord:
 
 def run_trial(cfg, sweep_value, trial):
     """One Monte-Carlo trial at one sweep point: every curve on shared draws."""
-    area = cfg.area()
-    net_rng, fad_rng = _trial_streams(cfg.seed, trial)
-    net = sample_topology(area, cfg.cluster_size, net_rng)
-    gains = draw_link_gains(net, net_rng, cfg.sigma_sh_db)
-    p_ul = dbm_to_watts(sweep_value if cfg.sweep_variable == "p_dbm" else cfg.p_dbm)
-    tau_p = int(sweep_value) if cfg.sweep_variable == "tau_p" else cfg.tau_p
-    chan = draw_channels(net, gains, cfg.antennas, fad_rng, cfg.noise_w, p_ul)
     out = {}
-    for ci, curve in enumerate(cfg.curves):
-        scheme, regime = parse_curve(curve)
-        tx_rng = _trial_streams(cfg.seed, trial, ci)
-        if scheme == CURVE_SYNC:
-            cnet, eff_scheme = synchronize(net), SCHEME_DFT
-        else:
-            cnet, eff_scheme = net, scheme
-        tau_ex = resolve_tau_ex(cfg, cnet, eff_scheme, sweep_value)
-        book = make_pilot_book(eff_scheme, tau_p, tau_ex, cnet.n_ues, tx_rng,
-                               phase_levels=cfg.phase_levels,
-                               assignment=cfg.assignment,
-                               ue_positions=cnet.ue_pos)
-        frame = synthesize_frame(book, cnet, chan, regime, p_ul, tx_rng,
-                                 random_link_phase=cfg.random_link_phase)
+    for curve, frame in trial_frames(cfg, sweep_value, trial):
+        book = frame.book
         links = estimate_trial_links(frame)
-        overhead = analytics.overhead_factor(cfg.tau_c, tau_p, tau_ex)
-        rate = analytics.conjugate_bf_rate(cnet, gains, links.gamma, p_dl=p_ul,
+        overhead = analytics.overhead_factor(cfg.tau_c, book.tau_p, book.tau_ex)
+        rate = analytics.conjugate_bf_rate(frame.net, frame.chan.gains, links.gamma,
+                                           p_dl=frame.p_ul,
                                            noise_w=cfg.noise_w,
                                            m_antennas=cfg.antennas,
                                            overhead=overhead,
@@ -299,7 +324,7 @@ def run_trial(cfg, sweep_value, trial):
         out[curve] = {
             "nmse": links.nmse,
             "se": rate.se_per_ue,
-            "tau_ex": tau_ex,
+            "tau_ex": book.tau_ex,
             "ap": links.ap,
             "ue": links.ue,
             "desired_power": links.desired_power,
@@ -353,20 +378,13 @@ def run_sweep(cfg, diag=False, progress=False):
             se = np.concatenate([out.curves[curve]["se"] for out in trial_outputs])
             agg = analytics.nmse_aggregate(nmse)
             tau_p = int(sweep_value) if cfg.sweep_variable == "tau_p" else cfg.tau_p
-            if scheme == SCHEME_DFT_EXT:
-                if cfg.sweep_variable == "tau_ex":
-                    tau_ex_out = int(sweep_value)
-                else:
-                    tau_ex_out = cfg.tau_ex
-            else:
-                tau_ex_out = 0
             rows.append({
                 "sweep_var": cfg.sweep_variable,
                 "sweep_value": float(sweep_value),
                 "scheme": scheme,
                 "regime": regime,
                 "tau_p": tau_p,
-                "tau_ex": tau_ex_out,
+                "tau_ex": configured_tau_ex(cfg, scheme, sweep_value),
                 "nmse_db_mean": agg["mean_db"],
                 "nmse_db_p10": agg["p10_db"],
                 "nmse_db_p90": agg["p90_db"],
@@ -392,11 +410,6 @@ def run_sweep(cfg, diag=False, progress=False):
             print(f"[cfpilot] sweep point {cfg.sweep_variable}={sweep_value} done",
                   file=sys.stderr)
     return SweepResult(rows=rows, diag_rows=diag_rows)
-
-
-def synchronous_baseline(cfg):
-    """Run the sweep with delays forced to zero (DFT scheme reference curve)."""
-    return run_sweep(replace(cfg, curves=(CURVE_SYNC,)))
 
 
 # ---------------------------------------------------------------------------
@@ -516,25 +529,14 @@ def run_figure(fig_id, desk_scale=False, out_path=None, fmt="csv", progress=Fals
 
 
 def dump_frame(cfg, path, ap=0, sweep_value=None, trial=0):
-    """Synthesize one trial's frame for one curve and dump AP ``ap``'s matrix."""
-    value = cfg.sweep_values[0] if sweep_value is None else sweep_value
-    area = cfg.area()
-    net_rng, fad_rng = _trial_streams(cfg.seed, trial)
-    net = sample_topology(area, cfg.cluster_size, net_rng)
-    gains = draw_link_gains(net, net_rng, cfg.sigma_sh_db)
-    p_ul = dbm_to_watts(value if cfg.sweep_variable == "p_dbm" else cfg.p_dbm)
-    chan = draw_channels(net, gains, cfg.antennas, fad_rng, cfg.noise_w, p_ul)
-    scheme, regime = parse_curve(cfg.curves[0])
-    tx_rng = _trial_streams(cfg.seed, trial, 0)
-    if scheme == CURVE_SYNC:
-        net, scheme = synchronize(net), SCHEME_DFT
-    tau_ex = resolve_tau_ex(cfg, net, scheme)
-    book = make_pilot_book(scheme, cfg.tau_p, tau_ex, net.n_ues, tx_rng,
-                           phase_levels=cfg.phase_levels, assignment=cfg.assignment,
-                           ue_positions=net.ue_pos)
-    frame = synthesize_frame(book, net, chan, regime, p_ul, tx_rng,
-                             random_link_phase=cfg.random_link_phase)
-    if not 0 <= ap < net.n_aps:
+    """Dump AP ``ap``'s received frame of the first curve, as ``run_trial`` builds it.
+
+    The point is the first sweep value unless ``sweep_value`` is given, so the
+    frame's power, pilot length and extension are those the sweep runs there.
+    """
+    if not 0 <= ap < cfg.ap_count:
         raise ConfigError(f"dump-frame: AP index {ap} out of range")
+    value = cfg.sweep_values[0] if sweep_value is None else sweep_value
+    _, frame = next(trial_frames(cfg, value, trial))
     write_frame_dump(path, frame.y[ap])
     return frame

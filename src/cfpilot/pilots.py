@@ -177,45 +177,3 @@ def make_mf_sequence(book, net, r, u):
         row[start:start + book.tau_p] = book.sequences[u, :book.tau_p]
         phase = 1.0 + 0j
     return MFSequence(row=row, window_start=start, align_phase=complex(phase), ap=r, ue=u)
-
-
-def dft_cross_inner(m, n, tau_p, tau_overlap):
-    """Inner product of two DFT pilots overlapping on tau_overlap samples.
-
-    The trailing tau_overlap samples of the earlier-arriving row m (the MF
-    target) correlate against the leading samples of the later-arriving
-    row n. With w = exp(-j 2 pi / tau_p):
-
-        w^(m (tau_p - tau_overlap)) * (w^((m-n) tau_overlap) - 1) / (w^(m-n) - 1)
-
-    and the coherent limit w^(m (tau_p - tau_overlap)) * tau_overlap for
-    m == n. Nonpositive overlaps return 0 (disjoint sequences).
-    """
-    if tau_overlap <= 0:
-        return 0j
-    if tau_overlap > tau_p:
-        raise ValueError("tau_overlap cannot exceed tau_p")
-    w = np.exp(-2j * np.pi / tau_p)
-    lead = w ** (m * (tau_p - tau_overlap))
-    if (m - n) % tau_p == 0:
-        return lead * tau_overlap
-    return lead * (w ** ((m - n) * tau_overlap) - 1) / (w ** (m - n) - 1)
-
-
-def dft_cross_power_factor(m, n, tau_p, tau_overlap):
-    """Squared sin-ratio magnitude of the DFT cross term, |R|^2 with
-
-        R = sin(pi (m-n) tau_overlap / tau_p) / sin(pi (m-n) / tau_p).
-
-    Requires m != n (mod tau_p); co-pilot pairs use tau_overlap^2 instead.
-    """
-    m = np.asarray(m)
-    n = np.asarray(n)
-    if ((m - n) % tau_p == 0).any():
-        raise ValueError("dft_cross_power_factor requires m != n; "
-                         "use tau_overlap**2 for the coherent case")
-    ov = np.asarray(tau_overlap)
-    num = np.sin(np.pi * (m - n) * ov / tau_p)
-    den = np.sin(np.pi * (m - n) / tau_p)
-    out = (num / den) ** 2
-    return out if out.ndim else float(out)

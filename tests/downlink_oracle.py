@@ -29,45 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from cfpilot.airframe import synthesize_frame
-from cfpilot.channel import dbm_to_watts, draw_channels, draw_link_gains
+from cfpilot.channel import draw_channels
 from cfpilot.estimator import estimate_trial_links
-from cfpilot.geometry import sample_topology, synchronize
-from cfpilot.harness import CURVE_SYNC, _trial_streams, parse_curve, resolve_tau_ex
-from cfpilot.pilots import SCHEME_DFT, make_mf_sequence, make_pilot_book
-
-
-@dataclass
-class FrozenCurve:
-    """What one curve of one harness trial runs on: network, gains, book."""
-
-    net: object
-    gains: object
-    book: object
-    regime: str
-    p_ul: float
+from cfpilot.harness import trial_frames
+from cfpilot.pilots import make_mf_sequence
 
 
 def frozen_curve(cfg, sweep_value, trial, curve):
-    """Rebuild the network, gains and pilot book ``run_trial`` uses for a curve.
-
-    Only power sweeps are supported. The book is taken from the curve's own
-    transmit stream, as in ``run_trial``, so random-phase books match too.
-    """
-    if cfg.sweep_variable != "p_dbm":
-        raise ValueError("frozen_curve supports power sweeps only")
-    net_rng, _ = _trial_streams(cfg.seed, trial)
-    net = sample_topology(cfg.area(), cfg.cluster_size, net_rng)
-    gains = draw_link_gains(net, net_rng, cfg.sigma_sh_db)
-    scheme, regime = parse_curve(curve)
-    if scheme == CURVE_SYNC:
-        net, scheme = synchronize(net), SCHEME_DFT
-    tau_ex = resolve_tau_ex(cfg, net, scheme, sweep_value)
-    book = make_pilot_book(scheme, cfg.tau_p, tau_ex, net.n_ues,
-                           _trial_streams(cfg.seed, trial, cfg.curves.index(curve)),
-                           phase_levels=cfg.phase_levels, assignment=cfg.assignment,
-                           ue_positions=net.ue_pos)
-    return FrozenCurve(net=net, gains=gains, book=book, regime=regime,
-                       p_ul=float(dbm_to_watts(sweep_value)))
+    """The frame ``run_trial`` builds for one curve; the oracle keeps its
+    network, gains, pilot book, regime and power and redraws the rest."""
+    return next(frame for name, frame in trial_frames(cfg, sweep_value, trial)
+                if name == curve)
 
 
 @dataclass
@@ -111,7 +83,7 @@ def downlink_oracle(frozen, m_antennas, noise_w, tau_c, draws, n_batches, seed):
     """
     if draws % n_batches:
         raise ValueError("draws must be a multiple of n_batches")
-    net, gains, book = frozen.net, frozen.gains, frozen.book
+    net, gains, book = frozen.net, frozen.chan.gains, frozen.book
     p_ul = p_dl = frozen.p_ul
     n_ue = net.n_ues
     fad_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))

@@ -13,19 +13,17 @@ import time
 import numpy as np
 import pytest
 from downlink_oracle import batch_stderr, downlink_oracle, frozen_curve
+from oracles import empirical_covariance_oracle, link_covariances
 
 from cfpilot import analytics
 from cfpilot.airframe import REGIME_UPG, REGIME_UPNG, synthesize_frame
 from cfpilot.channel import LinkGains, draw_channels, draw_link_gains
-from cfpilot.estimator import (
-    covariance_scales,
-    empirical_covariance_oracle,
-    estimate_trial_links,
-)
+from cfpilot.estimator import estimate_trial_links
 from cfpilot.geometry import (
     SimArea,
     delay_spread_min_extension,
     sample_topology,
+    significant_set,
     topology_from_positions,
 )
 from cfpilot.harness import (
@@ -88,15 +86,15 @@ def test_criterion_1_exact_orthogonality_restoration():
         net = sample_topology(DESK_AREA, 4, rng)
         tau_ex = delay_spread_min_extension(net)
         book = make_pilot_book("dft_ext", tau_p, tau_ex, net.n_ues, rng)
-        sig_masks = [analytics.significant_mask(book, net, r)
-                     for r in range(net.n_aps)]
         for r in range(net.n_aps):
+            sig = np.zeros(net.n_ues, dtype=bool)
+            sig[significant_set(net, r, tau_ex)] = True
             pilot_mat = analytics.pilot_matrix(book, net, r)
             for u in net.serving[r]:
                 u = int(u)
                 mf = make_mf_sequence(book, net, r, u)
                 inner = np.abs(pilot_mat @ mf.row.conj())
-                others = sig_masks[r] & (book.assignment != book.assignment[u])
+                others = sig & (book.assignment != book.assignment[u])
                 if others.any():
                     worst = max(worst, float(inner[others].max()))
     elapsed = time.time() - t0
@@ -138,15 +136,11 @@ def test_criterion_2_closed_form_vs_bruteforce():
     for tau_p in (4, 8, 16, 32):
         for regime in (REGIME_UPG, REGIME_UPNG):
             brute = _brute_power_grid(tau_p, regime)
+            m, n = np.indices((tau_p, tau_p))
             for (t_u, t_other), grid in brute.items():
-                for m in range(tau_p):
-                    for n in range(tau_p):
-                        if m == n:
-                            continue
-                        closed = analytics.dft_interference_power(
-                            regime, m, n, 1.0, 1.0, 1, tau_p, t_u, t_other)
-                        err = abs(closed - grid[m, n]) / max(grid[m, n], closed, 1e-9)
-                        worst = max(worst, err)
+                closed = analytics.dft_cross_power(regime, m - n, tau_p, t_u - t_other)
+                err = np.abs(closed - grid) / np.maximum(np.maximum(grid, closed), 1e-9)
+                worst = max(worst, float(err[m != n].max()))
     elapsed = time.time() - t0
     ok = worst <= 1e-9 and elapsed < 60
     report(2, ok, f"max relative error closed-form vs brute force = {worst:.2e} "
@@ -188,10 +182,10 @@ def test_criterion_4_covariance_oracle():
     for scheme in ("random", "dft", "dft_ext"):
         tau_ex = delay_spread_min_extension(net) if scheme == "dft_ext" else 0
         book = make_pilot_book(scheme, tau_p, tau_ex, 5, np.random.default_rng(0))
-        mf_row = make_mf_sequence(book, net, 0, u).row
         for regime in (REGIME_UPG, REGIME_UPNG):
-            _, ys = covariance_scales(book, net, gains, regime, 0, u, noise_w,
-                                      p_ul, mf_row=mf_row)
+            _, _, ys = link_covariances(book, net, gains, regime, noise_w, p_ul,
+                                        m_antennas=m_ant)
+            ys = ys[0, u]
             emp = empirical_covariance_oracle(
                 book, net, gains, regime, 0, u, noise_w, p_ul, 100_000,
                 np.random.default_rng(7), m_antennas=m_ant)

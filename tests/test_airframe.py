@@ -4,8 +4,7 @@ import pytest
 from cfpilot.airframe import (
     REGIME_UPG,
     REGIME_UPNG,
-    RegimeConfig,
-    build_augmented_sequence,
+    augmented_matrix,
     read_frame_dump,
     synthesize_frame,
     write_frame_dump,
@@ -36,29 +35,24 @@ def toy_chan(net, m=4, noise_w=0.0, p_ul=1.0, rng=None, gains=None):
     return draw_channels(net, gains, m, rng, noise_w, p_ul)
 
 
-def test_regime_config_validation():
-    with pytest.raises(ValueError):
-        RegimeConfig("guard")
-    with pytest.raises(ValueError):
-        RegimeConfig("upg", data_alphabet=np.array([2.0 + 0j]))
-
-
 def test_augmented_sequence_shapes():
     net = toy_net([0, 5])
     book = make_pilot_book("dft", 8, 0, 2, np.random.default_rng(0))
     rng = np.random.default_rng(1)
+    rows = augmented_matrix(book, net, REGIME_UPG, 0, rng)
+    assert rows.shape == (2, 13)
     # t_ur = t_max -> no tail
-    row_late = build_augmented_sequence(book, net, REGIME_UPG, 0, 1, rng)
-    assert row_late.shape == (13,)
+    row_late = rows[1]
     np.testing.assert_allclose(row_late[:5], 0)
     np.testing.assert_allclose(row_late[5:], book.sequences[1], atol=1e-12)
     # t_ur = 0 under UPG -> [pilot, zeros]
-    row_early = build_augmented_sequence(book, net, REGIME_UPG, 0, 0, rng)
+    row_early = rows[0]
     np.testing.assert_allclose(row_early[:8], book.sequences[0], atol=1e-12)
     np.testing.assert_allclose(row_early[8:], 0)
-    # UPNG tail is unit magnitude
-    row_upng = build_augmented_sequence(book, net, REGIME_UPNG, 0, 0, rng)
-    np.testing.assert_allclose(np.abs(row_upng[8:]), 1.0, atol=1e-12)
+    # UPNG tail is unit magnitude; the latest UE has none
+    rows_upng = augmented_matrix(book, net, REGIME_UPNG, 0, rng)
+    np.testing.assert_allclose(np.abs(rows_upng[0, 8:]), 1.0, atol=1e-12)
+    np.testing.assert_allclose(rows_upng[1], row_late)
 
 
 def test_frame_single_ue_noiseless():

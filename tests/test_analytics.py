@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 from downlink_oracle import batch_stderr, downlink_oracle, frozen_curve
+from oracles import link_covariances
 
 from cfpilot.airframe import REGIME_UPG, REGIME_UPNG
 from cfpilot.analytics import (
     conjugate_bf_rate,
     crosscorr_comparison,
-    dft_interference_power,
+    dft_cross_power,
     find_crossover,
     interference_profile,
-    mf_power_breakdown,
     nmse_aggregate,
     overhead_factor,
     overlap_time,
-    random_seq_interference_power,
 )
 from cfpilot.channel import LinkGains, sample_fading
 from cfpilot.geometry import SimArea, topology_from_positions
@@ -28,6 +27,13 @@ def toy_net(delays_samples, cluster_size=None):
     ue = [[d * 15.0 + 1.0, 0.0] for d in delays_samples]
     k = cluster_size if cluster_size is not None else len(delays_samples)
     return topology_from_positions(AREA, [[0.0, 0.0]], ue, cluster_size=k)
+
+
+def dft_interference_power(regime, m, n, beta, psi, m_antennas, tau_p, t_u, t_other):
+    """Expected MF power of one DFT interferer (row n, delay t_other) on the
+    target (row m, delay t_u), from the library's vectorized factor."""
+    return m_antennas * beta * psi * float(
+        dft_cross_power(regime, m - n, tau_p, t_u - t_other))
 
 
 def brute_mf_power(regime, m, n, tau_p, t_u, t_other):
@@ -62,10 +68,13 @@ def test_overlap_time_rules():
 
 
 def test_random_seq_interference_power():
-    assert random_seq_interference_power(1.0, 1.0, 8, 0) == 0
-    assert random_seq_interference_power(1e-8, 1.0, 8, 28) == pytest.approx(2.24e-6)
-    with pytest.raises(ValueError):
-        random_seq_interference_power(1.0, 1.0, 8, -1)
+    # a random-pilot interferer adds M beta psi times the overlap time
+    net = toy_net([0, 4, 40])
+    book = make_pilot_book("random", 32, 0, 3, np.random.default_rng(0))
+    gains = LinkGains(beta=np.full((1, 3), 1e-8), psi=np.ones((1, 3)))
+    prof = 8 * interference_profile(book, net, gains, REGIME_UPG, 0, 0)
+    assert prof[2] == 0
+    assert prof[1] == pytest.approx(2.24e-6)
 
 
 def test_dft_interference_power_cases():
@@ -113,14 +122,19 @@ def test_interference_profile_matches_scalar_ops():
 
 
 def test_power_breakdown_fields():
+    # the estimator's expected MF power split of link (AP 0, UE 0)
     net = toy_net([0, 4])
     book = make_pilot_book("dft", 16, 0, 2, np.random.default_rng(0))
     gains = LinkGains(beta=np.array([[2.0, 1.0]]), psi=np.ones((1, 2)))
-    bd = mf_power_breakdown(book, net, gains, REGIME_UPG, 0, 0, 1e-3, 0.5, 8)
-    assert bd.desired == pytest.approx(8 * 2.0 * 256)
-    assert bd.noise == pytest.approx(8 * 1e-3 * 16 / 0.5)
-    assert bd.interference.shape == (2,)
-    assert bd.total == pytest.approx(bd.desired + bd.interference.sum() + bd.noise)
+    links, _, ys = link_covariances(book, net, gains, REGIME_UPG, 1e-3, 0.5, m_antennas=8)
+    assert (links.ap[0], links.ue[0]) == (0, 0)
+    desired, noise = links.desired_power[0], links.noise_power[0]
+    interference = links.interference_power[0]
+    assert desired == pytest.approx(8 * 2.0 * 256)
+    assert noise == pytest.approx(8 * 1e-3 * 16 / 0.5)
+    assert interference == pytest.approx(
+        8 * interference_profile(book, net, gains, REGIME_UPG, 0, 0).sum(), rel=1e-12)
+    assert 8 * ys[0, 0] == pytest.approx(desired + interference + noise)
 
 
 def test_crosscorr_shape_and_crossover():
@@ -281,14 +295,14 @@ def test_mf_power_scaling_laws():
         net = toy_net([0, delta])
         book = make_pilot_book("random", tau_p, 0, 2, np.random.default_rng(0))
         gains = LinkGains(beta=np.ones((1, 2)), psi=np.ones((1, 2)))
-        bd = mf_power_breakdown(book, net, gains, REGIME_UPG, 0, 0, noise_w,
-                                p_ul, m_ant)
+        links, _, _ = link_covariances(book, net, gains, REGIME_UPG, noise_w, p_ul,
+                                       m_antennas=m_ant)
+        # link 0 is (AP 0, UE 0); UE 1 is its only interferer
+        bd = (links.desired_power[0], links.noise_power[0], links.interference_power[0])
         if prev is not None:
-            assert bd.desired / prev.desired == pytest.approx(4.0, rel=1e-12)
-            assert bd.noise / prev.noise == pytest.approx(2.0, rel=1e-12)
-            ov_then = prev.interference[1] / m_ant
-            ov_now = bd.interference[1] / m_ant
-            assert ov_now / ov_then == pytest.approx(
+            assert bd[0] / prev[0] == pytest.approx(4.0, rel=1e-12)
+            assert bd[1] / prev[1] == pytest.approx(2.0, rel=1e-12)
+            assert bd[2] / prev[2] == pytest.approx(
                 (tau_p - delta) / (tau_p / 2 - delta), rel=1e-12)
         prev = bd
 
@@ -296,9 +310,7 @@ def test_mf_power_scaling_laws():
 def test_extension_monotone_on_fixed_realizations():
     # network-mean closed-form expected NMSE non-increasing in tau_ex
     from cfpilot.channel import draw_link_gains
-    from cfpilot.estimator import covariance_scales, expected_link_nmse
     from cfpilot.geometry import sample_topology
-    from cfpilot.pilots import make_mf_sequence
 
     area = SimArea(side_m=316.2277660168379, ap_count=10, ue_mean=14.0,
                    gamma_m=20.0, tau_smp_s=50e-9)
@@ -310,15 +322,9 @@ def test_extension_monotone_on_fixed_realizations():
         for tau_ex in range(0, 7):
             book = make_pilot_book("dft_ext", 32, tau_ex, net.n_ues,
                                    np.random.default_rng(0))
-            vals = []
-            for r in range(net.n_aps):
-                for u in net.serving[r]:
-                    u = int(u)
-                    mf = make_mf_sequence(book, net, r, u)
-                    yh, ys = covariance_scales(book, net, gains, REGIME_UPG, r,
-                                               u, 1e-14, 0.1, mf_row=mf.row)
-                    vals.append(expected_link_nmse(gains.gain[r, u], yh, ys))
-            means.append(np.mean(vals))
+            links, _, _ = link_covariances(book, net, gains, REGIME_UPG, 1e-14, 0.1)
+            served = (links.ap, links.ue)
+            means.append(np.mean(1 - links.gamma[served] / gains.gain[served]))
         assert (np.diff(means) <= 1e-12).all()
 
 

@@ -1,18 +1,11 @@
 import numpy as np
 import pytest
+from oracles import empirical_covariance_oracle, link_covariances
 
 from cfpilot.airframe import REGIME_UPG, REGIME_UPNG, synthesize_frame
+from cfpilot.analytics import interference_profile
 from cfpilot.channel import LinkGains, draw_channels, sample_fading
-from cfpilot.estimator import (
-    CovariancePair,
-    closed_form_covariances,
-    covariance_scales,
-    empirical_covariance_oracle,
-    estimate_trial_links,
-    expected_link_nmse,
-    lmmse_estimate,
-    matched_filter,
-)
+from cfpilot.estimator import estimate_trial_links
 from cfpilot.geometry import (
     SimArea,
     delay_spread_min_extension,
@@ -38,17 +31,31 @@ def unit_gains(net, value=1.0):
     return LinkGains(beta=np.full_like(net.d_ru, value), psi=np.ones_like(net.d_ru))
 
 
+def mf_parts(frame, r, u):
+    """MF output of link (r, u) and its exact parts from the retained frame.
+
+    Returns (y, desired coefficient of h_ru, interference vector, filtered
+    noise); the parts recombine to y up to float reassociation.
+    """
+    row = make_mf_sequence(frame.book, frame.net, r, u).row.conj()
+    y = frame.y[r] @ row / np.sqrt(frame.p_ul)
+    coeffs = frame.x_aug[r] @ row
+    desired = complex(coeffs[u])
+    coeffs[u] = 0.0
+    return (y, desired, coeffs @ frame.chan.h[r],
+            frame.noise[r] @ row / np.sqrt(frame.p_ul))
+
+
 def test_mf_noiseless_single_ue_matched():
     net = toy_net([0])
     book = make_pilot_book("dft", 16, 0, 1, np.random.default_rng(0))
     gains = unit_gains(net)
     chan = draw_channels(net, gains, 4, np.random.default_rng(1), 0.0, 1.0)
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, np.random.default_rng(2))
-    mf = make_mf_sequence(book, net, 0, 0)
-    out = matched_filter(frame, mf, 1.0)
-    np.testing.assert_allclose(out.y, chan.h[0, 0] * 16, rtol=1e-12)
-    assert out.components["desired_scale"] == pytest.approx(16.0)
-    np.testing.assert_allclose(out.components["interference"], 0, atol=1e-12)
+    y, desired, interference, _ = mf_parts(frame, 0, 0)
+    np.testing.assert_allclose(y, chan.h[0, 0] * 16, rtol=1e-12)
+    assert desired == pytest.approx(16.0)
+    np.testing.assert_allclose(interference, 0, atol=1e-12)
 
 
 def test_mf_synchronous_dft_orthogonality():
@@ -57,9 +64,9 @@ def test_mf_synchronous_dft_orthogonality():
     gains = unit_gains(net)
     chan = draw_channels(net, gains, 4, np.random.default_rng(1), 0.0, 1.0)
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, np.random.default_rng(2))
-    out = matched_filter(frame, make_mf_sequence(book, net, 0, 0), 1.0)
-    np.testing.assert_allclose(out.components["interference"], 0, atol=1e-9)
-    np.testing.assert_allclose(out.y, chan.h[0, 0] * 16, atol=1e-9)
+    y, _, interference, _ = mf_parts(frame, 0, 0)
+    np.testing.assert_allclose(interference, 0, atol=1e-9)
+    np.testing.assert_allclose(y, chan.h[0, 0] * 16, atol=1e-9)
 
 
 def test_mf_reconstruction_identity():
@@ -71,12 +78,9 @@ def test_mf_reconstruction_identity():
     frame = synthesize_frame(book, net, chan, REGIME_UPNG, 0.5, rng)
     for r in (0, 3):
         for u in net.serving[r][:2]:
-            mf = make_mf_sequence(book, net, r, int(u))
-            out = matched_filter(frame, mf, 0.5)
-            comp = out.components
-            rebuilt = (comp["desired_scale"] * chan.h[r, int(u)]
-                       + comp["interference"] + comp["noise"])
-            np.testing.assert_allclose(out.y, rebuilt, rtol=1e-10, atol=1e-20)
+            y, desired, interference, noise = mf_parts(frame, r, int(u))
+            rebuilt = desired * chan.h[r, int(u)] + interference + noise
+            np.testing.assert_allclose(y, rebuilt, rtol=1e-10, atol=1e-20)
 
 
 def test_mf_interference_power_matches_sin_ratio():
@@ -98,23 +102,23 @@ def test_mf_interference_power_matches_sin_ratio():
 
 
 def test_matched_filter_validation():
+    # the MF divides by the frame's p_ul, which the frame refuses unless positive
     net = toy_net([0])
     book = make_pilot_book("dft", 8, 0, 1, np.random.default_rng(0))
     gains = unit_gains(net)
     chan = draw_channels(net, gains, 2, np.random.default_rng(1), 0.0, 1.0)
-    frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, np.random.default_rng(2))
-    mf = make_mf_sequence(book, net, 0, 0)
-    with pytest.raises(ValueError):
-        matched_filter(frame, mf, 0.0)
+    for p_ul in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            synthesize_frame(book, net, chan, REGIME_UPG, p_ul, np.random.default_rng(2))
 
 
 def test_covariance_no_interference_limit():
     net = toy_net([0])
     book = make_pilot_book("dft", 32, 0, 1, np.random.default_rng(0))
     gains = unit_gains(net, 2.0)
-    yh, ys = covariance_scales(book, net, gains, REGIME_UPG, 0, 0, 0.0, 1.0)
-    assert yh == pytest.approx(32 * 2.0)
-    assert ys == pytest.approx(32**2 * 2.0)
+    _, yh, ys = link_covariances(book, net, gains, REGIME_UPG, 0.0, 1.0)
+    assert yh[0, 0] == pytest.approx(32 * 2.0)
+    assert ys[0, 0] == pytest.approx(32**2 * 2.0)
 
 
 def test_covariance_random_overlap_example():
@@ -123,9 +127,9 @@ def test_covariance_random_overlap_example():
     book = make_pilot_book("random", 32, 0, 2, np.random.default_rng(0))
     gains = LinkGains(beta=np.array([[1.0, 3.0]]), psi=np.ones((1, 2)))
     noise_w, p_ul = 1e-3, 2.0
-    yh, ys = covariance_scales(book, net, gains, REGIME_UPG, 0, 0, noise_w, p_ul)
-    assert yh == pytest.approx(32.0)
-    assert ys == pytest.approx(32**2 + 3.0 * 28 + noise_w * 32 / p_ul)
+    _, yh, ys = link_covariances(book, net, gains, REGIME_UPG, noise_w, p_ul)
+    assert yh[0, 0] == pytest.approx(32.0)
+    assert ys[0, 0] == pytest.approx(32**2 + 3.0 * 28 + noise_w * 32 / p_ul)
 
 
 def test_covariance_dft_upng_bleed_example():
@@ -133,20 +137,24 @@ def test_covariance_dft_upng_bleed_example():
     net = toy_net([5, 0])
     book = make_pilot_book("dft", 32, 0, 2, np.random.default_rng(0))
     gains = LinkGains(beta=np.array([[1.0, 2.0]]), psi=np.ones((1, 2)))
-    yh_g, ys_g = covariance_scales(book, net, gains, REGIME_UPG, 0, 0, 0.0, 1.0)
-    yh_n, ys_n = covariance_scales(book, net, gains, REGIME_UPNG, 0, 0, 0.0, 1.0)
-    assert yh_g == yh_n == pytest.approx(32.0)
-    assert ys_n - ys_g == pytest.approx(2.0 * 5)
+    _, yh_g, ys_g = link_covariances(book, net, gains, REGIME_UPG, 0.0, 1.0)
+    _, yh_n, ys_n = link_covariances(book, net, gains, REGIME_UPNG, 0.0, 1.0)
+    assert yh_g[0, 0] == yh_n[0, 0] == pytest.approx(32.0)
+    assert ys_n[0, 0] - ys_g[0, 0] == pytest.approx(2.0 * 5)
 
 
 def test_closed_form_covariances_matrices():
+    # identity-scaled: Sigma_yh = tau_p beta psi and Sigma_y the sum of the
+    # desired, per-interferer and noise terms, on every served link
     net = toy_net([0, 2])
     book = make_pilot_book("dft", 16, 0, 2, np.random.default_rng(0))
     gains = unit_gains(net)
-    pair = closed_form_covariances(book, net, gains, REGIME_UPG, 0, 0, 1e-4, 1.0, 4)
-    assert pair.sigma_yh.shape == (4, 4)
-    np.testing.assert_allclose(pair.sigma_yh, 16 * np.eye(4))
-    assert np.allclose(pair.sigma_y, pair.sigma_y.conj().T)
+    links, yh, ys = link_covariances(book, net, gains, REGIME_UPG, 1e-4, 1.0)
+    assert links.nmse.size == 2
+    np.testing.assert_allclose(yh, 16 * np.ones((1, 2)))
+    for u in (0, 1):
+        prof = interference_profile(book, net, gains, REGIME_UPG, 0, u)
+        assert ys[0, u] == pytest.approx(16**2 + prof.sum() + 1e-4 * 16, rel=1e-12)
 
 
 def test_lmmse_perfect_conditions():
@@ -156,36 +164,10 @@ def test_lmmse_perfect_conditions():
     gains = unit_gains(net, 0.7)
     chan = draw_channels(net, gains, 4, np.random.default_rng(1), 0.0, 1.0)
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, np.random.default_rng(2))
-    mf = make_mf_sequence(book, net, 0, 0)
-    out = matched_filter(frame, mf, 1.0)
-    cov = closed_form_covariances(book, net, gains, REGIME_UPG, 0, 0, 0.0, 1.0, 4)
-    est = lmmse_estimate(out, cov, chan.h[0, 0])
-    np.testing.assert_allclose(est.h_hat, chan.h[0, 0], rtol=1e-10)
-    assert est.nmse < 1e-20
-
-
-def test_lmmse_zero_cross_covariance():
-    out_y = np.ones(4, dtype=complex)
-    from cfpilot.estimator import MFOutput
-    mf_out = MFOutput(y=out_y, align_phase=1.0 + 0j, ap=0, ue=0)
-    cov = CovariancePair(sigma_yh=np.zeros((4, 4)), sigma_y=np.eye(4))
-    est = lmmse_estimate(mf_out, cov, np.ones(4, dtype=complex))
-    np.testing.assert_allclose(est.h_hat, 0)
-    assert est.nmse == pytest.approx(1.0)
-
-
-def test_lmmse_general_hermitian_solve():
-    rng = np.random.default_rng(5)
-    m = 4
-    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    sigma_y = a @ a.conj().T + np.eye(m)
-    sigma_yh = 0.3 * sigma_y + 0.1 * np.eye(m)
-    y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    from cfpilot.estimator import MFOutput
-    est = lmmse_estimate(MFOutput(y=y, align_phase=1.0 + 0j, ap=0, ue=0),
-                         CovariancePair(sigma_yh, sigma_y), np.ones(m, dtype=complex))
-    np.testing.assert_allclose(est.h_hat, sigma_yh @ np.linalg.inv(sigma_y) @ y,
-                               rtol=1e-10)
+    links = estimate_trial_links(frame)
+    y, _, _, _ = mf_parts(frame, 0, 0)
+    np.testing.assert_allclose(links.gain_scale[0] * y, chan.h[0, 0], rtol=1e-10)
+    assert links.nmse[0] < 1e-20
 
 
 def test_single_ue_nmse_matches_scalar_formula():
@@ -255,14 +237,13 @@ def test_nmse_scale_invariance():
                       psi=np.ones_like(net.d_ru))
     kappa = 37.0
     scaled = LinkGains(beta=kappa * gains.beta, psi=gains.psi.copy())
+    _, yh1, ys1 = link_covariances(book, net, gains, REGIME_UPNG, 1e-13, 0.1)
+    _, yh2, ys2 = link_covariances(book, net, scaled, REGIME_UPNG, kappa * 1e-13, 0.1)
     for r in range(3):
         for u in net.serving[r][:2]:
             u = int(u)
-            yh1, ys1 = covariance_scales(book, net, gains, REGIME_UPNG, r, u, 1e-13, 0.1)
-            yh2, ys2 = covariance_scales(book, net, scaled, REGIME_UPNG, r, u,
-                                         kappa * 1e-13, 0.1)
-            n1 = expected_link_nmse(gains.gain[r, u], yh1, ys1)
-            n2 = expected_link_nmse(scaled.gain[r, u], yh2, ys2)
+            n1 = 1 - yh1[r, u] ** 2 / (ys1[r, u] * gains.gain[r, u])
+            n2 = 1 - yh2[r, u] ** 2 / (ys2[r, u] * scaled.gain[r, u])
             assert n1 == pytest.approx(n2, rel=1e-12)
 
 
@@ -273,8 +254,8 @@ def test_expected_nmse_monotone_in_power():
     prev = None
     for p_dbm in (-36, -20, -4, 12, 20):
         p = 1e-3 * 10 ** (p_dbm / 10)
-        yh, ys = covariance_scales(book, net, gains, REGIME_UPG, 0, 0, 1e-14, p)
-        nm = expected_link_nmse(gains.gain[0, 0], yh, ys)
+        links, _, _ = link_covariances(book, net, gains, REGIME_UPG, 1e-14, p)
+        nm = 1 - links.gamma[0, 0] / gains.gain[0, 0]
         if prev is not None:
             assert nm <= prev + 1e-15
         prev = nm
@@ -296,8 +277,9 @@ def test_empirical_oracle_agrees_with_closed_form(scheme, regime):
                       psi=np.ones((1, 5)))
     noise_w, p_ul, m_ant = 0.2, 0.5, 4
     u = 3
-    yh, ys = covariance_scales(book, net, gains, regime, 0, u, noise_w, p_ul,
-                               mf_row=make_mf_sequence(book, net, 0, u).row)
+    _, yh, ys = link_covariances(book, net, gains, regime, noise_w, p_ul,
+                                 m_antennas=m_ant)
+    yh, ys = yh[0, u], ys[0, u]
     emp = empirical_covariance_oracle(book, net, gains, regime, 0, u, noise_w,
                                       p_ul, 30_000, np.random.default_rng(1),
                                       m_antennas=m_ant)

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -5,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from cfpilot.airframe import read_frame_dump
-from cfpilot.estimator import covariance_scales, expected_link_nmse
+from cfpilot import harness
+from cfpilot.airframe import read_frame_dump, synthesize_frame
+from cfpilot.estimator import estimate_trial_links
 from cfpilot.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -21,7 +23,7 @@ from cfpilot.harness import (
     run_figure,
     run_sweep,
     run_trial,
-    synchronous_baseline,
+    trial_frames,
     write_rows,
 )
 
@@ -73,6 +75,8 @@ def test_config_validation_errors():
         build_config(trials=0)
     with pytest.raises(ConfigError, match="curves"):
         build_config(curves=("zadoff:upg",))
+    with pytest.raises(ConfigError, match="regime"):
+        build_config(curves=("dft:guard",))
     with pytest.raises(ConfigError, match="tau_ex"):
         build_config(tau_ex="min")
     with pytest.raises(ConfigError, match="format"):
@@ -195,57 +199,35 @@ def test_fig3_preset_runs(tmp_path):
 
 
 def test_synchronous_baseline_matches_single_link_closed_form():
-    # no co-pilot UEs: every sync link's expected NMSE is the scalar formula
+    # no co-pilot UEs: every sync link's expected NMSE is the scalar formula,
+    # and the cross terms of fully overlapping DFT rows are exactly zero
     cfg = small_cfg(trials=1, tau_p=32, sweep_values=(20.0,), curves=("sync",))
-    out = run_trial(cfg, 20.0, 0).curves
-    rec = out["sync"]
-    # scalar formula reference per link via the covariance scales
-    from cfpilot.channel import draw_link_gains
-    from cfpilot.geometry import sample_topology, synchronize
-    from cfpilot.harness import _trial_streams
-    from cfpilot.pilots import make_pilot_book
-    net_rng, _ = _trial_streams(cfg.seed, 0)
-    net = sample_topology(cfg.area(), cfg.cluster_size, net_rng)
-    gains = draw_link_gains(net, net_rng, cfg.sigma_sh_db)
-    sync_net = synchronize(net)
-    book = make_pilot_book("dft", 32, 0, net.n_ues, np.random.default_rng(0))
+    rec = run_trial(cfg, 20.0, 0).curves["sync"]
+    (_, frame), = trial_frames(cfg, 20.0, 0)
     p = 0.1
-    if net.n_ues <= 32:
+    if frame.net.n_ues <= 32:
         for i in range(rec["nmse"].size):
             r, u = int(rec["ap"][i]), int(rec["ue"][i])
-            yh, ys = covariance_scales(book, sync_net, gains, "upg", r, u,
-                                       cfg.noise_w, p)
+            assert rec["interference_power"][i] == 0.0
+            ys = (rec["desired_power"][i] + rec["interference_power"][i]
+                  + rec["noise_power"][i]) / cfg.antennas
             c = cfg.noise_w * 32 / p
-            g = gains.gain[r, u]
+            g = frame.chan.gains.gain[r, u]
             assert ys == pytest.approx(32**2 * g + c, rel=1e-12)
-            assert expected_link_nmse(g, yh, ys) == pytest.approx(
+            assert 1 - (32 * g) ** 2 / (ys * g) == pytest.approx(
                 c / (32**2 * g + c), rel=1e-9)
 
 
 def test_synchronous_baseline_regime_invariant():
-    cfg1 = small_cfg(trials=2, curves=("sync",))
-    res1 = synchronous_baseline(cfg1)
+    cfg = small_cfg(trials=2, curves=("sync",))
+    res1 = run_sweep(cfg)
     assert res1.rows[0]["scheme"] == "sync"
     # with all delays forced to zero there are no data tails, so UPG and
     # UPNG produce bit-identical frames and estimates
-    import numpy as np
-
-    from cfpilot.airframe import synthesize_frame
-    from cfpilot.channel import draw_channels, draw_link_gains
-    from cfpilot.estimator import estimate_trial_links
-    from cfpilot.geometry import sample_topology, synchronize
-    from cfpilot.harness import _trial_streams
-    from cfpilot.pilots import make_pilot_book
-
-    cfg = small_cfg()
-    net_rng, fad_rng = _trial_streams(cfg.seed, 0)
-    net = synchronize(sample_topology(cfg.area(), 4, net_rng))
-    gains = draw_link_gains(net, net_rng, cfg.sigma_sh_db)
-    chan = draw_channels(net, gains, cfg.antennas, fad_rng, cfg.noise_w, 0.1)
-    book = make_pilot_book("dft", cfg.tau_p, 0, net.n_ues, np.random.default_rng(0))
+    (_, sync), = trial_frames(cfg, 20.0, 0)
     results = []
     for regime in ("upg", "upng"):
-        frame = synthesize_frame(book, net, chan, regime, 0.1,
+        frame = synthesize_frame(sync.book, sync.net, sync.chan, regime, sync.p_ul,
                                  np.random.default_rng(5))
         results.append(estimate_trial_links(frame).nmse)
     np.testing.assert_array_equal(results[0], results[1])
@@ -260,6 +242,31 @@ def test_dump_frame_roundtrip(tmp_path):
     np.testing.assert_allclose(back, frame.y[2].astype(np.complex64))
     with pytest.raises(ConfigError):
         dump_frame(cfg, tmp_path / "x.bin", ap=99)
+
+
+@pytest.mark.parametrize("variable,value", [("tau_p", 8.0), ("tau_ex", 5.0)])
+def test_dump_frame_is_run_trial_frame(tmp_path, monkeypatch, variable, value):
+    # the dumped frame is the one run_trial builds for the first sweep value,
+    # trial 0, curve 0: the sweep's pilot length or extension, not the
+    # fixed config value
+    cfg = small_cfg(tau_p=32, curves=("dft_ext:upg", "dft:upg"),
+                    sweep_variable=variable, sweep_values=(value, value + 1))
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(synthesize_frame(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "synthesize_frame", capture)
+    run_trial(cfg, value, 0)
+    monkeypatch.undo()
+    want = built[0]
+    frame = dump_frame(cfg, tmp_path / "f.bin", ap=3)
+    assert getattr(want.book, variable) == int(value)
+    assert (frame.book.tau_p, frame.book.tau_ex) == (want.book.tau_p, want.book.tau_ex)
+    np.testing.assert_array_equal(frame.y[3], want.y[3])
+    np.testing.assert_array_equal(read_frame_dump(tmp_path / "f.bin"),
+                                  want.y[3].astype(np.complex64))
 
 
 def _run_cli(*args):
@@ -277,6 +284,31 @@ def test_cli_sweep_and_exit_codes(tmp_path):
     assert proc.returncode == 0, proc.stderr
     header = out.read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
+
+
+def test_cli_figure_set_overrides(tmp_path):
+    # --set keys mean in `figure` what they mean in `sweep`
+    out = tmp_path / "fig8.csv"
+    proc = _run_cli("figure", "fig8", "--desk-scale", "--trials", "1",
+                    "--set", "sweep.p_dbm=[0,3]", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["sweep_var"] for row in rows} == {"p_dbm"}
+    assert sorted({float(row["sweep_value"]) for row in rows}) == [0.0, 3.0]
+    bad = _run_cli("figure", "fig8", "--desk-scale", "--trials", "1",
+                   "--set", "pilot.scheme=dft", "--out", str(tmp_path / "x.csv"))
+    assert bad.returncode == 2
+    assert "pilot.scheme" in bad.stderr
+
+
+def test_cli_tau_p_sweep_values_rejected(tmp_path):
+    for values in ("[8.7]", "[0]", "[-8]"):
+        proc = _run_cli("sweep", "--set", "sweep.variable=tau_p",
+                        "--set", f"sweep.values={values}",
+                        "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2, (values, proc.stderr)
+        assert "sweep.values" in proc.stderr
 
 
 def test_cli_config_error_exit_code(tmp_path):

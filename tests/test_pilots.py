@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from oracles import dft_cross_inner
 
+from cfpilot.airframe import REGIME_UPG
+from cfpilot.analytics import dft_cross_power
 from cfpilot.geometry import SimArea, topology_from_positions
 from cfpilot.pilots import (
     assign_maxmin_distance,
-    dft_cross_inner,
-    dft_cross_power_factor,
     dft_sequence,
     make_mf_sequence,
     make_pilot_book,
@@ -27,6 +28,12 @@ def brute_cross_inner(m, n, tau_p, tau_overlap):
         total += np.exp(2j * np.pi * n * i / tau_p) * np.conj(
             np.exp(2j * np.pi * m * (i + d) / tau_p))
     return total
+
+
+def power_factor(m, n, tau_p, tau_overlap):
+    """Squared pilot cross term of rows m (target) and n overlapping on
+    tau_overlap samples, as the library computes it (no data bleed)."""
+    return float(dft_cross_power(REGIME_UPG, m - n, tau_p, tau_p - tau_overlap))
 
 
 def test_dft_book_row_zero_is_all_ones():
@@ -199,18 +206,18 @@ def test_power_factor_identity_and_errors():
                 if m == n:
                     continue
                 for ov in range(1, tau_p + 1):
-                    r2 = dft_cross_power_factor(m, n, tau_p, ov)
+                    r2 = power_factor(m, n, tau_p, ov)
                     inner2 = abs(dft_cross_inner(m, n, tau_p, ov)) ** 2
                     assert abs(r2 - inner2) <= 1e-9 * tau_p**2
-    with pytest.raises(ValueError):
-        dft_cross_power_factor(2, 2, 8, 4)
+    # co-pilot pairs add coherently over the overlap
+    assert power_factor(2, 2, 8, 4) == 16.0
 
 
 def test_power_factor_examples():
-    assert dft_cross_power_factor(1, 0, 32, 32) == pytest.approx(0.0, abs=1e-18)
+    assert power_factor(1, 0, 32, 32) == pytest.approx(0.0, abs=1e-18)
     # m-n = tau_p/2 with odd overlap gives exactly 1
-    assert dft_cross_power_factor(8, 0, 16, 5) == pytest.approx(1.0, rel=1e-9)
-    assert dft_cross_power_factor(1, 0, 32, 16) == pytest.approx(
+    assert power_factor(8, 0, 16, 5) == pytest.approx(1.0, rel=1e-9)
+    assert power_factor(1, 0, 32, 16) == pytest.approx(
         abs(brute_cross_inner(1, 0, 32, 16)) ** 2, rel=1e-9)
 
 
