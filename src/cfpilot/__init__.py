@@ -17,7 +17,6 @@ from .analytics import (
     interference_profile,
     nmse_aggregate,
     overhead_factor,
-    overlap_time,
 )
 from .channel import (
     ChannelMatrixSet,

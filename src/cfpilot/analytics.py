@@ -2,22 +2,29 @@
 tables, NMSE aggregation and the downlink conjugate-beamforming rate bound.
 
 The per-interferer factors of :func:`interference_profile` are the single
-source of truth for the estimator's covariance assembly:
+source of truth for the estimator's covariance assembly. They read the
+link's MF window counts (``MFSequence.pilot`` and ``.data``: the window
+samples that carry a UE's pilot and those after it, which carry data under
+UPNG only) and its cross row c = pilot_mat @ conj(mf.row):
 
-* random pilots: expected power equals the sequence overlap time (the pilot
-  overlap under a guard time; the full pilot length when an earlier
-  interferer's data also falls in the window).
-* DFT pilots: the deterministic squared sin-ratio of the partial geometric
-  series, plus the data bleed-through count without a guard time.
-* extended DFT: UEs whose (cyclically extended) pilot covers the whole MF
-  window contribute either exactly zero (different pilot index) or the full
-  coherent tau_p^2 (co-pilot); UEs outside that significant set contribute
-  the numerically evaluated partial inner product plus any data bleed.
+* random pilots: expected power equals the pilot plus data samples.
+* DFT pilots: the deterministic squared sin-ratio over the pilot samples,
+  plus the data samples.
+* extended DFT: a UE is covered when its (cyclically extended) pilot fills
+  the whole window (pilot = tau_p); it contributes exactly zero (different
+  pilot index) or the full coherent tau_p^2 (co-pilot). Every other UE,
+  served or not, contributes |c|^2 plus its data samples.
+
+The target's own pilot samples set its desired part: Sigma_yh = pilot_u
+beta psi and desired power pilot_u^2 beta psi, which is tau_p (squared) on
+every random/DFT link and every covered extended link. Its own data samples
+(nonzero only on an uncovered extended link under UPNG) count as
+interference.
 
 Rate bound (pinned design): downlink conjugate beamforming with channel
 hardening, equal power fractions across each AP's served UEs and full per-AP
 power. With gamma_ru the per-antenna mean square of the LMMSE channel
-estimate, g_ru = tau_p beta_ru psi_ru / Sigma_y(r,u) the LMMSE gain and
+estimate, g_ru = Sigma_yh(r,u) / Sigma_y(r,u) the LMMSE gain and
 k_r = |U_r|,
 
     eta_ru = 1 / (M * gamma_ru * k_r)
@@ -63,51 +70,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airframe import REGIME_UPG, REGIME_UPNG, REGIMES, augmented_matrix
-from .geometry import significant_set
-from .pilots import SCHEME_DFT, SCHEME_DFT_EXT, SCHEME_RANDOM
+from .airframe import REGIME_UPG, REGIME_UPNG, augmented_matrix
+from .pilots import SCHEME_DFT, SCHEME_DFT_EXT, SCHEME_RANDOM, window_counts
 
 NMSE_LINEAR_FLOOR = 1e-15
 
 
-def overlap_time(regime, t_u, t_other, tau_p):
-    """Sequence overlap time between the MF target (delay t_u) and another UE.
-
-    UPG: tau_p - |t_u - t_other|, clipped to [0, tau_p]. UPNG: the full
-    tau_p whenever the target arrives later (the earlier UE's data keeps
-    overlapping), otherwise the UPG value.
-    """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}")
-    t_u = np.asarray(t_u)
-    t_other = np.asarray(t_other)
-    base = np.clip(tau_p - np.abs(t_u - t_other), 0, tau_p)
-    if regime == REGIME_UPNG:
-        out = np.where(t_u > t_other, tau_p, base)
-    else:
-        out = base
-    return out if out.ndim else int(out)
-
-
-def dft_cross_power(regime, k, tau_p, delta):
-    """Expected squared MF cross term of a DFT-pilot interferer at unit gain.
+def dft_cross_power(k, tau_p, pilot):
+    """Squared pilot-part MF cross term of a DFT-pilot interferer at unit gain.
 
     ``k`` is the pilot index difference (target minus interferer) and
-    ``delta`` the delay difference t_target - t_interferer; both broadcast.
-    Over the overlap ov = clip(tau_p - |delta|, 0, tau_p) the pilot part is
-    ov^2 for co-pilot pairs (k = 0 mod tau_p), exactly 0 on the lattice
-    k ov = 0 (mod tau_p) (e.g. full overlap), and otherwise the squared
-    sin-ratio (sin(pi k ov / tau_p) / sin(pi k / tau_p))^2. Without a guard
-    time an earlier interferer adds min(delta, tau_p) data samples.
+    ``pilot`` the interferer's pilot samples inside the window; both
+    broadcast. The term is pilot^2 for co-pilot pairs (k = 0 mod tau_p),
+    exactly 0 on the lattice k pilot = 0 (mod tau_p) (e.g. full overlap),
+    and otherwise the squared sin-ratio
+    (sin(pi k pilot / tau_p) / sin(pi k / tau_p))^2.
     """
-    # np.minimum/np.maximum, not np.clip: this runs once per served link
-    ov = np.minimum(tau_p, np.maximum(tau_p - np.abs(delta), 0))
     copilot = k % tau_p == 0
-    ratio = np.sin(np.pi * k * ov / tau_p) / np.sin(np.pi * np.where(copilot, 1, k) / tau_p)
-    out = np.where(copilot, ov * ov, np.where(k * ov % tau_p == 0, 0.0, ratio ** 2))
-    if regime == REGIME_UPNG:
-        out += np.minimum(tau_p, np.maximum(delta, 0))
-    return out
+    ratio = np.sin(np.pi * k * pilot / tau_p) / np.sin(np.pi * np.where(copilot, 1, k) / tau_p)
+    return np.where(copilot, pilot * pilot, np.where(k * pilot % tau_p == 0, 0.0, ratio ** 2))
 
 
 def pilot_matrix(book, net, r):
@@ -115,78 +96,52 @@ def pilot_matrix(book, net, r):
     return augmented_matrix(book, net, REGIME_UPG, r, None)
 
 
-def interference_profile(book, net, gains, regime, r, u, mf_row=None, pilot_mat=None):
+def interference_profile(book, net, gains, regime, mf, cross):
     """Per-interferer contributions to the MF signal covariance diagonal.
 
-    Returns an array over all UEs (zero at the target) of
-    beta' psi' * <expected squared MF cross term>, matching the scheme and
-    regime rules above. For the extended scheme the entries of UEs outside
-    the significant set are evaluated numerically from the zero-padded pilot
-    rows, which requires ``mf_row`` (and reuses ``pilot_mat`` when given).
+    Returns an array over all UEs of beta' psi' * <expected squared MF
+    cross term> on the link of ``mf`` (an ``MFSequence``), whose pilot-part
+    cross row is ``cross``, by the scheme rules above. The target's entry
+    holds its own data samples only.
     """
     tau_p = book.tau_p
-    g = gains.gain[r]
-    t = net.t_ur[r]
-    tu = int(t[u])
     m_idx = book.assignment
-    n_ue = net.n_ues
-
+    data = mf.data * (regime == REGIME_UPNG)
     if book.scheme == SCHEME_RANDOM:
-        ov = overlap_time(regime, tu, t, tau_p)
-        factor = np.asarray(ov, dtype=float)
+        factor = mf.pilot + data
     elif book.scheme == SCHEME_DFT:
-        factor = dft_cross_power(regime, m_idx[u] - m_idx, tau_p, tu - t)
+        factor = dft_cross_power(m_idx[mf.ue] - m_idx, tau_p, mf.pilot) + data
     elif book.scheme == SCHEME_DFT_EXT:
-        if mf_row is None:
-            raise ValueError("extended scheme needs the MF row for the partial terms")
-        tw = int(net.t_w_r[r])
-        lam = book.seq_len
-        inside = np.zeros(n_ue, dtype=bool)
-        inside[significant_set(net, r, book.tau_ex)] = True
-        factor = np.zeros(n_ue)
-        factor[inside & (m_idx == m_idx[u])] = float(tau_p) ** 2
-        outside = ~inside
-        if outside.any():
-            if pilot_mat is None:
-                pilot_mat = pilot_matrix(book, net, r)
-            i_det = pilot_mat[outside] @ mf_row.conj()
-            part = np.abs(i_det) ** 2
-            if regime == REGIME_UPNG:
-                part = part + np.clip(tw + tau_p - (t[outside] + lam), 0, tau_p)
-            factor[outside] = part
+        coherent = np.where(m_idx == m_idx[mf.ue], float(tau_p) ** 2, 0.0)
+        factor = np.where(mf.pilot == tau_p, coherent, np.abs(cross) ** 2 + data)
     else:
         raise ValueError(f"unknown pilot scheme {book.scheme!r}")
-
-    out = g * factor
-    out[u] = 0.0
-    return out
+    factor[mf.ue] = data[mf.ue]
+    return gains.gain[mf.ap] * factor
 
 
 # ---------------------------------------------------------------------------
 # Cross-correlation comparison (random vs DFT pilots at a fixed delay)
 # ---------------------------------------------------------------------------
 
-def _random_cross_mc(tau_p, delay, regime, trials, rng, phase_levels):
+def _random_cross_mc(tau_p, delay, pilot, data, trials, rng, phase_levels):
     """Monte-Carlo mean squared MF cross-correlation for random pilots.
 
-    The MF target arrives ``delay`` samples after the interferer, so the
-    UPNG case includes the interferer's data bleed.
+    The MF target arrives ``delay`` samples after the interferer, whose
+    ``pilot`` samples and ``data`` symbols fall inside the target's window.
     """
-    ov = max(0, tau_p - delay)
     tgt = np.exp(2j * np.pi * rng.integers(0, phase_levels, (trials, tau_p)) / phase_levels)
     other = np.exp(2j * np.pi * rng.integers(0, phase_levels, (trials, tau_p)) / phase_levels)
     c = np.zeros(trials, dtype=complex)
-    if ov > 0:
-        c += (other[:, delay:delay + ov] * tgt[:, :ov].conj()).sum(axis=1)
-    if regime == REGIME_UPNG:
-        nd = min(tau_p, delay)
-        if nd > 0:
-            syms = np.exp(2j * np.pi * rng.integers(0, 4, (trials, nd)) / 4)
-            c += (syms * tgt[:, ov:ov + nd].conj()).sum(axis=1)
+    if pilot > 0:
+        c += (other[:, delay:delay + pilot] * tgt[:, :pilot].conj()).sum(axis=1)
+    if data > 0:
+        syms = np.exp(2j * np.pi * rng.integers(0, 4, (trials, data)) / 4)
+        c += (syms * tgt[:, pilot:pilot + data].conj()).sum(axis=1)
     return float(np.mean(np.abs(c) ** 2))
 
 
-def _dft_cross_closed(tau_p, delay, regime, pair_mode):
+def _dft_cross_closed(tau_p, pilot, data, pair_mode):
     if pair_mode == "adjacent":
         k = 1
     elif pair_mode == "mean_pairs":
@@ -194,7 +149,7 @@ def _dft_cross_closed(tau_p, delay, regime, pair_mode):
         k = (m - n)[m != n]
     else:
         raise ValueError(f"unknown pair_mode {pair_mode!r}")
-    return float(np.mean(dft_cross_power(regime, k, tau_p, delay)))
+    return float(np.mean(dft_cross_power(k, tau_p, pilot) + data))
 
 
 def crosscorr_comparison(tau_p_values, delay, rng, trials=2000,
@@ -202,18 +157,21 @@ def crosscorr_comparison(tau_p_values, delay, rng, trials=2000,
     """Mean squared MF cross-correlation versus pilot length at a fixed delay.
 
     Random pilots are measured by Monte-Carlo (with the exact expectation,
-    the overlap time, reported alongside); DFT pilots use the closed form,
-    either for the adjacent index pair (1, 0) or averaged over all ordered
-    pairs m != n. Returns one dict per pilot length.
+    the pilot plus data samples in the window, reported alongside); DFT
+    pilots use the closed form, either for the adjacent index pair (1, 0) or
+    averaged over all ordered pairs m != n. Returns one dict per pilot length.
     """
     rows = []
     for tau_p in tau_p_values:
         tau_p = int(tau_p)
+        pilot, data = window_counts(delay, tau_p, 0, tau_p)
+        data = data if regime == REGIME_UPNG else 0
         rows.append({
             "tau_p": tau_p,
-            "random_mc": _random_cross_mc(tau_p, delay, regime, trials, rng, phase_levels),
-            "random_expected": float(overlap_time(regime, delay, 0, tau_p)),
-            "dft_closed": float(_dft_cross_closed(tau_p, delay, regime, pair_mode)),
+            "random_mc": _random_cross_mc(tau_p, delay, pilot, data, trials, rng,
+                                          phase_levels),
+            "random_expected": float(pilot + data),
+            "dft_closed": _dft_cross_closed(tau_p, pilot, data, pair_mode),
             "delay": delay,
         })
     return rows
@@ -250,46 +208,30 @@ def overhead_factor(tau_c, tau_p, tau_ex):
     return float(np.clip((tau_c - tau_p - tau_ex) / tau_c, 0.0, 1.0))
 
 
-def conjugate_bf_rate(net, gains, gamma, p_dl, noise_w, m_antennas, overhead,
-                      link_ap=None, link_ue=None, link_gain_scale=None,
-                      link_cross=None, link_bleed=None):
+def conjugate_bf_rate(net, gains, links, p_dl, noise_w, m_antennas, overhead):
     """Per-UE downlink spectral efficiency under the pinned hardening bound.
 
-    Parameters
-    ----------
-    gamma : (R, U) array
-        Per-antenna mean square of the channel estimate for served pairs
-        (zero elsewhere), i.e. (tau_p * beta * psi)^2 / Sigma_y.
-    link_ap, link_ue : int arrays, optional
-        Served (AP, UE) pairs for which contamination data is supplied.
-    link_gain_scale : array, optional
-        LMMSE gain tau_p beta psi / Sigma_y per supplied link.
-    link_cross : (n_links, U) complex array, optional
-        Aligned deterministic MF cross coefficients c_rw,u per supplied
-        link; when omitted the contamination term is zero.
-    link_bleed : (n_links, U) array, optional
-        Per-victim data-sample counts inside each link's MF window.
+    ``links`` is the trial's ``LinkEstimates``: its (R, U) ``gamma`` (zero
+    off the served pairs) and, per served link, the LMMSE gain
+    ``gain_scale``, the aligned cross row ``cross`` (c_rw,u) and the data
+    counts ``bleed`` (n_rw(u)) of the contamination term.
     """
     n_ue = net.n_ues
+    gamma = links.gamma
     se = np.zeros(n_ue)
     sinr = np.zeros(n_ue)
     cluster_len = np.array([len(net.serving[r]) for r in range(net.n_aps)], dtype=float)
     total_gain = gains.gain.sum(axis=0)
-    contamination = np.zeros(n_ue)
-    if link_cross is not None:
-        amat = np.zeros((n_ue, n_ue), dtype=complex)  # [w, u]
-        bterm = np.zeros(n_ue)
-        for i in range(len(link_ap)):
-            r, w = int(link_ap[i]), int(link_ue[i])
-            if gamma[r, w] <= 0:
-                continue
-            eta = 1.0 / (m_antennas * gamma[r, w] * cluster_len[r])
-            amat[w] += (np.sqrt(eta) * link_gain_scale[i]
-                        * np.conj(link_cross[i]) * gains.gain[r])
-            if link_bleed is not None:
-                bterm += eta * link_gain_scale[i]**2 * link_bleed[i] * gains.gain[r]**2
-        np.fill_diagonal(amat, 0.0)
-        contamination = (np.abs(amat) ** 2).sum(axis=0) + bterm
+    amat = np.zeros((n_ue, n_ue), dtype=complex)  # [w, u]
+    bterm = np.zeros(n_ue)
+    for i, (r, w) in enumerate(zip(links.ap, links.ue)):
+        if gamma[r, w] <= 0:
+            continue
+        eta = 1.0 / (m_antennas * gamma[r, w] * cluster_len[r])
+        amat[w] += np.sqrt(eta) * links.gain_scale[i] * np.conj(links.cross[i]) * gains.gain[r]
+        bterm += eta * links.gain_scale[i]**2 * links.bleed[i] * gains.gain[r]**2
+    np.fill_diagonal(amat, 0.0)
+    contamination = (np.abs(amat) ** 2).sum(axis=0) + bterm
     for u in range(n_ue):
         aps = net.serving_aps[u]
         if len(aps) == 0:

@@ -1,6 +1,7 @@
 """Command-line entry points: sweep, figure, crosscorr, dump-frame.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 2 configuration error (including an infeasible UE
+placement), 3 I/O error.
 """
 
 import argparse
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 
 from . import analytics, harness
+from .geometry import PlacementError
 
 
 def _add_common(parser):
@@ -114,6 +116,9 @@ def main(argv=None):
             print(out)
     except harness.ConfigError as exc:
         print(f"cfpilot: config error: {exc}", file=sys.stderr)
+        return 2
+    except PlacementError as exc:
+        print(f"cfpilot: config error: area.gamma_m: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"cfpilot: i/o error: {exc}", file=sys.stderr)

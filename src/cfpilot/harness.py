@@ -22,7 +22,7 @@ from .airframe import REGIMES, synthesize_frame, write_frame_dump
 from .channel import dbm_to_watts, draw_channels, draw_link_gains
 from .estimator import estimate_trial_links
 from .geometry import SimArea, delay_spread_min_extension, sample_topology, synchronize
-from .pilots import SCHEMES, SCHEME_DFT, SCHEME_DFT_EXT, make_pilot_book
+from .pilots import ASSIGNMENTS, SCHEMES, SCHEME_DFT, SCHEME_DFT_EXT, make_pilot_book
 
 FULL_SCALE_AREA_KM2 = 0.7
 DESK_AREA_KM2 = 0.1
@@ -215,15 +215,23 @@ def build_config(file_overrides=None, **direct):
     return cfg
 
 
+# keys whose values must be positive (at least 1 for the integer ones)
+POSITIVE_KEYS = ("run.trials", "run.workers", "pilot.tau_p", "pilot.P", "sys.bw_hz",
+                 "cluster.size", "rate.tau_c", "chan.antennas")
+
+
 def validate_config(cfg):
     if cfg.sweep_variable not in SWEEP_VARIABLES:
         raise ConfigError(f"sweep.variable: unknown variable {cfg.sweep_variable!r}")
     if not cfg.sweep_values:
         raise ConfigError("sweep.values: need at least one value")
-    if cfg.trials < 1:
-        raise ConfigError("run.trials: must be at least 1")
-    if cfg.workers < 1:
-        raise ConfigError("run.workers: must be at least 1")
+    for key in POSITIVE_KEYS:
+        if not getattr(cfg, CONFIG_KEYS[key][0]) > 0:
+            raise ConfigError(f"{key}: must be positive")
+    if not cfg.noise_w >= 0:
+        raise ConfigError("chan.noise_w: must be nonnegative")
+    if cfg.assignment not in ASSIGNMENTS:
+        raise ConfigError(f"pilot.assignment: unknown rule {cfg.assignment!r}")
     if cfg.out_format not in ("csv", "jsonl"):
         raise ConfigError(f"out.format: unknown format {cfg.out_format!r}")
     if not isinstance(cfg.tau_ex, int) and cfg.tau_ex != "auto_min":
@@ -233,9 +241,13 @@ def validate_config(cfg):
         if any(v < low or not float(v).is_integer() for v in cfg.sweep_values):
             raise ConfigError(f"sweep.values: {cfg.sweep_variable} values must be "
                               f"integers >= {low}")
-    for curve in cfg.curves:
-        parse_curve(curve)
-    cfg.area()  # surfaces geometric errors with their own message
+    schemes = {parse_curve(curve)[0] for curve in cfg.curves}
+    if cfg.sweep_variable == "tau_ex" and SCHEME_DFT_EXT not in schemes:
+        raise ConfigError("sweep.variable: a tau_ex sweep needs a dft_ext curve in run.curves")
+    try:
+        cfg.area()
+    except ValueError as exc:  # SimArea names the offending area.* field first
+        raise ConfigError(f"area.{exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +324,9 @@ def run_trial(cfg, sweep_value, trial):
         book = frame.book
         links = estimate_trial_links(frame)
         overhead = analytics.overhead_factor(cfg.tau_c, book.tau_p, book.tau_ex)
-        rate = analytics.conjugate_bf_rate(frame.net, frame.chan.gains, links.gamma,
-                                           p_dl=frame.p_ul,
-                                           noise_w=cfg.noise_w,
-                                           m_antennas=cfg.antennas,
-                                           overhead=overhead,
-                                           link_ap=links.ap, link_ue=links.ue,
-                                           link_gain_scale=links.gain_scale,
-                                           link_cross=links.cross,
-                                           link_bleed=links.bleed)
+        rate = analytics.conjugate_bf_rate(frame.net, frame.chan.gains, links,
+                                           p_dl=frame.p_ul, noise_w=cfg.noise_w,
+                                           m_antennas=cfg.antennas, overhead=overhead)
         out[curve] = {
             "nmse": links.nmse,
             "se": rate.se_per_ue,
@@ -503,6 +509,9 @@ def figure_config(fig_id, desk_scale=False, **overrides):
     return build_config(**base)
 
 
+_KEY_OF = {attr: key for key, (attr, _) in reversed(CONFIG_KEYS.items())}
+
+
 def run_figure(fig_id, desk_scale=False, out_path=None, fmt="csv", progress=False,
                rng=None, **overrides):
     """Run a reproduction preset; returns (rows, extra) and writes if asked."""
@@ -511,7 +520,12 @@ def run_figure(fig_id, desk_scale=False, out_path=None, fmt="csv", progress=Fals
     if fig_id == "fig3":
         preset = dict(FIG3_PRESET)
         seed = int(overrides.pop("seed", 1))
-        preset.update({k: overrides[k] for k in list(overrides) if k in preset})
+        unused = sorted(_KEY_OF.get(k, k) for k in overrides if k not in preset)
+        if desk_scale:
+            unused.append("--desk-scale")
+        if unused:
+            raise ConfigError(f"figure fig3 does not use {', '.join(unused)}")
+        preset.update(overrides)
         if rng is None:
             rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
         rows = analytics.crosscorr_comparison(

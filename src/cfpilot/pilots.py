@@ -14,7 +14,9 @@ Schemes:
 
 Matched-filter sequences are zero-padded copies: aligned at the UE's own
 delay for random/dft, or at the AP's common window start (max served delay)
-for the extended scheme, where the base, unextended row is used.
+for the extended scheme, where the base, unextended row is used. Each one
+carries the window's sample counts per UE at that AP (:func:`window_counts`),
+which the covariance, the estimator and the rate bound all read.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +30,7 @@ SCHEMES = (SCHEME_RANDOM, SCHEME_DFT, SCHEME_DFT_EXT)
 
 ASSIGN_ROUND_ROBIN = "round_robin"
 ASSIGN_MAXMIN_DISTANCE = "maxmin_distance"
+ASSIGNMENTS = (ASSIGN_ROUND_ROBIN, ASSIGN_MAXMIN_DISTANCE)
 
 
 @dataclass
@@ -57,6 +60,8 @@ class MFSequence:
     MF window relative to the base sequence (unity for random/dft; for the
     extended scheme exp(j 2 pi m (t_w - t_u) / tau_p)). The estimator
     de-rotates the MF output by its conjugate before applying the LMMSE gain.
+    ``pilot`` and ``data`` count, per UE at the AP, the window samples that
+    carry its pilot and the ones after its pilot, where UPNG data is sent.
     """
 
     row: np.ndarray
@@ -64,6 +69,8 @@ class MFSequence:
     align_phase: complex
     ap: int
     ue: int
+    pilot: np.ndarray
+    data: np.ndarray
 
 
 def dft_sequence(m, tau_p, length=None):
@@ -160,6 +167,18 @@ def make_pilot_book(scheme, tau_p, tau_ex, ue_count, rng, phase_levels=8,
     return PilotBook(scheme, tau_p, tau_ex, assign, sequences, notes=notes)
 
 
+def window_counts(start, tau_p, t, seq_len):
+    """Pilot and data sample counts of UEs at delays ``t`` inside the window.
+
+    The window is [start, start + tau_p); a UE sends its seq_len-sample
+    pilot from t on and data (UPNG) from t + seq_len to the frame's end.
+    """
+    # samples of the window before the pilot's start and end; np.minimum and
+    # np.maximum, not np.clip, which costs more than the rest on a per-link call
+    before = np.minimum(np.maximum(np.add.outer((0, seq_len), t - start), 0), tau_p)
+    return before[1] - before[0], tau_p - before[1]
+
+
 def make_mf_sequence(book, net, r, u):
     """Zero-padded MF row for UE ``u`` at AP ``r`` (length tau_p+tau_ex+t_max_r)."""
     total = book.seq_len + int(net.t_max_r[r])
@@ -176,4 +195,6 @@ def make_mf_sequence(book, net, r, u):
         start = int(net.t_ur[r, u])
         row[start:start + book.tau_p] = book.sequences[u, :book.tau_p]
         phase = 1.0 + 0j
-    return MFSequence(row=row, window_start=start, align_phase=complex(phase), ap=r, ue=u)
+    pilot, data = window_counts(start, book.tau_p, net.t_ur[r], book.seq_len)
+    return MFSequence(row=row, window_start=start, align_phase=complex(phase), ap=r, ue=u,
+                      pilot=pilot, data=data)

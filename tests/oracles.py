@@ -7,6 +7,10 @@
   reference for the estimator's closed-form Sigma_y.
 * ``link_covariances``: the estimator's closed-form covariance scales per
   served link, read back from ``estimate_trial_links``.
+* ``link_profile``: ``interference_profile`` of one link, with the MF
+  window and cross row the estimator builds for it.
+* ``uncontaminated_links``: ``LinkEstimates`` that carry only a gamma
+  array, for rate-bound tests without contamination.
 """
 
 from collections import namedtuple
@@ -14,9 +18,10 @@ from collections import namedtuple
 import numpy as np
 
 from cfpilot.airframe import DEFAULT_DATA_ALPHABET, REGIME_UPNG, REGIMES, synthesize_frame
+from cfpilot.analytics import interference_profile, pilot_matrix
 from cfpilot.channel import draw_channels, sample_fading
-from cfpilot.estimator import estimate_trial_links
-from cfpilot.pilots import SCHEME_DFT_EXT, SCHEME_RANDOM, dft_sequence
+from cfpilot.estimator import LinkEstimates, estimate_trial_links
+from cfpilot.pilots import SCHEME_DFT_EXT, SCHEME_RANDOM, dft_sequence, make_mf_sequence
 
 CovariancePair = namedtuple("CovariancePair", ("sigma_yh", "sigma_y"))
 
@@ -37,6 +42,24 @@ def link_covariances(book, net, gains, regime, noise_w, p_ul, m_antennas=4):
     ys[links.ap, links.ue] = (links.desired_power + links.interference_power
                               + links.noise_power) / m_antennas
     return links, yh, ys
+
+
+def link_profile(book, net, gains, regime, r, u):
+    """``interference_profile`` of link (r, u), with its MF window and cross row."""
+    mf = make_mf_sequence(book, net, r, u)
+    return interference_profile(book, net, gains, regime, mf,
+                                pilot_matrix(book, net, r) @ mf.row.conj())
+
+
+def uncontaminated_links(net, gamma):
+    """``LinkEstimates`` of every served pair carrying ``gamma`` and zero
+    cross rows and data counts, so the rate bound has no contamination."""
+    ap, ue = np.nonzero(np.array([net.served_mask(r) for r in range(net.n_aps)]))
+    n_links, zeros = ap.size, np.zeros(ap.size)
+    return LinkEstimates(ap=ap, ue=ue, nmse=zeros, gamma=gamma, desired_power=zeros,
+                         interference_power=zeros, noise_power=zeros,
+                         gain_scale=np.ones(n_links), cross=np.zeros((n_links, net.n_ues)),
+                         bleed=np.zeros((n_links, net.n_ues)))
 
 
 def dft_cross_inner(m, n, tau_p, tau_overlap):
@@ -60,8 +83,6 @@ def dft_cross_inner(m, n, tau_p, tau_overlap):
     if (m - n) % tau_p == 0:
         return lead * tau_overlap
     return lead * (w ** ((m - n) * tau_overlap) - 1) / (w ** (m - n) - 1)
-
-
 
 
 def empirical_covariance_oracle(book, net, gains, regime, r, u, noise_w, p_ul,

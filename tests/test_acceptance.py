@@ -35,7 +35,7 @@ from cfpilot.harness import (
     run_trial,
     write_rows,
 )
-from cfpilot.pilots import dft_sequence, make_mf_sequence, make_pilot_book
+from cfpilot.pilots import dft_sequence, make_mf_sequence, make_pilot_book, window_counts
 
 DESK_AREA = SimArea(side_m=316.2277660168379, ap_count=10, ue_mean=14.0,
                     gamma_m=20.0, tau_smp_s=50e-9)
@@ -138,7 +138,9 @@ def test_criterion_2_closed_form_vs_bruteforce():
             brute = _brute_power_grid(tau_p, regime)
             m, n = np.indices((tau_p, tau_p))
             for (t_u, t_other), grid in brute.items():
-                closed = analytics.dft_cross_power(regime, m - n, tau_p, t_u - t_other)
+                pilot, data = window_counts(t_u, tau_p, t_other, tau_p)
+                closed = (analytics.dft_cross_power(m - n, tau_p, pilot)
+                          + data * (regime == REGIME_UPNG))
                 err = np.abs(closed - grid) / np.maximum(np.maximum(grid, closed), 1e-9)
                 worst = max(worst, float(err[m != n].max()))
     elapsed = time.time() - t0

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from oracles import empirical_covariance_oracle, link_covariances
+from oracles import empirical_covariance_oracle, link_covariances, link_profile
 
 from cfpilot.airframe import REGIME_UPG, REGIME_UPNG, synthesize_frame
-from cfpilot.analytics import interference_profile
 from cfpilot.channel import LinkGains, draw_channels, sample_fading
 from cfpilot.estimator import estimate_trial_links
 from cfpilot.geometry import (
@@ -153,7 +152,7 @@ def test_closed_form_covariances_matrices():
     assert links.nmse.size == 2
     np.testing.assert_allclose(yh, 16 * np.ones((1, 2)))
     for u in (0, 1):
-        prof = interference_profile(book, net, gains, REGIME_UPG, 0, u)
+        prof = link_profile(book, net, gains, REGIME_UPG, 0, u)
         assert ys[0, u] == pytest.approx(16**2 + prof.sum() + 1e-4 * 16, rel=1e-12)
 
 
@@ -261,22 +260,30 @@ def test_expected_nmse_monotone_in_power():
         prev = nm
 
 
-@pytest.mark.parametrize("scheme,regime", [
-    ("random", REGIME_UPG), ("random", REGIME_UPNG),
-    ("dft", REGIME_UPG), ("dft", REGIME_UPNG),
-    ("dft_ext", REGIME_UPG), ("dft_ext", REGIME_UPNG),
-])
-def test_empirical_oracle_agrees_with_closed_form(scheme, regime):
+ORACLE_CASES = [(scheme, regime, None, 3) for scheme in ("random", "dft", "dft_ext")
+                for regime in (REGIME_UPG, REGIME_UPNG)]
+# extended DFT below the in-cluster spread (12 samples): served UEs stop
+# covering the window; target u = 0 (delay 2) is uncovered at both
+# extensions, target u = 3 (delay 9) at tau_ex = 0 only
+BELOW_SPREAD = [("dft_ext", regime, tau_ex, u) for tau_ex in (0, 6)
+                for regime in (REGIME_UPG, REGIME_UPNG) for u in (0, 3)]
+
+
+@pytest.mark.parametrize(
+    "scheme,regime,tau_ex,u", ORACLE_CASES + BELOW_SPREAD,
+    ids=[f"{s}-{r}" if t is None else f"{s}-{r}-tau_ex{t}-u{u}"
+         for s, r, t, u in ORACLE_CASES + BELOW_SPREAD])
+def test_empirical_oracle_agrees_with_closed_form(scheme, regime, tau_ex, u):
     # quick version of the acceptance check: 3e4 trials, 5% on the diagonal
     delays = [2, 3, 5, 9, 14]
     net = toy_net(delays, cluster_size=5)
     tau_p = 16
-    tau_ex = delay_spread_min_extension(net) if scheme == "dft_ext" else 0
+    if tau_ex is None:
+        tau_ex = delay_spread_min_extension(net) if scheme == "dft_ext" else 0
     book = make_pilot_book(scheme, tau_p, tau_ex, 5, np.random.default_rng(0))
     gains = LinkGains(beta=np.array([[1.0, 0.8, 1.3, 0.5, 2.0]]),
                       psi=np.ones((1, 5)))
     noise_w, p_ul, m_ant = 0.2, 0.5, 4
-    u = 3
     _, yh, ys = link_covariances(book, net, gains, regime, noise_w, p_ul,
                                  m_antennas=m_ant)
     yh, ys = yh[0, u], ys[0, u]

@@ -311,6 +311,43 @@ def test_cli_tau_p_sweep_values_rejected(tmp_path):
         assert "sweep.values" in proc.stderr
 
 
+INVALID_CONFIGS = [
+    (["pilot.tau_p=0"], "pilot.tau_p"),
+    (["sys.bw_hz=0"], "sys.bw_hz"),
+    (["pilot.assignment=foo"], "pilot.assignment"),
+    (["cluster.size=0"], "cluster.size"),
+    (["rate.tau_c=0"], "rate.tau_c"),
+    (["chan.antennas=0"], "chan.antennas"),
+    (["chan.noise_w=-1"], "chan.noise_w"),
+    (["area.gamma_m=400"], "area.gamma_m"),  # no feasible UE placement
+    (["area.gamma_m=500"], "area.gamma_m"),  # beyond half the side
+    (["sweep.variable=tau_ex", "sweep.values=[0,3]", "run.curves=[dft:upg]"],
+     "sweep.variable"),
+]
+
+
+@pytest.mark.parametrize("pairs,key", INVALID_CONFIGS,
+                         ids=[" ".join(pairs) for pairs, _ in INVALID_CONFIGS])
+def test_cli_invalid_config_exits_2(tmp_path, pairs, key):
+    out = tmp_path / "x.csv"
+    sets = [arg for pair in ["sweep.p_dbm=[20]", *pairs] for arg in ("--set", pair)]
+    proc = _run_cli("sweep", *sets, "--trials", "1", "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert key in proc.stderr
+    assert not out.exists()
+
+
+def test_cli_fig3_refuses_ignored_arguments(tmp_path):
+    # fig3 is a fixed cross-correlation table: network, pilot and worker
+    # settings would be ignored, so they are refused
+    proc = _run_cli("figure", "fig3", "--set", "pilot.tau_p=8", "--workers", "4",
+                    "--desk-scale", "--out", str(tmp_path / "fig3.csv"))
+    assert proc.returncode == 2
+    for name in ("pilot.tau_p", "run.workers", "--desk-scale"):
+        assert name in proc.stderr
+    assert not (tmp_path / "fig3.csv").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("pilot.tau_p = many\n")

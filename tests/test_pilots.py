@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from oracles import dft_cross_inner
 
-from cfpilot.airframe import REGIME_UPG
 from cfpilot.analytics import dft_cross_power
 from cfpilot.geometry import SimArea, topology_from_positions
 from cfpilot.pilots import (
@@ -33,7 +32,7 @@ def brute_cross_inner(m, n, tau_p, tau_overlap):
 def power_factor(m, n, tau_p, tau_overlap):
     """Squared pilot cross term of rows m (target) and n overlapping on
     tau_overlap samples, as the library computes it (no data bleed)."""
-    return float(dft_cross_power(REGIME_UPG, m - n, tau_p, tau_p - tau_overlap))
+    return float(dft_cross_power(m - n, tau_p, tau_overlap))
 
 
 def test_dft_book_row_zero_is_all_ones():
