@@ -12,9 +12,9 @@ import numpy as np
 from cfpilot import (
     SimArea,
     delay_spread_min_extension,
+    make_mf_sequence,
+    make_pilot_book,
     sample_topology,
-    significant_region_radius,
-    significant_set,
 )
 
 area = SimArea(side_m=316.2277660168379, ap_count=10, ue_mean=14.0,
@@ -35,10 +35,13 @@ for r in range(net.n_aps):
 
 tau_ex = delay_spread_min_extension(net)
 print(f"\nminimum extension covering every cluster: tau_ex = {tau_ex} samples")
-print(f"that extension spans {significant_region_radius(tau_ex, area):.0f} m "
+print(f"that extension spans {tau_ex * area.meters_per_sample:.0f} m "
       f"of extra propagation distance")
 
-print("\nsignificant sets (UEs whose pilots cover the MF window) at tau_ex:")
+# a UE covers an AP's MF window when its extended pilot fills all tau_p samples
+tau_p = 32
+book = make_pilot_book("dft_ext", tau_p, tau_ex, net.n_ues, rng)
+print("\ncovered UEs (whose pilots fill the MF window) at tau_ex:")
 for r in range(net.n_aps):
-    sig = significant_set(net, r, tau_ex)
-    print(f" AP {r:2d}: {sorted(int(u) for u in sig)}")
+    mf = make_mf_sequence(book, net, r, int(net.serving[r][0]))
+    print(f" AP {r:2d}: {np.flatnonzero(mf.pilot == tau_p).tolist()}")

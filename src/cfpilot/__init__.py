@@ -36,8 +36,6 @@ from .geometry import (
     delay_spread_min_extension,
     discretize_delay,
     sample_topology,
-    significant_region_radius,
-    significant_set,
     synchronize,
     topology_from_positions,
 )

@@ -32,9 +32,6 @@ class ReceivedFrame:
     ``y[r]`` is the M x (L + t_max_r) observation; ``x_aug[r]`` stacks the
     augmented transmit rows (U x cols) and ``noise[r]`` the AWGN draw, kept
     so MF outputs can be decomposed into desired/interference/noise parts.
-    ``link_phases[r, u]`` is a receiver-known per-link carrier phase applied
-    to UE u's whole transmission as seen by AP r (all ones unless the
-    random-link-phase option is enabled).
     """
 
     y: list
@@ -45,15 +42,14 @@ class ReceivedFrame:
     book: object
     net: object
     chan: object
-    link_phases: np.ndarray
 
 
-def augmented_matrix(book, net, regime, r, rng, data_alphabet=DEFAULT_DATA_ALPHABET):
+def augmented_matrix(book, net, regime, r, rng):
     """Augmented transmit rows of every UE at AP r, shape (U, L + t_max_r).
 
     Row u is [zeros(t_ur), pilot, tail]; the tail (t_max_r - t_ur samples)
-    is zeros under UPG and i.i.d. symbols of ``data_alphabet`` drawn from
-    ``rng`` under UPNG.
+    is zeros under UPG and i.i.d. QPSK symbols (``DEFAULT_DATA_ALPHABET``)
+    drawn from ``rng`` under UPNG.
     """
     n_ue = net.n_ues
     length = book.seq_len
@@ -65,36 +61,26 @@ def augmented_matrix(book, net, regime, r, rng, data_alphabet=DEFAULT_DATA_ALPHA
     if regime == REGIME_UPNG:
         mask = np.arange(total)[None, :] >= (t + length)[:, None]
         if mask.any():
-            syms = data_alphabet[rng.integers(0, len(data_alphabet), size=int(mask.sum()))]
-            x[mask] = syms
+            idx = rng.integers(0, len(DEFAULT_DATA_ALPHABET), size=int(mask.sum()))
+            x[mask] = DEFAULT_DATA_ALPHABET[idx]
     return x
 
 
-def synthesize_frame(book, net, chan, regime, p_ul, rng,
-                     data_alphabet=DEFAULT_DATA_ALPHABET, random_link_phase=False):
+def synthesize_frame(book, net, chan, regime, p_ul, rng):
     """Synthesize the received pilot-phase frame at every AP.
 
     All UEs contribute (interference is not restricted to served links).
-    Noise entries are i.i.d. CN(0, noise_w). When ``random_link_phase`` is
-    set, an i.i.d. uniform phase per (AP, UE) link multiplies that UE's
-    transmission; the draw is recorded in ``link_phases`` and treated as
-    known at the receiver.
+    Noise entries are i.i.d. CN(0, noise_w).
     """
     if p_ul <= 0:
         raise ValueError("p_ul must be positive")
     if book.n_ues != net.n_ues:
         raise ValueError("pilot book and network disagree on UE count")
-    n_aps, n_ue = net.n_aps, net.n_ues
-    if random_link_phase:
-        link_phases = np.exp(2j * np.pi * rng.random((n_aps, n_ue)))
-    else:
-        link_phases = np.ones((n_aps, n_ue), dtype=complex)
     ys, xs, zs = [], [], []
     scale = np.sqrt(p_ul)
     sigma = np.sqrt(chan.noise_w / 2.0)
-    for r in range(n_aps):
-        x = augmented_matrix(book, net, regime, r, rng, data_alphabet)
-        x *= link_phases[r][:, None]
+    for r in range(net.n_aps):
+        x = augmented_matrix(book, net, regime, r, rng)
         z = sigma * (rng.standard_normal((chan.m_antennas, x.shape[1]))
                      + 1j * rng.standard_normal((chan.m_antennas, x.shape[1])))
         y = scale * (chan.h[r].T @ x) + z
@@ -102,7 +88,7 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng,
         xs.append(x)
         zs.append(z)
     return ReceivedFrame(y=ys, x_aug=xs, noise=zs, p_ul=p_ul, regime=regime,
-                         book=book, net=net, chan=chan, link_phases=link_phases)
+                         book=book, net=net, chan=chan)
 
 
 def write_frame_dump(path, y_r):

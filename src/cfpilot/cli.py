@@ -7,8 +7,6 @@ placement), 3 I/O error.
 import argparse
 import sys
 
-import numpy as np
-
 from . import analytics, harness
 from .geometry import PlacementError
 
@@ -35,11 +33,6 @@ def _config_fields(args):
         if "=" not in item:
             raise harness.ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         pairs.append(tuple(part.strip() for part in item.split("=", 1)))
-    if args.command == "figure":
-        for key, _ in pairs:
-            if key in ("pilot.scheme", "frame.regime"):
-                raise harness.ConfigError(
-                    f"{key!r} does not apply to figure presets (use run.curves)")
     values = harness.config_fields(pairs)
     for flag, attr in FLAG_FIELDS:
         if getattr(args, flag) is not None:
@@ -62,11 +55,9 @@ def build_parser():
                        help="shrink to 0.1 km^2 at the full-scale densities")
 
     p_cc = sub.add_parser("crosscorr", help="random-vs-DFT cross-correlation table")
-    p_cc.add_argument("--delay", type=int, default=harness.FIG3_PRESET["delay"])
-    p_cc.add_argument("--tau-p-min", type=int, default=8)
-    p_cc.add_argument("--tau-p-max", type=int, default=56)
-    p_cc.add_argument("--tau-p-step", type=int, default=1)
-    p_cc.add_argument("--trials", type=int, default=harness.FIG3_PRESET["trials"])
+    for flag in ("--delay", "--tau-p-min", "--tau-p-max", "--tau-p-step", "--trials"):
+        p_cc.add_argument(flag, type=int,
+                          default=harness.FIG3_PRESET[flag[2:].replace("-", "_")])
     p_cc.add_argument("--pair-mode", choices=("adjacent", "mean_pairs"),
                       default=harness.FIG3_PRESET["pair_mode"])
     p_cc.add_argument("--regime", choices=("upg", "upng"),
@@ -101,11 +92,8 @@ def main(argv=None):
                                          out_path=out, fmt=fmt, progress=True, **values)
             print(f"{out} crossover={info['crossover']}" if args.figure_id == "fig3" else out)
         elif args.command == "crosscorr":
-            rng = np.random.default_rng(np.random.SeedSequence((args.seed, 3)))
-            rows = analytics.crosscorr_comparison(
-                range(args.tau_p_min, args.tau_p_max + 1, args.tau_p_step),
-                args.delay, rng, trials=args.trials, pair_mode=args.pair_mode,
-                regime=args.regime)
+            rows = harness.crosscorr_rows(
+                args.seed, **{name: getattr(args, name) for name in harness.FIG3_PRESET})
             out = args.out or "crosscorr." + args.format
             harness.write_rows(rows, out, args.format, columns=harness.CROSSCORR_COLUMNS)
             print(f"{out} crossover={analytics.find_crossover(rows)}")

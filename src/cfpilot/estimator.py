@@ -82,8 +82,7 @@ def estimate_trial_links(frame):
             pilot = mf.pilot[u]
             yh = pilot * g
             ys = pilot**2 * g + prof.sum() + noise_scale
-            align = mf.align_phase * frame.link_phases[r, u]
-            obs = np.conj(align) * y
+            obs = np.conj(mf.align_phase) * y
             h_hat = (yh / ys) * obs
             h = chan.h[r, u]
             err = h - h_hat
@@ -95,7 +94,7 @@ def estimate_trial_links(frame):
             int_p.append(m_ant * prof.sum())
             noi_p.append(m_ant * noise_scale)
             gscale.append(yh / ys)
-            cross.append(np.conj(align) * frame.link_phases[r] * c)
+            cross.append(np.conj(mf.align_phase) * c)
             nd = mf.data * upng
             nd[u] = 0
             bleeds.append(nd)

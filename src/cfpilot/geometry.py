@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
+MAX_PLACEMENT_ROUNDS = 200  # full UE redraw rounds before placement gives up
 
 
 class PlacementError(RuntimeError):
@@ -34,8 +35,6 @@ class SimArea:
         outside every such disk.
     tau_smp_s : float
         Sample period in seconds (1/BW when pilots span the full bandwidth).
-    light_speed : float
-        Propagation speed in m/s.
     """
 
     side_m: float
@@ -43,7 +42,6 @@ class SimArea:
     ue_mean: float
     gamma_m: float = 20.0
     tau_smp_s: float = 50e-9
-    light_speed: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if self.side_m <= 0:
@@ -61,7 +59,7 @@ class SimArea:
 
     @property
     def meters_per_sample(self):
-        return self.light_speed * self.tau_smp_s
+        return SPEED_OF_LIGHT * self.tau_smp_s
 
 
 @dataclass
@@ -93,11 +91,6 @@ class NetworkRealization:
     def n_ues(self):
         return self.ue_pos.shape[0]
 
-    def served_mask(self, r):
-        mask = np.zeros(self.n_ues, dtype=bool)
-        mask[self.serving[r]] = True
-        return mask
-
 
 def discretize_delay(d_m, area):
     """Map a distance in meters to an integer sample delay.
@@ -116,18 +109,12 @@ def _pairwise_distances(ap_pos, ue_pos):
     return np.sqrt((diff**2).sum(axis=-1))
 
 
-def _build_realization(area, ap_pos, ue_pos, cluster_size, clock_offsets=None):
+def topology_from_positions(area, ap_pos, ue_pos, cluster_size=4):
+    """Build a realization from fixed AP and UE positions."""
     ap_pos = np.asarray(ap_pos, dtype=float).reshape(-1, 2)
     ue_pos = np.asarray(ue_pos, dtype=float).reshape(-1, 2)
     d = _pairwise_distances(ap_pos, ue_pos)
     t = discretize_delay(d, area)
-    if clock_offsets is not None:
-        offsets = np.asarray(clock_offsets, dtype=np.int64)
-        if offsets.shape not in ((), (ue_pos.shape[0],)):
-            raise ValueError("clock_offsets must be scalar or one entry per UE")
-        t = t + offsets
-        if (t < 0).any():
-            raise ValueError("clock_offsets produce negative sample delays")
     k = min(cluster_size, ue_pos.shape[0])
     order = np.argsort(d, axis=1, kind="stable")
     serving = order[:, :k]
@@ -147,18 +134,13 @@ def _build_realization(area, ap_pos, ue_pos, cluster_size, clock_offsets=None):
     )
 
 
-def topology_from_positions(area, ap_pos, ue_pos, cluster_size=4, clock_offsets=None):
-    """Build a realization from fixed positions (deterministic test hook)."""
-    return _build_realization(area, ap_pos, ue_pos, cluster_size, clock_offsets)
-
-
-def sample_topology(area, cluster_size, rng, clock_offsets=None, max_rounds=200):
+def sample_topology(area, cluster_size, rng):
     """Draw one random network realization.
 
     AP positions are i.i.d. uniform on the square. The UE count is Poisson
     (resampled until at least 1); UE positions are uniform, with any UE
     inside a restricted disk redrawn until clear. Raises
-    :class:`PlacementError` after ``max_rounds`` full redraw rounds.
+    :class:`PlacementError` after ``MAX_PLACEMENT_ROUNDS`` full redraw rounds.
 
     Parameters
     ----------
@@ -166,16 +148,13 @@ def sample_topology(area, cluster_size, rng, clock_offsets=None, max_rounds=200)
     cluster_size : int
         Served UEs per AP (all UEs if fewer exist).
     rng : numpy.random.Generator
-    clock_offsets : array or int, optional
-        Integer sample offsets added to every delay of a UE (models local
-        clock error); defaults to zero.
     """
     ap_pos = rng.uniform(0.0, area.side_m, size=(area.ap_count, 2))
     n_ue = 0
     while n_ue == 0:
         n_ue = int(rng.poisson(area.ue_mean))
     ue_pos = rng.uniform(0.0, area.side_m, size=(n_ue, 2))
-    for _ in range(max_rounds):
+    for _ in range(MAX_PLACEMENT_ROUNDS):
         d = _pairwise_distances(ap_pos, ue_pos)
         bad = d.min(axis=0) < area.gamma_m
         if not bad.any():
@@ -184,9 +163,9 @@ def sample_topology(area, cluster_size, rng, clock_offsets=None, max_rounds=200)
     else:
         raise PlacementError(
             "could not place UEs outside all restricted disks after "
-            f"{max_rounds} rounds (gamma_m={area.gamma_m}, side_m={area.side_m})"
+            f"{MAX_PLACEMENT_ROUNDS} rounds (gamma_m={area.gamma_m}, side_m={area.side_m})"
         )
-    return _build_realization(area, ap_pos, ue_pos, cluster_size, clock_offsets)
+    return topology_from_positions(area, ap_pos, ue_pos, cluster_size)
 
 
 def synchronize(net):
@@ -216,23 +195,3 @@ def delay_spread_min_extension(net):
         for r in range(net.n_aps)
     ]
     return max(spreads)
-
-
-def significant_region_radius(tau_ex, area):
-    """Radius (meters) of the region whose UEs a tau_ex extension covers."""
-    if tau_ex < 0:
-        raise ValueError("tau_ex must be nonnegative")
-    return tau_ex * area.meters_per_sample
-
-
-def significant_set(net, r, tau_ex):
-    """UE indices whose pilots fully cover AP ``r``'s MF window, plus the served set.
-
-    A UE with delay t covers the window starting at t_w iff
-    t <= t_w and t_w - t <= tau_ex. Served UEs are always included.
-    """
-    t = net.t_ur[r]
-    tw = net.t_w_r[r]
-    mask = (t <= tw) & (tw - t <= tau_ex)
-    mask |= net.served_mask(r)
-    return np.flatnonzero(mask)

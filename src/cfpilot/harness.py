@@ -64,7 +64,6 @@ class ExperimentConfig:
     tau_ex: object = "auto_min"
     phase_levels: int = 8
     assignment: str = "round_robin"
-    random_link_phase: bool = False
     tau_c: int = 200
     p_dbm: float = 20.0
     sweep_variable: str = "p_dbm"
@@ -95,20 +94,15 @@ CONFIG_KEYS = {
     "pilot.tau_ex": ("tau_ex", "tau_ex"),
     "pilot.P": ("phase_levels", int),
     "pilot.assignment": ("assignment", str),
-    "pilot.random_link_phase": ("random_link_phase", "bool"),
     "rate.tau_c": ("tau_c", int),
     "run.p_dbm": ("p_dbm", float),
     "sweep.variable": ("sweep_variable", str),
     "sweep.values": ("sweep_values", "number_list"),
-    "sweep.p_dbm": ("sweep_values", "p_dbm_list"),
     "run.trials": ("trials", int),
     "run.curves": ("curves", "str_list"),
     "run.workers": ("workers", int),
     "out.path": ("out_path", str),
     "out.format": ("out_format", str),
-    # single-curve shorthand; merged into run.curves at validation
-    "pilot.scheme": ("_scheme", str),
-    "frame.regime": ("_regime", str),
 }
 
 
@@ -128,15 +122,9 @@ def _coerce(key, kind, raw):
             return float(raw)
         if kind is str:
             return raw
-        if kind == "bool":
-            if raw.lower() in ("true", "1", "yes", "on"):
-                return True
-            if raw.lower() in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
         if kind == "tau_ex":
             return raw if raw == "auto_min" else int(raw)
-        if kind == "number_list" or kind == "p_dbm_list":
+        if kind == "number_list":
             return tuple(float(tok) for tok in _parse_list(raw))
         if kind == "str_list":
             return tuple(_parse_list(raw))
@@ -179,26 +167,13 @@ def config_fields(pairs):
     """Turn dotted-key (key, value) pairs into ExperimentConfig field values.
 
     String values are parsed by the key's type, and a later pair wins.
-    ``sweep.p_dbm`` sets a power sweep over its values; ``pilot.scheme`` and
-    ``frame.regime`` form one ``scheme:regime`` curve (default ``dft:upg``)
-    that replaces ``run.curves``.
     """
-    out, scheme, regime = {}, None, None
+    out = {}
     for key, raw in pairs:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         attr, kind = CONFIG_KEYS[key]
-        value = _coerce(key, kind, raw) if isinstance(raw, str) else raw
-        if key == "sweep.p_dbm":
-            out.update(sweep_variable="p_dbm", sweep_values=tuple(value))
-        elif attr == "_scheme":
-            scheme = value
-        elif attr == "_regime":
-            regime = value
-        else:
-            out[attr] = value
-    if scheme or regime:
-        out["curves"] = (f"{scheme or 'dft'}:{regime or 'upg'}",)
+        out[attr] = _coerce(key, kind, raw) if isinstance(raw, str) else raw
     return out
 
 
@@ -218,6 +193,7 @@ def build_config(file_overrides=None, **direct):
 # keys whose values must be positive (at least 1 for the integer ones)
 POSITIVE_KEYS = ("run.trials", "run.workers", "pilot.tau_p", "pilot.P", "sys.bw_hz",
                  "cluster.size", "rate.tau_c", "chan.antennas")
+NONNEGATIVE_KEYS = ("chan.noise_w", "chan.sigma_sh_db")
 
 
 def validate_config(cfg):
@@ -225,11 +201,17 @@ def validate_config(cfg):
         raise ConfigError(f"sweep.variable: unknown variable {cfg.sweep_variable!r}")
     if not cfg.sweep_values:
         raise ConfigError("sweep.values: need at least one value")
+    if not all(math.isfinite(v) for v in cfg.sweep_values):
+        raise ConfigError("sweep.values: values must be finite")
+    for key, (attr, kind) in CONFIG_KEYS.items():
+        if kind is float and not math.isfinite(getattr(cfg, attr)):
+            raise ConfigError(f"{key}: must be finite")
     for key in POSITIVE_KEYS:
         if not getattr(cfg, CONFIG_KEYS[key][0]) > 0:
             raise ConfigError(f"{key}: must be positive")
-    if not cfg.noise_w >= 0:
-        raise ConfigError("chan.noise_w: must be nonnegative")
+    for key in NONNEGATIVE_KEYS:
+        if not getattr(cfg, CONFIG_KEYS[key][0]) >= 0:
+            raise ConfigError(f"{key}: must be nonnegative")
     if cfg.assignment not in ASSIGNMENTS:
         raise ConfigError(f"pilot.assignment: unknown rule {cfg.assignment!r}")
     if cfg.out_format not in ("csv", "jsonl"):
@@ -299,8 +281,7 @@ def trial_frames(cfg, sweep_value, trial):
                                phase_levels=cfg.phase_levels,
                                assignment=cfg.assignment,
                                ue_positions=cnet.ue_pos)
-        yield curve, synthesize_frame(book, cnet, chan, regime, p_ul, tx_rng,
-                                      random_link_phase=cfg.random_link_phase)
+        yield curve, synthesize_frame(book, cnet, chan, regime, p_ul, tx_rng)
 
 
 @dataclass
@@ -350,10 +331,6 @@ def _trial_worker(args):
 class SweepResult:
     rows: list
     diag_rows: list = field(default_factory=list)
-
-    def curve_rows(self, scheme, regime=None):
-        return [row for row in self.rows
-                if row["scheme"] == scheme and (regime is None or row["regime"] == regime)]
 
 
 def _fmt(value):
@@ -450,12 +427,33 @@ def write_rows(rows, path, fmt, columns=CSV_COLUMNS):
 # ---------------------------------------------------------------------------
 
 FIG3_PRESET = {
-    "tau_p_values": tuple(range(8, 57)),
+    "tau_p_min": 8,
+    "tau_p_max": 56,
+    "tau_p_step": 1,
     "delay": 37,
     "trials": 2000,
     "pair_mode": "adjacent",
     "regime": "upg",
 }
+
+
+def crosscorr_rows(seed, **params):
+    """The random-vs-DFT cross-correlation table of ``crosscorr`` and ``figure fig3``.
+
+    ``params`` override ``FIG3_PRESET``; the pilot lengths run from
+    ``tau_p_min`` to ``tau_p_max`` in steps of ``tau_p_step``. A value out of
+    range raises ConfigError naming its CLI flag.
+    """
+    p = dict(FIG3_PRESET, **params)
+    for name, low in (("trials", 1), ("delay", 0), ("tau_p_min", 1), ("tau_p_step", 1),
+                      ("tau_p_max", p["tau_p_min"])):
+        if not p[name] >= low:
+            raise ConfigError(f"--{name.replace('_', '-')}: must be at least {low}")
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
+    return analytics.crosscorr_comparison(
+        range(p["tau_p_min"], p["tau_p_max"] + 1, p["tau_p_step"]), p["delay"], rng,
+        trials=p["trials"], pair_mode=p["pair_mode"], regime=p["regime"])
+
 
 FIGURE_IDS = ("fig3", "fig6", "fig7", "fig8", "fig9")
 
@@ -509,29 +507,22 @@ def figure_config(fig_id, desk_scale=False, **overrides):
     return build_config(**base)
 
 
-_KEY_OF = {attr: key for key, (attr, _) in reversed(CONFIG_KEYS.items())}
+_KEY_OF = {attr: key for key, (attr, _) in CONFIG_KEYS.items()}
 
 
 def run_figure(fig_id, desk_scale=False, out_path=None, fmt="csv", progress=False,
-               rng=None, **overrides):
+               **overrides):
     """Run a reproduction preset; returns (rows, extra) and writes if asked."""
     if fig_id not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {fig_id!r}")
     if fig_id == "fig3":
-        preset = dict(FIG3_PRESET)
         seed = int(overrides.pop("seed", 1))
-        unused = sorted(_KEY_OF.get(k, k) for k in overrides if k not in preset)
+        unused = sorted(_KEY_OF.get(k, k) for k in overrides if k not in FIG3_PRESET)
         if desk_scale:
             unused.append("--desk-scale")
         if unused:
             raise ConfigError(f"figure fig3 does not use {', '.join(unused)}")
-        preset.update(overrides)
-        if rng is None:
-            rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
-        rows = analytics.crosscorr_comparison(
-            preset["tau_p_values"], preset["delay"], rng,
-            trials=preset["trials"], pair_mode=preset["pair_mode"],
-            regime=preset["regime"])
+        rows = crosscorr_rows(seed, **overrides)
         if out_path:
             write_rows(rows, out_path, fmt, columns=CROSSCORR_COLUMNS)
         return rows, {"crossover": analytics.find_crossover(rows)}

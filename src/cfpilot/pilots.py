@@ -17,9 +17,16 @@ delay for random/dft, or at the AP's common window start (max served delay)
 for the extended scheme, where the base, unextended row is used. Each one
 carries the window's sample counts per UE at that AP (:func:`window_counts`),
 which the covariance, the estimator and the rate bound all read.
+
+:func:`window_counts` is also the one coverage rule: a UE covers an MF
+window when its pilot fills it, ``MFSequence.pilot == tau_p``. For the
+extended scheme that holds for UE u at AP r iff t_ur <= t_w_r and
+t_w_r - t_ur <= tau_ex, and then the MF cancels u exactly (different pilot
+index) or adds it coherently (co-pilot). At tau_ex equal to the largest
+in-cluster delay spread (``auto_min``) every served UE is covered.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +48,6 @@ class PilotBook:
     assignment: np.ndarray
     sequences: np.ndarray
     phase_levels: int = None
-    notes: dict = field(default_factory=dict)
 
     @property
     def seq_len(self):
@@ -148,23 +154,18 @@ def make_pilot_book(scheme, tau_p, tau_ex, ue_count, rng, phase_levels=8,
     else:
         raise ValueError(f"unknown assignment rule {assignment!r}")
 
-    notes = {}
     length = tau_p + tau_ex
     if scheme == SCHEME_RANDOM:
         phases = rng.integers(0, phase_levels, size=(tau_p, tau_p))
         pool = np.exp(2j * np.pi * phases / phase_levels)
         sequences = pool[assign]
         return PilotBook(scheme, tau_p, tau_ex, assign, sequences,
-                         phase_levels=phase_levels, notes=notes)
+                         phase_levels=phase_levels)
 
-    if tau_ex >= tau_p:
-        notes["warning"] = (
-            f"tau_ex={tau_ex} >= tau_p={tau_p}: extension wraps through "
-            "full cyclic repeats"
-        )
+    # an extension of tau_p or more wraps through full cyclic repeats
     base = np.exp(2j * np.pi * np.outer(np.arange(tau_p), np.arange(length)) / tau_p)
     sequences = base[assign]
-    return PilotBook(scheme, tau_p, tau_ex, assign, sequences, notes=notes)
+    return PilotBook(scheme, tau_p, tau_ex, assign, sequences)
 
 
 def window_counts(start, tau_p, t, seq_len):

@@ -116,7 +116,7 @@ def downlink_oracle(frozen, m_antennas, noise_w, tau_c, draws, n_batches, seed):
                 i0 += k
                 assert (links.ap[sl] == r).all() and (links.ue[sl] == served[r]).all()
                 obs = frame.y[r] @ mf_rows[r].conj().T / np.sqrt(p_ul)  # (M, k)
-                align = np.conj(mf_phase[r] * frame.link_phases[r, served[r]])
+                align = np.conj(mf_phase[r])
                 h_hat = (links.gain_scale[sl] * align)[:, None] * obs.T  # (k, M)
                 h_served = chan.h[r, served[r]]
                 err = h_served - h_hat

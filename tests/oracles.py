@@ -54,7 +54,9 @@ def link_profile(book, net, gains, regime, r, u):
 def uncontaminated_links(net, gamma):
     """``LinkEstimates`` of every served pair carrying ``gamma`` and zero
     cross rows and data counts, so the rate bound has no contamination."""
-    ap, ue = np.nonzero(np.array([net.served_mask(r) for r in range(net.n_aps)]))
+    served = np.zeros(net.d_ru.shape, dtype=bool)
+    np.put_along_axis(served, net.serving, True, axis=1)
+    ap, ue = np.nonzero(served)
     n_links, zeros = ap.size, np.zeros(ap.size)
     return LinkEstimates(ap=ap, ue=ue, nmse=zeros, gamma=gamma, desired_power=zeros,
                          interference_power=zeros, noise_power=zeros,

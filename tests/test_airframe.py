@@ -140,17 +140,6 @@ def test_frame_dimensions_and_mismatch_guard():
         synthesize_frame(book, net, chan, REGIME_UPG, 0.0, np.random.default_rng(9))
 
 
-def test_random_link_phase_recorded_and_unit():
-    net = toy_net([0, 3])
-    book = make_pilot_book("dft", 8, 0, 2, np.random.default_rng(0))
-    chan = toy_chan(net, m=2)
-    frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0,
-                             np.random.default_rng(10), random_link_phase=True)
-    assert frame.link_phases.shape == (1, 2)
-    np.testing.assert_allclose(np.abs(frame.link_phases), 1.0, atol=1e-12)
-    assert not np.allclose(frame.link_phases, 1.0)
-
-
 def test_frame_dump_roundtrip(tmp_path):
     y = (np.arange(12, dtype=np.float32).reshape(3, 4)
          + 1j * np.arange(12, dtype=np.float32).reshape(3, 4))

@@ -235,7 +235,7 @@ def golden_rate_setup():
     gains = LinkGains(
         beta=np.array([[1.0e-8, 6.0e-9, 2.5e-9, 1.1e-9, 4.0e-9]]),
         psi=np.array([[1.2, 0.7, 1.0, 1.5, 0.9]]))
-    served = net.served_mask(0)
+    served = np.isin(np.arange(net.n_ues), net.serving[0])
     assert not served[3]  # UE 3 is the distant, unserved one
     gamma = 0.9 * gains.gain * served
     return net, gains, gamma, served

@@ -9,7 +9,6 @@ from cfpilot.geometry import (
     SimArea,
     delay_spread_min_extension,
     sample_topology,
-    significant_set,
     topology_from_positions,
 )
 from cfpilot.pilots import make_mf_sequence, make_pilot_book
@@ -205,7 +204,7 @@ def test_lmmse_gain_attains_grid_minimum():
 
 def test_orthogonality_restoration_per_realization():
     # extended DFT with tau_ex >= in-cluster spread: exact zero interference
-    # from every non-co-pilot UE in the significant set
+    # from every non-co-pilot UE whose pilot fills the MF window
     rng = np.random.default_rng(8)
     for _ in range(5):
         net = sample_topology(DESK, 4, rng)
@@ -213,11 +212,10 @@ def test_orthogonality_restoration_per_realization():
         tau_p = 8
         book = make_pilot_book("dft_ext", tau_p, tau_ex, net.n_ues, rng)
         for r in range(net.n_aps):
-            sig = set(significant_set(net, r, tau_ex))
             for u in net.serving[r]:
                 u = int(u)
                 mf = make_mf_sequence(book, net, r, u)
-                for v in sig - {u}:
+                for v in set(np.flatnonzero(mf.pilot == tau_p).tolist()) - {u}:
                     if book.assignment[v] == book.assignment[u]:
                         continue
                     row = np.zeros(book.seq_len + int(net.t_max_r[r]), dtype=complex)
@@ -335,15 +333,3 @@ def test_estimate_trial_links_runs_all_served():
     # gamma populated exactly on served pairs
     assert np.count_nonzero(links.gamma) == links.nmse.size
 
-
-def test_random_link_phase_known_at_receiver():
-    # with the receiver-known random link phase enabled, the single-link
-    # noiseless estimate is still exact
-    net = toy_net([0])
-    book = make_pilot_book("dft", 16, 0, 1, np.random.default_rng(0))
-    gains = unit_gains(net)
-    chan = draw_channels(net, gains, 4, np.random.default_rng(1), 0.0, 1.0)
-    frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0,
-                             np.random.default_rng(2), random_link_phase=True)
-    links = estimate_trial_links(frame)
-    assert links.nmse[0] < 1e-20

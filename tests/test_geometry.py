@@ -7,11 +7,10 @@ from cfpilot.geometry import (
     delay_spread_min_extension,
     discretize_delay,
     sample_topology,
-    significant_region_radius,
-    significant_set,
     synchronize,
     topology_from_positions,
 )
+from cfpilot.pilots import make_mf_sequence, make_pilot_book
 
 AREA = SimArea(side_m=836.660026534076, ap_count=70, ue_mean=98.0, gamma_m=20.0,
                tau_smp_s=50e-9)
@@ -137,46 +136,43 @@ def test_delay_spread_degenerate_cases():
     assert delay_spread_min_extension(net2) == 6
 
 
-def test_significant_region_radius():
-    assert significant_region_radius(0, AREA) == 0.0
-    assert significant_region_radius(4, AREA) == pytest.approx(60.0)
-    assert significant_region_radius(6, AREA) == pytest.approx(90.0)
-    # linear in tau_ex with slope c*tau_smp
-    slope = AREA.meters_per_sample
-    for k in (1, 5, 13):
-        assert significant_region_radius(k, AREA) == pytest.approx(k * slope)
+def _covered(net, r, tau_ex, tau_p=8):
+    """UEs whose extended pilots fill AP r's MF window: the window-count rule."""
+    book = make_pilot_book("dft_ext", tau_p, tau_ex, net.n_ues, None)
+    mf = make_mf_sequence(book, net, r, int(net.serving[r][0]))
+    return set(np.flatnonzero(mf.pilot == tau_p).tolist())
 
 
-def _significant_bruteforce(net, r, tau_ex):
+def _covered_bruteforce(net, r, tau_ex):
     tw = int(net.t_w_r[r])
-    out = set(int(u) for u in net.serving[r])
-    for u in range(net.n_ues):
-        t = int(net.t_ur[r, u])
-        if t <= tw and tw - t <= tau_ex:
-            out.add(u)
-    return sorted(out)
+    return {u for u in range(net.n_ues)
+            if int(net.t_ur[r, u]) <= tw and tw - int(net.t_ur[r, u]) <= tau_ex}
 
 
 def test_significant_set_enumeration_and_monotonicity():
     rng = np.random.default_rng(11)
     for _ in range(10):
         net = sample_topology(DESK, 4, rng)
+        spread = delay_spread_min_extension(net)
+        assert spread >= 1
         for r in range(net.n_aps):
-            prev = None
+            prev = set()
             for tau_ex in range(0, 12):
-                got = significant_set(net, r, tau_ex)
-                assert list(got) == _significant_bruteforce(net, r, tau_ex)
-                if prev is not None:
-                    assert set(prev).issubset(set(got))
+                got = _covered(net, r, tau_ex)
+                assert got == _covered_bruteforce(net, r, tau_ex)
+                assert prev <= got
                 prev = got
-            # with tau_ex at the global spread, served UEs are always covered
-            spread = delay_spread_min_extension(net)
-            assert set(net.serving[r]).issubset(set(significant_set(net, r, spread)))
+            # with tau_ex at the largest in-cluster spread, every served UE is covered
+            assert set(net.serving[r].tolist()) <= _covered(net, r, spread)
+        # and the spread is the smallest such extension: one short, some AP
+        # has a served UE that does not fill its window
+        assert any(not set(net.serving[r].tolist()) <= _covered(net, r, spread - 1)
+                   for r in range(net.n_aps))
 
 
 def test_significant_set_single_ue():
     net = topology_from_positions(AREA, [[0.0, 0.0]], [[50.0, 0.0]], cluster_size=1)
-    assert list(significant_set(net, 0, 0)) == [0]
+    assert _covered(net, 0, 0) == {0}
 
 
 def test_synchronize_zeroes_delays_only():
@@ -188,12 +184,3 @@ def test_synchronize_zeroes_delays_only():
     np.testing.assert_array_equal(sync.d_ru, net.d_ru)
     np.testing.assert_array_equal(sync.serving, net.serving)
 
-
-def test_clock_offsets_shift_delays():
-    net = topology_from_positions(AREA, [[0.0, 0.0]], [[100.0, 0.0], [200.0, 0.0]],
-                                  cluster_size=2, clock_offsets=[2, 0])
-    assert net.t_ur[0, 0] == 6 + 2
-    assert net.t_ur[0, 1] == 13
-    with pytest.raises(ValueError):
-        topology_from_positions(AREA, [[0.0, 0.0]], [[100.0, 0.0]], cluster_size=1,
-                                clock_offsets=[-100])

@@ -50,7 +50,8 @@ def test_config_file_roundtrip(tmp_path):
         "pilot.tau_p = 16\n"
         "pilot.tau_ex = auto_min\n"
         "run.curves = [dft:upg, sync]\n"
-        "sweep.p_dbm = [-4, 20]\n"
+        "sweep.variable = p_dbm\n"
+        "sweep.values = [-4, 20]\n"
         "run.trials = 2\n"
         "out.format = jsonl\n")
     cfg = build_config(parse_config_file(path))
@@ -86,8 +87,10 @@ def test_config_validation_errors():
 
 
 def test_single_curve_shorthand():
-    cfg = build_config({"pilot.scheme": "random", "frame.regime": "upng"})
-    assert cfg.curves == ("random:upng",)
+    # curves are set by run.curves only; the old shorthand keys are unknown
+    for key in ("pilot.scheme", "frame.regime"):
+        with pytest.raises(ConfigError, match=key):
+            build_config({key: "dft"})
     assert parse_curve("sync") == ("sync", "upg")
 
 
@@ -122,9 +125,8 @@ def test_sweep_rows_and_schema():
         assert tuple(row) == tuple(CSV_COLUMNS)
     schemes = {r["scheme"] for r in res.rows}
     assert schemes == {"dft", "dft_ext", "sync"}
-    ext_rows = res.curve_rows("dft_ext")
-    assert all(r["tau_ex"] == "auto_min" for r in ext_rows)
-    assert all(r["tau_ex"] == 0 for r in res.curve_rows("dft"))
+    assert all(r["tau_ex"] == "auto_min" for r in res.rows if r["scheme"] == "dft_ext")
+    assert all(r["tau_ex"] == 0 for r in res.rows if r["scheme"] == "dft")
 
 
 def test_outputs_byte_identical_and_worker_independent(tmp_path):
@@ -192,7 +194,7 @@ def test_figure_presets():
 
 def test_fig3_preset_runs(tmp_path):
     rows, info = run_figure("fig3", out_path=tmp_path / "fig3.csv", seed=1,
-                            trials=200, tau_p_values=range(30, 48))
+                            trials=200, tau_p_min=30, tau_p_max=47)
     assert info["crossover"] is not None
     header = (tmp_path / "fig3.csv").read_text().splitlines()[0]
     assert header == "tau_p,random_mc,random_expected,dft_closed,delay"
@@ -279,7 +281,7 @@ def test_cli_sweep_and_exit_codes(tmp_path):
     proc = _run_cli("sweep", "--set", "area.side_m=316.2277660168379",
                     "--set", "area.ap_count=10", "--set", "area.ue_mean=14",
                     "--set", "pilot.tau_p=8", "--set", "run.curves=[dft:upg]",
-                    "--set", "sweep.p_dbm=[20]", "--trials", "1",
+                    "--set", "sweep.values=[20]", "--trials", "1",
                     "--seed", "3", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     header = out.read_text().splitlines()[0]
@@ -290,7 +292,8 @@ def test_cli_figure_set_overrides(tmp_path):
     # --set keys mean in `figure` what they mean in `sweep`
     out = tmp_path / "fig8.csv"
     proc = _run_cli("figure", "fig8", "--desk-scale", "--trials", "1",
-                    "--set", "sweep.p_dbm=[0,3]", "--out", str(out))
+                    "--set", "sweep.variable=p_dbm", "--set", "sweep.values=[0,3]",
+                    "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
@@ -323,6 +326,14 @@ INVALID_CONFIGS = [
     (["area.gamma_m=500"], "area.gamma_m"),  # beyond half the side
     (["sweep.variable=tau_ex", "sweep.values=[0,3]", "run.curves=[dft:upg]"],
      "sweep.variable"),
+    (["sweep.values=[nan]"], "sweep.values"),
+    (["sweep.values=[inf]"], "sweep.values"),
+    (["run.p_dbm=nan", "sweep.variable=tau_p", "sweep.values=[8]"], "run.p_dbm"),
+    (["chan.noise_w=inf"], "chan.noise_w"),
+    (["chan.sigma_sh_db=nan"], "chan.sigma_sh_db"),
+    (["chan.sigma_sh_db=-4"], "chan.sigma_sh_db"),
+    (["area.ue_mean=inf"], "area.ue_mean"),
+    (["sys.bw_hz=inf"], "sys.bw_hz"),
 ]
 
 
@@ -330,7 +341,7 @@ INVALID_CONFIGS = [
                          ids=[" ".join(pairs) for pairs, _ in INVALID_CONFIGS])
 def test_cli_invalid_config_exits_2(tmp_path, pairs, key):
     out = tmp_path / "x.csv"
-    sets = [arg for pair in ["sweep.p_dbm=[20]", *pairs] for arg in ("--set", pair)]
+    sets = [arg for pair in ["sweep.values=[20]", *pairs] for arg in ("--set", pair)]
     proc = _run_cli("sweep", *sets, "--trials", "1", "--out", str(out))
     assert proc.returncode == 2, proc.stderr
     assert key in proc.stderr
@@ -346,6 +357,28 @@ def test_cli_fig3_refuses_ignored_arguments(tmp_path):
     for name in ("pilot.tau_p", "run.workers", "--desk-scale"):
         assert name in proc.stderr
     assert not (tmp_path / "fig3.csv").exists()
+
+
+CROSSCORR_BAD_ARGS = [
+    (["crosscorr", "--trials", "0"], "--trials"),
+    (["figure", "fig3", "--trials", "0"], "--trials"),
+    (["figure", "fig3", "--trials", "-5"], "--trials"),
+    (["crosscorr", "--delay", "-3"], "--delay"),
+    (["crosscorr", "--tau-p-min", "0"], "--tau-p-min"),
+    (["crosscorr", "--tau-p-step", "0"], "--tau-p-step"),
+    (["crosscorr", "--tau-p-min", "20", "--tau-p-max", "10"], "--tau-p-max"),
+]
+
+
+@pytest.mark.parametrize("args,flag", CROSSCORR_BAD_ARGS,
+                         ids=[" ".join(args) for args, _ in CROSSCORR_BAD_ARGS])
+def test_cli_crosscorr_bad_numbers_exit_2(tmp_path, args, flag):
+    # crosscorr and figure fig3 share one check of the table's numbers
+    out = tmp_path / "x.csv"
+    proc = _run_cli(*args, "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert flag in proc.stderr
+    assert not out.exists()
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -49,19 +49,14 @@ def test_extended_book_example():
 
 def test_extended_equals_cyclic_repeat():
     # both forms of the extension coincide: repeat of the head and the
-    # continued exponent
-    for tau_p, tau_ex in ((4, 2), (8, 5), (16, 16)):
+    # continued exponent, also when the extension wraps past one period
+    for tau_p, tau_ex in ((4, 2), (8, 5), (16, 16), (4, 9)):
         book = make_pilot_book("dft_ext", tau_p, tau_ex, tau_p, np.random.default_rng(0))
         for m in range(tau_p):
             seq = book.sequences[m]
             np.testing.assert_allclose(seq[tau_p:], seq[:tau_ex], atol=1e-12)
             np.testing.assert_allclose(seq, dft_sequence(m, tau_p, tau_p + tau_ex),
                                        atol=1e-12)
-
-
-def test_extended_warns_on_long_extension():
-    book = make_pilot_book("dft_ext", 4, 4, 1, np.random.default_rng(0))
-    assert "warning" in book.notes
 
 
 def test_random_book_quantized_phases():
