@@ -11,19 +11,19 @@ from . import analytics, harness
 from .geometry import PlacementError
 
 
+FORMATS = harness.CONFIG_KEYS["out.format"].metadata["choices"]
+
+
 def _add_common(parser):
+    # a flag whose dest is an ExperimentConfig field overrides that field
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seed", type=int, help="master random seed")
     parser.add_argument("--trials", type=int, help="Monte-Carlo trials per sweep point")
-    parser.add_argument("--out", help="output file path")
-    parser.add_argument("--format", choices=("csv", "jsonl"), help="output format")
+    parser.add_argument("--out", dest="out_path", help="output file path")
+    parser.add_argument("--format", dest="out_format", choices=FORMATS, help="output format")
     parser.add_argument("--workers", type=int, help="parallel trial workers")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a dotted config key (repeatable)")
-
-
-FLAG_FIELDS = (("seed", "seed"), ("trials", "trials"), ("workers", "workers"),
-               ("out", "out_path"), ("format", "out_format"))
 
 
 def _config_fields(args):
@@ -34,9 +34,9 @@ def _config_fields(args):
             raise harness.ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         pairs.append(tuple(part.strip() for part in item.split("=", 1)))
     values = harness.config_fields(pairs)
-    for flag, attr in FLAG_FIELDS:
-        if getattr(args, flag) is not None:
-            values[attr] = getattr(args, flag)
+    for f in harness.CONFIG_KEYS.values():
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
     return values
 
 
@@ -64,7 +64,7 @@ def build_parser():
                       default=harness.FIG3_PRESET["regime"])
     p_cc.add_argument("--seed", type=int, default=1)
     p_cc.add_argument("--out")
-    p_cc.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    p_cc.add_argument("--format", choices=FORMATS, default=FORMATS[0])
 
     p_dump = sub.add_parser("dump-frame", help="write one AP's received frame as binary")
     _add_common(p_dump)
@@ -86,10 +86,10 @@ def main(argv=None):
             print(out)
         elif args.command == "figure":
             values = _config_fields(args)
-            fmt = values.pop("out_format", "csv")
-            out = values.pop("out_path", None) or f"{args.figure_id}.{fmt}"
+            fmt = values.get("out_format", harness.ExperimentConfig.out_format)
+            out = values["out_path"] = values.get("out_path") or f"{args.figure_id}.{fmt}"
             _, info = harness.run_figure(args.figure_id, desk_scale=args.desk_scale,
-                                         out_path=out, fmt=fmt, progress=True, **values)
+                                         progress=True, **values)
             print(f"{out} crossover={info['crossover']}" if args.figure_id == "fig3" else out)
         elif args.command == "crosscorr":
             rows = harness.crosscorr_rows(
@@ -102,11 +102,8 @@ def main(argv=None):
             out = cfg.out_path or "frame.bin"
             harness.dump_frame(cfg, out, ap=args.ap)
             print(out)
-    except harness.ConfigError as exc:
+    except (harness.ConfigError, PlacementError) as exc:
         print(f"cfpilot: config error: {exc}", file=sys.stderr)
-        return 2
-    except PlacementError as exc:
-        print(f"cfpilot: config error: area.gamma_m: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"cfpilot: i/o error: {exc}", file=sys.stderr)

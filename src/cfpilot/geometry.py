@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
-MAX_PLACEMENT_ROUNDS = 200  # full UE redraw rounds before placement gives up
+MAX_PLACEMENT_ROUNDS = 200  # UE count or position redraw rounds before placement gives up
 
 
 class PlacementError(RuntimeError):
-    """UE placement could not satisfy the restricted-radius rule."""
+    """UE placement failed; the message starts with the ``area.*`` key at fault."""
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,10 @@ def sample_topology(area, cluster_size, rng):
     """Draw one random network realization.
 
     AP positions are i.i.d. uniform on the square. The UE count is Poisson
-    (resampled until at least 1); UE positions are uniform, with any UE
+    (redrawn until at least 1); UE positions are uniform, with any UE
     inside a restricted disk redrawn until clear. Raises
-    :class:`PlacementError` after ``MAX_PLACEMENT_ROUNDS`` full redraw rounds.
+    :class:`PlacementError`, naming the ``area.*`` key at fault, when either
+    redraw takes more than ``MAX_PLACEMENT_ROUNDS`` rounds.
 
     Parameters
     ----------
@@ -150,9 +151,13 @@ def sample_topology(area, cluster_size, rng):
     rng : numpy.random.Generator
     """
     ap_pos = rng.uniform(0.0, area.side_m, size=(area.ap_count, 2))
-    n_ue = 0
-    while n_ue == 0:
+    for _ in range(MAX_PLACEMENT_ROUNDS):
         n_ue = int(rng.poisson(area.ue_mean))
+        if n_ue:
+            break
+    else:
+        raise PlacementError(f"area.ue_mean: no UE in {MAX_PLACEMENT_ROUNDS} Poisson draws "
+                             f"(ue_mean={area.ue_mean})")
     ue_pos = rng.uniform(0.0, area.side_m, size=(n_ue, 2))
     for _ in range(MAX_PLACEMENT_ROUNDS):
         d = _pairwise_distances(ap_pos, ue_pos)
@@ -162,7 +167,7 @@ def sample_topology(area, cluster_size, rng):
         ue_pos[bad] = rng.uniform(0.0, area.side_m, size=(int(bad.sum()), 2))
     else:
         raise PlacementError(
-            "could not place UEs outside all restricted disks after "
+            "area.gamma_m: could not place UEs outside all restricted disks after "
             f"{MAX_PLACEMENT_ROUNDS} rounds (gamma_m={area.gamma_m}, side_m={area.side_m})"
         )
     return topology_from_positions(area, ap_pos, ue_pos, cluster_size)

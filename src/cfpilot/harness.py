@@ -48,62 +48,47 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending key."""
 
 
+POSITIVE, NONNEGATIVE = "positive", "nonnegative"
+
+
+def _key(name, default, kind=None, bound=None, choices=None):
+    """A config field: dotted key, parse kind (default: its type), bound and allowed set."""
+    return field(default=default,
+                 metadata=dict(key=name, kind=kind, bound=bound, choices=choices))
+
+
 @dataclass
 class ExperimentConfig:
-    side_m: float = math.sqrt(FULL_SCALE_AREA_KM2) * 1000.0
-    ap_count: int = 70
-    ue_mean: float = 98.0
-    gamma_m: float = 20.0
-    bw_hz: float = 20e6
-    cluster_size: int = 4
-    seed: int = 1
-    sigma_sh_db: float = 4.0
-    noise_w: float = 1e-14
-    antennas: int = 8
-    tau_p: int = 32
-    tau_ex: object = "auto_min"
-    phase_levels: int = 8
-    assignment: str = "round_robin"
-    tau_c: int = 200
-    p_dbm: float = 20.0
-    sweep_variable: str = "p_dbm"
-    sweep_values: tuple = P_DBM_GRID
-    trials: int = 500
-    curves: tuple = ("dft:upg",)
-    workers: int = 1
-    out_path: str = None
-    out_format: str = "csv"
+    side_m: float = _key("area.side_m", math.sqrt(FULL_SCALE_AREA_KM2) * 1000.0)
+    ap_count: int = _key("area.ap_count", 70)
+    ue_mean: float = _key("area.ue_mean", 98.0)
+    gamma_m: float = _key("area.gamma_m", 20.0)
+    bw_hz: float = _key("sys.bw_hz", 20e6, bound=POSITIVE)
+    cluster_size: int = _key("cluster.size", 4, bound=POSITIVE)
+    seed: int = _key("seed", 1, bound=NONNEGATIVE)
+    sigma_sh_db: float = _key("chan.sigma_sh_db", 4.0, bound=NONNEGATIVE)
+    noise_w: float = _key("chan.noise_w", 1e-14, bound=NONNEGATIVE)
+    antennas: int = _key("chan.antennas", 8, bound=POSITIVE)
+    tau_p: int = _key("pilot.tau_p", 32, bound=POSITIVE)
+    tau_ex: object = _key("pilot.tau_ex", "auto_min", kind="tau_ex", bound=NONNEGATIVE)
+    phase_levels: int = _key("pilot.P", 8, bound=POSITIVE)
+    assignment: str = _key("pilot.assignment", "round_robin", choices=ASSIGNMENTS)
+    tau_c: int = _key("rate.tau_c", 200, bound=POSITIVE)
+    p_dbm: float = _key("run.p_dbm", 20.0)
+    sweep_variable: str = _key("sweep.variable", "p_dbm", choices=SWEEP_VARIABLES)
+    sweep_values: tuple = _key("sweep.values", P_DBM_GRID, kind="number_list")
+    trials: int = _key("run.trials", 500, bound=POSITIVE)
+    curves: tuple = _key("run.curves", ("dft:upg",), kind="str_list")
+    workers: int = _key("run.workers", 1, bound=POSITIVE)
+    out_path: str = _key("out.path", None)
+    out_format: str = _key("out.format", "csv", choices=("csv", "jsonl"))
 
     def area(self):
         return SimArea(self.side_m, self.ap_count, self.ue_mean, self.gamma_m,
                        tau_smp_s=1.0 / self.bw_hz)
 
 
-CONFIG_KEYS = {
-    "area.side_m": ("side_m", float),
-    "area.ap_count": ("ap_count", int),
-    "area.ue_mean": ("ue_mean", float),
-    "area.gamma_m": ("gamma_m", float),
-    "sys.bw_hz": ("bw_hz", float),
-    "cluster.size": ("cluster_size", int),
-    "seed": ("seed", int),
-    "chan.sigma_sh_db": ("sigma_sh_db", float),
-    "chan.noise_w": ("noise_w", float),
-    "chan.antennas": ("antennas", int),
-    "pilot.tau_p": ("tau_p", int),
-    "pilot.tau_ex": ("tau_ex", "tau_ex"),
-    "pilot.P": ("phase_levels", int),
-    "pilot.assignment": ("assignment", str),
-    "rate.tau_c": ("tau_c", int),
-    "run.p_dbm": ("p_dbm", float),
-    "sweep.variable": ("sweep_variable", str),
-    "sweep.values": ("sweep_values", "number_list"),
-    "run.trials": ("trials", int),
-    "run.curves": ("curves", "str_list"),
-    "run.workers": ("workers", int),
-    "out.path": ("out_path", str),
-    "out.format": ("out_format", str),
-}
+CONFIG_KEYS = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
 
 
 def _parse_list(raw):
@@ -113,24 +98,12 @@ def _parse_list(raw):
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
 
-def _coerce(key, kind, raw):
-    raw = raw.strip()
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind is str:
-            return raw
-        if kind == "tau_ex":
-            return raw if raw == "auto_min" else int(raw)
-        if kind == "number_list":
-            return tuple(float(tok) for tok in _parse_list(raw))
-        if kind == "str_list":
-            return tuple(_parse_list(raw))
-    except ValueError as exc:
-        raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}") from exc
-    raise AssertionError(kind)
+# parsers of the kinds that are not a type
+_PARSERS = {
+    "tau_ex": lambda raw: raw if raw == "auto_min" else int(raw),
+    "number_list": lambda raw: tuple(float(tok) for tok in _parse_list(raw)),
+    "str_list": lambda raw: tuple(_parse_list(raw)),
+}
 
 
 def parse_config_file(path):
@@ -166,14 +139,18 @@ def parse_curve(curve):
 def config_fields(pairs):
     """Turn dotted-key (key, value) pairs into ExperimentConfig field values.
 
-    String values are parsed by the key's type, and a later pair wins.
+    String values are parsed by the key's kind, and a later pair wins.
     """
     out = {}
     for key, raw in pairs:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        attr, kind = CONFIG_KEYS[key]
-        out[attr] = _coerce(key, kind, raw) if isinstance(raw, str) else raw
+        f = CONFIG_KEYS[key]
+        parse = _PARSERS.get(f.metadata["kind"], f.type)
+        try:
+            out[f.name] = parse(raw.strip()) if isinstance(raw, str) else raw
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r}: cannot parse value {raw!r}") from exc
     return out
 
 
@@ -181,51 +158,52 @@ def build_config(file_overrides=None, **direct):
     """Assemble an ExperimentConfig from dotted-key overrides plus field values."""
     values = config_fields((file_overrides or {}).items())
     values.update(direct)
-    valid = {f.name for f in fields(ExperimentConfig)}
-    for attr in values:
-        if attr not in valid:
-            raise ConfigError(f"unknown config field {attr!r}")
+    unknown = set(values) - {f.name for f in CONFIG_KEYS.values()}
+    if unknown:
+        raise ConfigError(f"unknown config field {min(unknown)!r}")
     cfg = replace(ExperimentConfig(), **values)
     validate_config(cfg)
     return cfg
 
 
-# keys whose values must be positive (at least 1 for the integer ones)
-POSITIVE_KEYS = ("run.trials", "run.workers", "pilot.tau_p", "pilot.P", "sys.bw_hz",
-                 "cluster.size", "rate.tau_c", "chan.antennas")
-NONNEGATIVE_KEYS = ("chan.noise_w", "chan.sigma_sh_db")
-
-
 def validate_config(cfg):
-    if cfg.sweep_variable not in SWEEP_VARIABLES:
-        raise ConfigError(f"sweep.variable: unknown variable {cfg.sweep_variable!r}")
+    """Each key's own checks, from its field's declaration, then the rules that span keys."""
+    for key, f in CONFIG_KEYS.items():
+        value, meta = getattr(cfg, f.name), f.metadata
+        bound, choices = meta["bound"], meta["choices"]
+        if meta["kind"] == "tau_ex" and not isinstance(value, int):
+            if value == "auto_min":
+                continue
+            raise ConfigError(f"{key}: expected integer or 'auto_min', got {value!r}")
+        if f.type is float and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite")
+        if bound and not (value > 0 if bound == POSITIVE else value >= 0):
+            raise ConfigError(f"{key}: must be {bound}")
+        if choices and value not in choices:
+            raise ConfigError(f"{key}: unknown value {value!r}, expected one of "
+                              f"{', '.join(choices)}")
+
     if not cfg.sweep_values:
         raise ConfigError("sweep.values: need at least one value")
-    if not all(math.isfinite(v) for v in cfg.sweep_values):
-        raise ConfigError("sweep.values: values must be finite")
-    for key, (attr, kind) in CONFIG_KEYS.items():
-        if kind is float and not math.isfinite(getattr(cfg, attr)):
-            raise ConfigError(f"{key}: must be finite")
-    for key in POSITIVE_KEYS:
-        if not getattr(cfg, CONFIG_KEYS[key][0]) > 0:
-            raise ConfigError(f"{key}: must be positive")
-    for key in NONNEGATIVE_KEYS:
-        if not getattr(cfg, CONFIG_KEYS[key][0]) >= 0:
-            raise ConfigError(f"{key}: must be nonnegative")
-    if cfg.assignment not in ASSIGNMENTS:
-        raise ConfigError(f"pilot.assignment: unknown rule {cfg.assignment!r}")
-    if cfg.out_format not in ("csv", "jsonl"):
-        raise ConfigError(f"out.format: unknown format {cfg.out_format!r}")
-    if not isinstance(cfg.tau_ex, int) and cfg.tau_ex != "auto_min":
-        raise ConfigError(f"pilot.tau_ex: expected integer or 'auto_min', got {cfg.tau_ex!r}")
     if cfg.sweep_variable in ("tau_p", "tau_ex"):
         low = int(cfg.sweep_variable == "tau_p")
         if any(v < low or not float(v).is_integer() for v in cfg.sweep_values):
             raise ConfigError(f"sweep.values: {cfg.sweep_variable} values must be "
                               f"integers >= {low}")
+    # every power the run may transmit must be a positive finite number of watts
+    powers = {"run.p_dbm": [cfg.p_dbm],
+              "sweep.values": cfg.sweep_values if cfg.sweep_variable == "p_dbm" else []}
+    for key, dbm in powers.items():
+        with np.errstate(over="ignore"):
+            watts = dbm_to_watts(dbm)
+        if not np.all(np.isfinite(watts) & (watts > 0)):
+            raise ConfigError(f"{key}: power must be a positive finite number of watts")
     schemes = {parse_curve(curve)[0] for curve in cfg.curves}
-    if cfg.sweep_variable == "tau_ex" and SCHEME_DFT_EXT not in schemes:
-        raise ConfigError("sweep.variable: a tau_ex sweep needs a dft_ext curve in run.curves")
+    # only dft_ext curves read tau_ex; any other value would be silently ignored
+    swept = cfg.sweep_variable == "tau_ex"
+    if (swept or cfg.tau_ex != "auto_min") and SCHEME_DFT_EXT not in schemes:
+        raise ConfigError(f"{'sweep.variable' if swept else 'pilot.tau_ex'}: a tau_ex other "
+                          f"than auto_min needs a dft_ext curve in run.curves")
     try:
         cfg.area()
     except ValueError as exc:  # SimArea names the offending area.* field first
@@ -379,16 +357,9 @@ def run_sweep(cfg, diag=False, progress=False):
                 for out in trial_outputs:
                     rec = out.curves[curve]
                     for i in range(rec["nmse"].size):
-                        diag_rows.append({
-                            "r": int(rec["ap"][i]),
-                            "u": int(rec["ue"][i]),
-                            "scheme": scheme,
-                            "regime": regime,
-                            "nmse": float(rec["nmse"][i]),
-                            "desired_power": float(rec["desired_power"][i]),
-                            "interference_power": float(rec["interference_power"][i]),
-                            "noise_power": float(rec["noise_power"][i]),
-                        })
+                        diag_rows.append({"r": int(rec["ap"][i]), "u": int(rec["ue"][i]),
+                                          "scheme": scheme, "regime": regime,
+                                          **{c: float(rec[c][i]) for c in DIAG_COLUMNS[4:]}})
         if progress:
             print(f"[cfpilot] sweep point {cfg.sweep_variable}={sweep_value} done",
                   file=sys.stderr)
@@ -465,7 +436,8 @@ _FIG_PRESETS = {
     "fig6": {"curves": ("random:upg", "random:upng", "dft:upg", "dft:upng", "sync")},
     "fig7": {"curves": ("dft:upg", "dft:upng", "dft_ext:upg", "sync"),
              "assignment": "maxmin_distance"},
-    "fig8": {"curves": ("dft_ext:upg", "sync")},
+    "fig8": {"curves": ("dft_ext:upg", "sync"), "sweep_variable": "tau_ex",
+             "sweep_values": tuple(range(7))},
     "fig9": {"curves": ("sync", "dft:upng", "dft_ext:upng"),
              "assignment": "maxmin_distance"},
 }
@@ -493,44 +465,35 @@ def desk_scale_overrides(fig_id=None):
 def figure_config(fig_id, desk_scale=False, **overrides):
     if fig_id not in FIGURE_IDS or fig_id == "fig3":
         raise ConfigError(f"figure {fig_id!r} has no sweep preset")
-    base = {
-        "sweep_variable": "p_dbm",
-        "sweep_values": P_DBM_GRID,
-        "tau_ex": "auto_min",
-    }
-    base.update(_FIG_PRESETS[fig_id])
-    if fig_id == "fig8":
-        base.update(sweep_variable="tau_ex", sweep_values=tuple(range(0, 7)), p_dbm=20.0)
+    base = dict(_FIG_PRESETS[fig_id])
     if desk_scale:
         base.update(desk_scale_overrides(fig_id))
     base.update(overrides)
     return build_config(**base)
 
 
-_KEY_OF = {attr: key for key, (attr, _) in CONFIG_KEYS.items()}
-
-
-def run_figure(fig_id, desk_scale=False, out_path=None, fmt="csv", progress=False,
-               **overrides):
-    """Run a reproduction preset; returns (rows, extra) and writes if asked."""
+def run_figure(fig_id, desk_scale=False, progress=False, **overrides):
+    """Run a reproduction preset; returns (rows, extra), written to ``out_path`` if given."""
     if fig_id not in FIGURE_IDS:
         raise ConfigError(f"unknown figure id {fig_id!r}")
     if fig_id == "fig3":
-        seed = int(overrides.pop("seed", 1))
-        unused = sorted(_KEY_OF.get(k, k) for k in overrides if k not in FIG3_PRESET)
+        cfg = build_config(**{name: overrides.pop(name) for name in
+                              ("seed", "out_path", "out_format") if name in overrides})
+        key_of = {f.name: key for key, f in CONFIG_KEYS.items()}
+        unused = sorted(key_of.get(k, k) for k in overrides if k not in FIG3_PRESET)
         if desk_scale:
             unused.append("--desk-scale")
         if unused:
             raise ConfigError(f"figure fig3 does not use {', '.join(unused)}")
-        rows = crosscorr_rows(seed, **overrides)
-        if out_path:
-            write_rows(rows, out_path, fmt, columns=CROSSCORR_COLUMNS)
-        return rows, {"crossover": analytics.find_crossover(rows)}
-    cfg = figure_config(fig_id, desk_scale=desk_scale, **overrides)
-    result = run_sweep(cfg, progress=progress)
-    if out_path:
-        write_rows(result.rows, out_path, fmt)
-    return result.rows, {"config": cfg}
+        rows, columns = crosscorr_rows(cfg.seed, **overrides), CROSSCORR_COLUMNS
+        extra = {"crossover": analytics.find_crossover(rows)}
+    else:
+        cfg = figure_config(fig_id, desk_scale=desk_scale, **overrides)
+        rows, columns = run_sweep(cfg, progress=progress).rows, CSV_COLUMNS
+        extra = {"config": cfg}
+    if cfg.out_path:
+        write_rows(rows, cfg.out_path, cfg.out_format, columns=columns)
+    return rows, extra
 
 
 def dump_frame(cfg, path, ap=0, sweep_value=None, trial=0):

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cfpilot.harness import (
     CSV_COLUMNS,
     ConfigError,
     DESK_AREA_KM2,
+    ExperimentConfig,
     FULL_SCALE_AREA_KM2,
     build_config,
     desk_scale_overrides,
@@ -272,8 +274,9 @@ def test_dump_frame_is_run_trial_frame(tmp_path, monkeypatch, variable, value):
 
 
 def _run_cli(*args):
+    # the timeout turns a hang into a failure
     return subprocess.run([sys.executable, "-m", "cfpilot", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=300)
 
 
 def test_cli_sweep_and_exit_codes(tmp_path):
@@ -314,38 +317,71 @@ def test_cli_tau_p_sweep_values_rejected(tmp_path):
         assert "sweep.values" in proc.stderr
 
 
-INVALID_CONFIGS = [
-    (["pilot.tau_p=0"], "pilot.tau_p"),
-    (["sys.bw_hz=0"], "sys.bw_hz"),
-    (["pilot.assignment=foo"], "pilot.assignment"),
-    (["cluster.size=0"], "cluster.size"),
-    (["rate.tau_c=0"], "rate.tau_c"),
-    (["chan.antennas=0"], "chan.antennas"),
-    (["chan.noise_w=-1"], "chan.noise_w"),
+def _field_cases():
+    """One refused value per single-key check that an ExperimentConfig field declares."""
+    cases = []
+    for f in fields(ExperimentConfig):
+        key, bound, choices = (f.metadata[name] for name in ("key", "bound", "choices"))
+        if f.type is float:
+            cases.append(([f"{key}=inf"], key))
+        if bound:
+            cases.append(([f"{key}={0 if bound == 'positive' else -1}"], key))
+        if choices:
+            cases.append(([f"{key}=foo"], key))
+    return cases
+
+
+# and what the field table does not generate: the rules that span keys, UE
+# placement, and other refused values of bounded keys
+INVALID_CONFIGS = _field_cases() + [
     (["area.gamma_m=400"], "area.gamma_m"),  # no feasible UE placement
     (["area.gamma_m=500"], "area.gamma_m"),  # beyond half the side
+    (["area.ue_mean=1e-9"], "area.ue_mean"),  # no UE in any Poisson draw
     (["sweep.variable=tau_ex", "sweep.values=[0,3]", "run.curves=[dft:upg]"],
      "sweep.variable"),
+    (["run.curves=[dft_ext:upg]", "pilot.tau_ex=-3"], "pilot.tau_ex"),
+    (["run.curves=[dft:upg]", "pilot.tau_ex=5"], "pilot.tau_ex"),  # would be ignored
     (["sweep.values=[nan]"], "sweep.values"),
     (["sweep.values=[inf]"], "sweep.values"),
+    (["sweep.values=[4000]"], "sweep.values"),  # infinite watts
+    (["sweep.values=[-4000]"], "sweep.values"),  # zero watts
     (["run.p_dbm=nan", "sweep.variable=tau_p", "sweep.values=[8]"], "run.p_dbm"),
-    (["chan.noise_w=inf"], "chan.noise_w"),
+    (["run.p_dbm=4000", "sweep.variable=tau_p", "sweep.values=[8]"], "run.p_dbm"),
     (["chan.sigma_sh_db=nan"], "chan.sigma_sh_db"),
     (["chan.sigma_sh_db=-4"], "chan.sigma_sh_db"),
-    (["area.ue_mean=inf"], "area.ue_mean"),
-    (["sys.bw_hz=inf"], "sys.bw_hz"),
 ]
+
+
+def test_each_field_declares_one_key():
+    assert len(harness.CONFIG_KEYS) == len(fields(ExperimentConfig))
 
 
 @pytest.mark.parametrize("pairs,key", INVALID_CONFIGS,
                          ids=[" ".join(pairs) for pairs, _ in INVALID_CONFIGS])
 def test_cli_invalid_config_exits_2(tmp_path, pairs, key):
     out = tmp_path / "x.csv"
-    sets = [arg for pair in ["sweep.values=[20]", *pairs] for arg in ("--set", pair)]
-    proc = _run_cli("sweep", *sets, "--trials", "1", "--out", str(out))
+    sets = [arg for pair in ["sweep.values=[20]", "run.trials=1", *pairs]
+            for arg in ("--set", pair)]
+    proc = _run_cli("sweep", *sets, "--out", str(out))
     assert proc.returncode == 2, proc.stderr
-    assert key in proc.stderr
+    assert f"config error: {key}" in proc.stderr
     assert not out.exists()
+
+
+def test_power_rule_keeps_representable_extremes():
+    # -3000 and +3000 dBm are tiny and huge but finite positive watts
+    cfg = small_cfg(trials=1, sweep_values=(-3000.0, 3000.0), curves=("dft:upg",))
+    for row in run_sweep(cfg).rows:
+        assert all(np.isfinite(row[col]) for col in ("nmse_db_mean", "rate_mean_bps_hz"))
+
+
+def test_cli_figure_bad_format_refused_before_trials(tmp_path):
+    proc = _run_cli("figure", "fig6", "--desk-scale", "--trials", "2",
+                    "--set", "out.format=parquet", "--out", str(tmp_path / "x.csv"))
+    assert proc.returncode == 2
+    assert "out.format" in proc.stderr
+    assert "sweep point" not in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_fig3_refuses_ignored_arguments(tmp_path):
