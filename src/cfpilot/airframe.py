@@ -15,6 +15,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 REGIME_UPG = "upg"
 REGIME_UPNG = "upng"
@@ -44,33 +45,29 @@ class ReceivedFrame:
     chan: object
 
 
-def augmented_matrix(book, net, regime, r, rng):
-    """Augmented transmit rows of every UE at AP r, shape (U, L + t_max_r).
+def pilot_rows(book, net, aps):
+    """Zero-padded pilot rows of every UE at each AP in ``aps``, one array per AP.
 
-    Row u is [zeros(t_ur), pilot, tail]; the tail (t_max_r - t_ur samples)
-    is zeros under UPG and i.i.d. QPSK symbols (``DEFAULT_DATA_ALPHABET``)
-    drawn from ``rng`` under UPNG.
+    Row u at AP r is [zeros(t_ur), pilot, zeros], L + t_max_r samples long.
     """
-    n_ue = net.n_ues
-    length = book.seq_len
-    total = length + int(net.t_max_r[r])
-    t = net.t_ur[r].astype(np.int64)
-    x = np.zeros((n_ue, total), dtype=complex)
-    idx = t[:, None] + np.arange(length)[None, :]
-    np.put_along_axis(x, idx, book.sequences, axis=1)
-    if regime == REGIME_UPNG:
-        mask = np.arange(total)[None, :] >= (t + length)[:, None]
-        if mask.any():
-            idx = rng.integers(0, len(DEFAULT_DATA_ALPHABET), size=int(mask.sum()))
-            x[mask] = DEFAULT_DATA_ALPHABET[idx]
-    return x
+    t_max = int(net.t_max_r.max())
+    padded = np.zeros((net.n_ues, book.seq_len + 2 * t_max), dtype=complex)
+    padded[:, t_max:t_max + book.seq_len] = book.sequences
+    # the row at delay t is the window of the padded pilot that starts t_max - t in
+    windows = sliding_window_view(padded, book.seq_len + t_max, axis=-1)
+    ue = np.arange(net.n_ues)
+    return [windows[ue, t_max - net.t_ur[r], :book.seq_len + int(net.t_max_r[r])] for r in aps]
 
 
 def synthesize_frame(book, net, chan, regime, p_ul, rng):
     """Synthesize the received pilot-phase frame at every AP.
 
     All UEs contribute (interference is not restricted to served links).
-    Noise entries are i.i.d. CN(0, noise_w).
+    The augmented transmit row of UE u at AP r is [zeros(t_ur), pilot,
+    tail], L + t_max_r samples long; the tail is zeros under UPG and i.i.d.
+    QPSK symbols (``DEFAULT_DATA_ALPHABET``) under UPNG. Noise entries are
+    i.i.d. CN(0, noise_w). Per AP, ``rng`` draws the data symbols, then the
+    noise's real part, then its imaginary part.
     """
     if p_ul <= 0:
         raise ValueError("p_ul must be positive")
@@ -79,8 +76,12 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng):
     ys, xs, zs = [], [], []
     scale = np.sqrt(p_ul)
     sigma = np.sqrt(chan.noise_w / 2.0)
-    for r in range(net.n_aps):
-        x = augmented_matrix(book, net, regime, r, rng)
+    for r, x in enumerate(pilot_rows(book, net, range(net.n_aps))):
+        if regime == REGIME_UPNG:
+            data = np.arange(x.shape[1]) >= (net.t_ur[r] + book.seq_len)[:, None]
+            if data.any():
+                idx = rng.integers(0, len(DEFAULT_DATA_ALPHABET), size=int(data.sum()))
+                x[data] = DEFAULT_DATA_ALPHABET[idx]
         z = sigma * (rng.standard_normal((chan.m_antennas, x.shape[1]))
                      + 1j * rng.standard_normal((chan.m_antennas, x.shape[1])))
         y = scale * (chan.h[r].T @ x) + z

@@ -21,6 +21,14 @@ every random/DFT link and every covered extended link. Its own data samples
 (nonzero only on an uncovered extended link under UPNG) count as
 interference.
 
+Batched layout: :func:`interference_profile` takes the MF windows and cross
+rows of any number of links (leading axes) and returns one row over all UEs
+per link; the estimator passes every served link of a frame in one call.
+:func:`conjugate_bf_rate` reads the links in the estimator's (AP,
+serving-order) order: A_wu accumulates with ``np.add.at`` and B_wu as a sum
+over the link axis, both in that order, and each UE's coherent gain sums its
+serving APs in index order.
+
 Rate bound (pinned design): downlink conjugate beamforming with channel
 hardening, equal power fractions across each AP's served UEs and full per-AP
 power. With gamma_ru the per-antenna mean square of the LMMSE channel
@@ -70,7 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airframe import REGIME_UPG, REGIME_UPNG, augmented_matrix
+from .airframe import REGIME_UPG, REGIME_UPNG, pilot_rows
 from .pilots import SCHEME_DFT, SCHEME_DFT_EXT, SCHEME_RANDOM, window_counts
 
 NMSE_LINEAR_FLOOR = 1e-15
@@ -93,30 +101,32 @@ def dft_cross_power(k, tau_p, pilot):
 
 def pilot_matrix(book, net, r):
     """Zero-padded pilot-only rows of every UE at AP r (no data tail)."""
-    return augmented_matrix(book, net, REGIME_UPG, r, None)
+    return pilot_rows(book, net, [r])[0]
 
 
 def interference_profile(book, net, gains, regime, mf, cross):
     """Per-interferer contributions to the MF signal covariance diagonal.
 
-    Returns an array over all UEs of beta' psi' * <expected squared MF
-    cross term> on the link of ``mf`` (an ``MFSequence``), whose pilot-part
-    cross row is ``cross``, by the scheme rules above. The target's entry
-    holds its own data samples only.
+    Returns, for each link of ``mf`` (an ``MFSequence``) whose pilot-part
+    cross row is ``cross``, an array over all UEs (last axis) of
+    beta' psi' * <expected squared MF cross term>, by the scheme rules
+    above. The target's entry holds its own data samples only.
     """
     tau_p = book.tau_p
     m_idx = book.assignment
+    m_target = m_idx[mf.ue][..., None]
     data = mf.data * (regime == REGIME_UPNG)
     if book.scheme == SCHEME_RANDOM:
         factor = mf.pilot + data
     elif book.scheme == SCHEME_DFT:
-        factor = dft_cross_power(m_idx[mf.ue] - m_idx, tau_p, mf.pilot) + data
+        factor = dft_cross_power(m_target - m_idx, tau_p, mf.pilot) + data
     elif book.scheme == SCHEME_DFT_EXT:
-        coherent = np.where(m_idx == m_idx[mf.ue], float(tau_p) ** 2, 0.0)
+        coherent = np.where(m_idx == m_target, float(tau_p) ** 2, 0.0)
         factor = np.where(mf.pilot == tau_p, coherent, np.abs(cross) ** 2 + data)
     else:
         raise ValueError(f"unknown pilot scheme {book.scheme!r}")
-    factor[mf.ue] = data[mf.ue]
+    target = mf.ue[..., None]
+    np.put_along_axis(factor, target, np.take_along_axis(data, target, axis=-1), axis=-1)
     return gains.gain[mf.ap] * factor
 
 
@@ -218,29 +228,26 @@ def conjugate_bf_rate(net, gains, links, p_dl, noise_w, m_antennas, overhead):
     """
     n_ue = net.n_ues
     gamma = links.gamma
-    se = np.zeros(n_ue)
-    sinr = np.zeros(n_ue)
-    cluster_len = np.array([len(net.serving[r]) for r in range(net.n_aps)], dtype=float)
-    total_gain = gains.gain.sum(axis=0)
+    cluster_len = float(net.serving.shape[1])  # k_r, the same at every AP
+    keep = gamma[links.ap, links.ue] > 0
+    ap, w = links.ap[keep], links.ue[keep]
+    eta = 1.0 / (m_antennas * gamma[ap, w] * cluster_len)
+    scale = links.gain_scale[keep]
+    gain = gains.gain[ap]
     amat = np.zeros((n_ue, n_ue), dtype=complex)  # [w, u]
-    bterm = np.zeros(n_ue)
-    for i, (r, w) in enumerate(zip(links.ap, links.ue)):
-        if gamma[r, w] <= 0:
-            continue
-        eta = 1.0 / (m_antennas * gamma[r, w] * cluster_len[r])
-        amat[w] += np.sqrt(eta) * links.gain_scale[i] * np.conj(links.cross[i]) * gains.gain[r]
-        bterm += eta * links.gain_scale[i]**2 * links.bleed[i] * gains.gain[r]**2
+    np.add.at(amat, w, (np.sqrt(eta) * scale)[:, None] * np.conj(links.cross[keep]) * gain)
+    bterm = ((eta * scale**2)[:, None] * links.bleed[keep] * gain**2).sum(axis=0)
     np.fill_diagonal(amat, 0.0)
     contamination = (np.abs(amat) ** 2).sum(axis=0) + bterm
-    for u in range(n_ue):
-        aps = net.serving_aps[u]
-        if len(aps) == 0:
-            continue
-        coherent = np.sqrt(gamma[aps, u] / cluster_len[aps]).sum()
-        den = (p_dl * total_gain[u] + noise_w
-               + p_dl * m_antennas**2 * contamination[u])
-        sinr[u] = p_dl * m_antennas * coherent**2 / den
-        se[u] = overhead * np.log2(1.0 + sinr[u])
+    served = np.zeros(n_ue, dtype=bool)
+    served[net.serving] = True
+    coherent = np.sqrt(gamma / cluster_len).sum(axis=0)[served]
+    den = (p_dl * gains.gain.sum(axis=0)[served] + noise_w
+           + p_dl * m_antennas**2 * contamination[served])
+    sinr = np.zeros(n_ue)
+    se = np.zeros(n_ue)
+    sinr[served] = p_dl * m_antennas * coherent**2 / den
+    se[served] = overhead * np.log2(1.0 + sinr[served])
     return RateReport(se_per_ue=se, sinr_per_ue=sinr, overhead=overhead)
 
 

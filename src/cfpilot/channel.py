@@ -5,7 +5,7 @@ redrawn per coherence-block trial. All samplers take an explicit
 ``numpy.random.Generator`` so trials parallelize with independent substreams.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,14 +42,14 @@ def sample_fading(m, rng, size=None):
 
 @dataclass
 class LinkGains:
-    """Per-link large-scale coefficients, shape (R, U) each."""
+    """Per-link large-scale coefficients, shape (R, U) each; ``gain`` is beta * psi."""
 
     beta: np.ndarray
     psi: np.ndarray
+    gain: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def gain(self):
-        return self.beta * self.psi
+    def __post_init__(self):
+        self.gain = self.beta * self.psi
 
 
 @dataclass

@@ -17,6 +17,14 @@ de-rotates the observation first. A link's expected NMSE is
 1 - gamma / (beta psi), and its desired, interference and noise powers sum
 to M * Sigma_y. Each link's cross row pilot_mat @ conj(mf.row) is computed
 once and feeds both the covariance and the rate bound.
+
+Batched layout: a frame's served links are its (R, k) serving array read row
+by row, AP index ``repeat(arange(R), k)`` and UE index ``serving.ravel()``,
+so AP r owns rows r*k ... r*k + k - 1 of every per-link array. The MF rows,
+window counts and interference profiles of all links come from one call
+each. Only the two products with AP r's frame and pilot rows run per AP, as
+stacked matrix-vector products: one GEMV per link, which rounds exactly like
+``y_r @ row``; a single ``Y_r @ MF^H`` GEMM rounds differently.
 """
 
 from dataclasses import dataclass
@@ -60,53 +68,50 @@ def estimate_trial_links(frame):
     the expected MF power breakdown used by the diagnostic dump.
     """
     book, net, chan = frame.book, frame.net, frame.chan
-    p_ul, noise_w = frame.p_ul, chan.noise_w
-    m_ant = chan.m_antennas
-    aps, ues, nmses = [], [], []
-    des_p, int_p, noi_p, gscale, cross, bleeds = [], [], [], [], [], []
+    n_aps, k = net.serving.shape
+    ap = np.repeat(np.arange(n_aps), k)
+    ue = net.serving.ravel()
+    link = np.arange(ap.size)
+    mf = make_mf_sequence(book, net, ap, ue)
+    rows = mf.row.conj()
+    y = np.empty((ap.size, chan.m_antennas), dtype=complex)
+    c = np.empty((ap.size, net.n_ues), dtype=complex)
+    for r in range(n_aps):
+        sl = slice(r * k, (r + 1) * k)
+        mf_r = np.ascontiguousarray(rows[sl, :frame.y[r].shape[1], None])
+        # a UPG frame's transmit rows are its pilot rows
+        pilot_mat = (analytics.pilot_matrix(book, net, r) if frame.regime == REGIME_UPNG
+                     else frame.x_aug[r])
+        y[sl] = np.matmul(frame.y[r], mf_r)[..., 0]
+        c[sl] = np.matmul(pilot_mat, mf_r)[..., 0]
+    y /= np.sqrt(frame.p_ul)
+    prof = analytics.interference_profile(book, net, chan.gains, frame.regime, mf, c)
+    g = chan.gains.gain[ap, ue]
+    pilot = mf.pilot[link, ue]
+    noise_scale = chan.noise_w * book.tau_p / frame.p_ul
+    interference = prof.sum(axis=-1)
+    yh = pilot * g
+    ys = pilot**2 * g + interference + noise_scale
+    obs = np.conj(mf.align_phase)[:, None] * y
+    h = chan.h[ap, ue]
+    err = h - (yh / ys)[:, None] * obs
+    # a stacked vdot: a sum of squares rounds differently
+    sq_err = np.matmul(err.conj()[:, None, :], err[:, :, None])[:, 0, 0].real
+    sq_h = np.matmul(h.conj()[:, None, :], h[:, :, None])[:, 0, 0].real
     gamma = np.zeros((net.n_aps, net.n_ues))
-    sqrt_p = np.sqrt(p_ul)
-    noise_scale = noise_w * book.tau_p / p_ul
-    upng = frame.regime == REGIME_UPNG
-    for r in range(net.n_aps):
-        pilot_mat = analytics.pilot_matrix(book, net, r)
-        y_r = frame.y[r]
-        for u in net.serving[r]:
-            u = int(u)
-            mf = make_mf_sequence(book, net, r, u)
-            row = mf.row.conj()
-            y = y_r @ row / sqrt_p
-            c = pilot_mat @ row
-            prof = analytics.interference_profile(book, net, chan.gains, frame.regime, mf, c)
-            g = chan.gains.gain[r, u]
-            pilot = mf.pilot[u]
-            yh = pilot * g
-            ys = pilot**2 * g + prof.sum() + noise_scale
-            obs = np.conj(mf.align_phase) * y
-            h_hat = (yh / ys) * obs
-            h = chan.h[r, u]
-            err = h - h_hat
-            aps.append(r)
-            ues.append(u)
-            nmses.append(np.vdot(err, err).real / np.vdot(h, h).real)
-            gamma[r, u] = yh * yh / ys
-            des_p.append(m_ant * g * pilot**2)
-            int_p.append(m_ant * prof.sum())
-            noi_p.append(m_ant * noise_scale)
-            gscale.append(yh / ys)
-            cross.append(np.conj(mf.align_phase) * c)
-            nd = mf.data * upng
-            nd[u] = 0
-            bleeds.append(nd)
+    gamma[ap, ue] = yh * yh / ys
+    m_ant = chan.m_antennas
+    bleed = mf.data * (frame.regime == REGIME_UPNG)
+    bleed[link, ue] = 0
     return LinkEstimates(
-        ap=np.array(aps, dtype=np.int64),
-        ue=np.array(ues, dtype=np.int64),
-        nmse=np.array(nmses),
+        ap=ap,
+        ue=ue,
+        nmse=sq_err / sq_h,
         gamma=gamma,
-        desired_power=np.array(des_p),
-        interference_power=np.array(int_p),
-        noise_power=np.array(noi_p),
-        gain_scale=np.array(gscale),
-        cross=np.array(cross),
-        bleed=np.array(bleeds),
+        desired_power=m_ant * g * pilot**2,
+        interference_power=m_ant * interference,
+        noise_power=np.full(ap.size, m_ant * noise_scale),
+        gain_scale=yh / ys,
+        cross=np.conj(mf.align_phase)[:, None] * c,
+        bleed=bleed,
     )

@@ -17,12 +17,13 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import analytics
+from . import analytics, pilots
 from .airframe import REGIMES, synthesize_frame, write_frame_dump
 from .channel import dbm_to_watts, draw_channels, draw_link_gains
 from .estimator import estimate_trial_links
 from .geometry import SimArea, delay_spread_min_extension, sample_topology, synchronize
-from .pilots import ASSIGNMENTS, SCHEMES, SCHEME_DFT, SCHEME_DFT_EXT, make_pilot_book
+from .pilots import (ASSIGN_MAXMIN_DISTANCE, ASSIGNMENTS, SCHEMES, SCHEME_DFT, SCHEME_DFT_EXT,
+                     make_pilot_book)
 
 FULL_SCALE_AREA_KM2 = 0.7
 DESK_AREA_KM2 = 0.1
@@ -185,6 +186,8 @@ def validate_config(cfg):
 
     if not cfg.sweep_values:
         raise ConfigError("sweep.values: need at least one value")
+    if not cfg.curves:
+        raise ConfigError("run.curves: need at least one curve")
     if cfg.sweep_variable in ("tau_p", "tau_ex"):
         low = int(cfg.sweep_variable == "tau_p")
         if any(v < low or not float(v).is_integer() for v in cfg.sweep_values):
@@ -204,6 +207,9 @@ def validate_config(cfg):
     if (swept or cfg.tau_ex != "auto_min") and SCHEME_DFT_EXT not in schemes:
         raise ConfigError(f"{'sweep.variable' if swept else 'pilot.tau_ex'}: a tau_ex other "
                           f"than auto_min needs a dft_ext curve in run.curves")
+    # the sweep sets every point's tau_ex; a fixed one would be silently replaced
+    if swept and cfg.tau_ex != "auto_min":
+        raise ConfigError("pilot.tau_ex: a fixed tau_ex conflicts with sweep.variable=tau_ex")
     try:
         cfg.area()
     except ValueError as exc:  # SimArea names the offending area.* field first
@@ -233,12 +239,13 @@ def configured_tau_ex(cfg, scheme, sweep_value):
 def trial_frames(cfg, sweep_value, trial):
     """Yield (curve, ReceivedFrame) for every configured curve of one trial.
 
-    The network, large-scale gains and fading are drawn once and shared by
-    all curves (paired comparison); each curve's pilot book, UPNG data and
-    noise come from its own transmit stream, and the ``sync`` curve runs on
-    the synchronized network. The sweep value sets the power, pilot length
-    or extension; ``auto_min`` resolves to the curve network's largest
-    in-cluster delay spread.
+    The network, large-scale gains, fading and pilot assignment are drawn
+    once and shared by all curves (paired comparison); each curve's pilot
+    book, UPNG data and noise come from its own transmit stream, and the
+    ``sync`` curve runs on the synchronized network, which keeps the UE
+    positions the assignment depends on. The sweep value sets the power,
+    pilot length or extension; ``auto_min`` resolves to the curve network's
+    largest in-cluster delay spread.
     """
     net_rng, fad_rng = _trial_streams(cfg.seed, trial)
     net = sample_topology(cfg.area(), cfg.cluster_size, net_rng)
@@ -246,6 +253,8 @@ def trial_frames(cfg, sweep_value, trial):
     p_ul = dbm_to_watts(sweep_value if cfg.sweep_variable == "p_dbm" else cfg.p_dbm)
     tau_p = int(sweep_value) if cfg.sweep_variable == "tau_p" else cfg.tau_p
     chan = draw_channels(net, gains, cfg.antennas, fad_rng, cfg.noise_w, p_ul)
+    assignment = (pilots.assign_maxmin_distance(net.ue_pos, tau_p)
+                  if cfg.assignment == ASSIGN_MAXMIN_DISTANCE else None)
     for ci, curve in enumerate(cfg.curves):
         scheme, regime = parse_curve(curve)
         tx_rng = _trial_streams(cfg.seed, trial, ci)
@@ -256,9 +265,7 @@ def trial_frames(cfg, sweep_value, trial):
         if tau_ex == "auto_min":
             tau_ex = delay_spread_min_extension(cnet)
         book = make_pilot_book(scheme, tau_p, tau_ex, cnet.n_ues, tx_rng,
-                               phase_levels=cfg.phase_levels,
-                               assignment=cfg.assignment,
-                               ue_positions=cnet.ue_pos)
+                               phase_levels=cfg.phase_levels, assignment=assignment)
         yield curve, synthesize_frame(book, cnet, chan, regime, p_ul, tx_rng)
 
 

@@ -17,6 +17,9 @@ delay for random/dft, or at the AP's common window start (max served delay)
 for the extended scheme, where the base, unextended row is used. Each one
 carries the window's sample counts per UE at that AP (:func:`window_counts`),
 which the covariance, the estimator and the rate bound all read.
+:func:`make_mf_sequence` builds the rows of any number of links at once: its
+AP and UE indices broadcast, and the estimator passes every served link of a
+frame in one call.
 
 :func:`window_counts` is also the one coverage rule: a UE covers an MF
 window when its pilot fills it, ``MFSequence.pilot == tau_p``. For the
@@ -60,21 +63,23 @@ class PilotBook:
 
 @dataclass
 class MFSequence:
-    """Zero-padded matched-filter row for one (AP, UE) pair.
+    """Zero-padded matched-filter rows of (AP, UE) links.
 
-    ``align_phase`` is the known rotation of the pilot fragment inside the
-    MF window relative to the base sequence (unity for random/dft; for the
-    extended scheme exp(j 2 pi m (t_w - t_u) / tau_p)). The estimator
-    de-rotates the MF output by its conjugate before applying the LMMSE gain.
-    ``pilot`` and ``data`` count, per UE at the AP, the window samples that
-    carry its pilot and the ones after its pilot, where UPNG data is sent.
+    Every field carries the links' index shape: scalars and a length-L
+    ``row`` for one link, leading axes for many. ``align_phase`` is the
+    known rotation of the pilot fragment inside the MF window relative to
+    the base sequence (unity for random/dft; for the extended scheme
+    exp(j 2 pi m (t_w - t_u) / tau_p)). The estimator de-rotates the MF
+    output by its conjugate before applying the LMMSE gain. ``pilot`` and
+    ``data`` count, per UE at the link's AP (last axis), the window samples
+    that carry its pilot and the ones after its pilot, where UPNG data is sent.
     """
 
     row: np.ndarray
-    window_start: int
-    align_phase: complex
-    ap: int
-    ue: int
+    window_start: np.ndarray
+    align_phase: np.ndarray
+    ap: np.ndarray
+    ue: np.ndarray
     pilot: np.ndarray
     data: np.ndarray
 
@@ -94,30 +99,27 @@ def assign_maxmin_distance(ue_positions, tau_p):
 
     UEs are processed in index order; each picks, among the indices with the
     fewest assignees so far, the one whose current co-pilot UEs are farthest
-    away (infinitely far for unused indices).
+    away (infinitely far for unused indices); the lowest such index wins a tie.
     """
     pos = np.asarray(ue_positions, dtype=float)
     n = pos.shape[0]
-    assignment = np.full(n, -1, dtype=np.int64)
-    members = [[] for _ in range(tau_p)]
+    diff = pos[:, None, :] - pos[None, :, :]
+    # a stacked dot, rounded like np.linalg.norm of each pair: norm(axis=-1),
+    # hypot and einsum round differently and can flip a near-tie
+    dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None]))[..., 0, 0]
+    # nearest[v, m]: distance from UE v to the closest UE holding index m so far
+    nearest = np.full((n, tau_p), np.inf)
+    load = np.zeros(tau_p, dtype=np.int64)
+    assignment = np.empty(n, dtype=np.int64)
     for u in range(n):
-        load = np.array([len(mem) for mem in members])
-        candidates = np.flatnonzero(load == load.min())
-        best_m, best_score = candidates[0], -np.inf
-        for m in candidates:
-            if not members[m]:
-                score = np.inf
-            else:
-                score = min(np.linalg.norm(pos[u] - pos[v]) for v in members[m])
-            if score > best_score:
-                best_m, best_score = m, score
-        assignment[u] = best_m
-        members[best_m].append(u)
+        m = int(np.argmax(np.where(load == load.min(), nearest[u], -np.inf)))
+        assignment[u] = m
+        load[m] += 1
+        np.minimum(nearest[:, m], dist[u], out=nearest[:, m])
     return assignment
 
 
-def make_pilot_book(scheme, tau_p, tau_ex, ue_count, rng, phase_levels=8,
-                    assignment=ASSIGN_ROUND_ROBIN, ue_positions=None):
+def make_pilot_book(scheme, tau_p, tau_ex, ue_count, rng, phase_levels=8, assignment=None):
     """Construct the pilot book for one trial.
 
     Parameters
@@ -132,9 +134,9 @@ def make_pilot_book(scheme, tau_p, tau_ex, ue_count, rng, phase_levels=8,
         Consumed only by the random scheme.
     phase_levels : int
         Phase quantization P for the random scheme (phases k*2pi/P).
-    assignment : {"round_robin", "maxmin_distance"}
-    ue_positions : array, optional
-        Required for max-min distance assignment.
+    assignment : int array, optional
+        Pilot index of each UE (e.g. from :func:`assign_maxmin_distance`);
+        round-robin when omitted.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown pilot scheme {scheme!r}")
@@ -145,14 +147,12 @@ def make_pilot_book(scheme, tau_p, tau_ex, ue_count, rng, phase_levels=8,
     if tau_ex > 0 and scheme != SCHEME_DFT_EXT:
         raise ValueError("tau_ex > 0 is only valid for the dft_ext scheme")
 
-    if assignment == ASSIGN_ROUND_ROBIN:
+    if assignment is None:
         assign = assign_round_robin(ue_count, tau_p)
-    elif assignment == ASSIGN_MAXMIN_DISTANCE:
-        if ue_positions is None:
-            raise ValueError("maxmin_distance assignment needs ue_positions")
-        assign = assign_maxmin_distance(ue_positions, tau_p)
     else:
-        raise ValueError(f"unknown assignment rule {assignment!r}")
+        assign = np.asarray(assignment, dtype=np.int64)
+        if assign.shape != (ue_count,):
+            raise ValueError("assignment must hold one pilot index per UE")
 
     length = tau_p + tau_ex
     if scheme == SCHEME_RANDOM:
@@ -181,21 +181,29 @@ def window_counts(start, tau_p, t, seq_len):
 
 
 def make_mf_sequence(book, net, r, u):
-    """Zero-padded MF row for UE ``u`` at AP ``r`` (length tau_p+tau_ex+t_max_r)."""
-    total = book.seq_len + int(net.t_max_r[r])
-    row = np.zeros(total, dtype=complex)
+    """Zero-padded MF rows of the links (``r``, ``u``); the indices broadcast.
+
+    A row is tau_p + tau_ex + t_max samples long, t_max the largest over the
+    links' APs, so each one is as long as its AP's frame or longer, by
+    trailing zeros.
+    """
+    r, u = np.broadcast_arrays(np.asarray(r), np.asarray(u))
+    tau_p = book.tau_p
+    t = net.t_ur[r, u]
     if book.scheme == SCHEME_DFT_EXT:
-        if u not in net.serving[r]:
+        if not (net.serving[r] == u[..., None]).any(axis=-1).all():
             raise ValueError("extended-DFT MF windows are defined for served UEs only")
-        start = int(net.t_w_r[r])
-        m = int(book.assignment[u])
-        row[start:start + book.tau_p] = dft_sequence(m, book.tau_p)
-        delta = start - int(net.t_ur[r, u])
-        phase = np.exp(2j * np.pi * m * delta / book.tau_p)
+        start = net.t_w_r[r]
+        m = book.assignment[u]
+        seq = dft_sequence(m[..., None], tau_p)
+        # the angle in real arithmetic: a complex division rounds differently
+        phase = np.exp(1j * (2 * np.pi * m * (start - t) / tau_p))
     else:
-        start = int(net.t_ur[r, u])
-        row[start:start + book.tau_p] = book.sequences[u, :book.tau_p]
-        phase = 1.0 + 0j
-    pilot, data = window_counts(start, book.tau_p, net.t_ur[r], book.seq_len)
-    return MFSequence(row=row, window_start=start, align_phase=complex(phase), ap=r, ue=u,
+        start = t
+        seq = book.sequences[u, :tau_p]
+        phase = np.ones(u.shape, dtype=complex)
+    row = np.zeros(u.shape + (book.seq_len + int(net.t_max_r[r].max()),), dtype=complex)
+    np.put_along_axis(row, start[..., None] + np.arange(tau_p), seq, axis=-1)
+    pilot, data = window_counts(start[..., None], tau_p, net.t_ur[r], book.seq_len)
+    return MFSequence(row=row, window_start=start, align_phase=phase, ap=r, ue=u,
                       pilot=pilot, data=data)

@@ -11,14 +11,19 @@
   window and cross row the estimator builds for it.
 * ``uncontaminated_links``: ``LinkEstimates`` that carry only a gamma
   array, for rate-bound tests without contamination.
+* ``estimate_links_loop``, ``conjugate_bf_rate_loop`` and
+  ``assign_maxmin_loop``: the per-link, per-UE and per-pair loops that the
+  batched ``estimate_trial_links``, ``conjugate_bf_rate`` and
+  ``assign_maxmin_distance`` replaced, kept as their references.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
+from cfpilot import analytics
 from cfpilot.airframe import DEFAULT_DATA_ALPHABET, REGIME_UPNG, REGIMES, synthesize_frame
-from cfpilot.analytics import interference_profile, pilot_matrix
+from cfpilot.analytics import RateReport, interference_profile, pilot_matrix
 from cfpilot.channel import draw_channels, sample_fading
 from cfpilot.estimator import LinkEstimates, estimate_trial_links
 from cfpilot.pilots import SCHEME_DFT_EXT, SCHEME_RANDOM, dft_sequence, make_mf_sequence
@@ -167,3 +172,110 @@ def empirical_covariance_oracle(book, net, gains, regime, r, u, noise_w, p_ul,
         accum_yh += np.einsum("bm,bn->mn", y_al, h[:, u, :].conj())
         done += nb
     return CovariancePair(sigma_yh=accum_yh / trials, sigma_y=accum_y / trials)
+
+
+def estimate_links_loop(frame):
+    """``estimate_trial_links`` one served link at a time, in the same order."""
+    book, net, chan = frame.book, frame.net, frame.chan
+    p_ul, noise_w = frame.p_ul, chan.noise_w
+    m_ant = chan.m_antennas
+    aps, ues, nmses = [], [], []
+    des_p, int_p, noi_p, gscale, cross, bleeds = [], [], [], [], [], []
+    gamma = np.zeros((net.n_aps, net.n_ues))
+    sqrt_p = np.sqrt(p_ul)
+    noise_scale = noise_w * book.tau_p / p_ul
+    upng = frame.regime == REGIME_UPNG
+    for r in range(net.n_aps):
+        pilot_mat = analytics.pilot_matrix(book, net, r)
+        y_r = frame.y[r]
+        for u in net.serving[r]:
+            u = int(u)
+            mf = make_mf_sequence(book, net, r, u)
+            row = mf.row.conj()
+            y = y_r @ row / sqrt_p
+            c = pilot_mat @ row
+            prof = analytics.interference_profile(book, net, chan.gains, frame.regime, mf, c)
+            g = chan.gains.gain[r, u]
+            pilot = mf.pilot[u]
+            yh = pilot * g
+            ys = pilot**2 * g + prof.sum() + noise_scale
+            obs = np.conj(mf.align_phase) * y
+            h_hat = (yh / ys) * obs
+            h = chan.h[r, u]
+            err = h - h_hat
+            aps.append(r)
+            ues.append(u)
+            nmses.append(np.vdot(err, err).real / np.vdot(h, h).real)
+            gamma[r, u] = yh * yh / ys
+            des_p.append(m_ant * g * pilot**2)
+            int_p.append(m_ant * prof.sum())
+            noi_p.append(m_ant * noise_scale)
+            gscale.append(yh / ys)
+            cross.append(np.conj(mf.align_phase) * c)
+            nd = mf.data * upng
+            nd[u] = 0
+            bleeds.append(nd)
+    return LinkEstimates(
+        ap=np.array(aps, dtype=np.int64),
+        ue=np.array(ues, dtype=np.int64),
+        nmse=np.array(nmses),
+        gamma=gamma,
+        desired_power=np.array(des_p),
+        interference_power=np.array(int_p),
+        noise_power=np.array(noi_p),
+        gain_scale=np.array(gscale),
+        cross=np.array(cross),
+        bleed=np.array(bleeds),
+    )
+
+
+def conjugate_bf_rate_loop(net, gains, links, p_dl, noise_w, m_antennas, overhead):
+    """``conjugate_bf_rate`` one link, then one UE, at a time."""
+    n_ue = net.n_ues
+    gamma = links.gamma
+    se = np.zeros(n_ue)
+    sinr = np.zeros(n_ue)
+    cluster_len = np.array([len(net.serving[r]) for r in range(net.n_aps)], dtype=float)
+    total_gain = gains.gain.sum(axis=0)
+    amat = np.zeros((n_ue, n_ue), dtype=complex)  # [w, u]
+    bterm = np.zeros(n_ue)
+    for i, (r, w) in enumerate(zip(links.ap, links.ue)):
+        if gamma[r, w] <= 0:
+            continue
+        eta = 1.0 / (m_antennas * gamma[r, w] * cluster_len[r])
+        amat[w] += np.sqrt(eta) * links.gain_scale[i] * np.conj(links.cross[i]) * gains.gain[r]
+        bterm += eta * links.gain_scale[i]**2 * links.bleed[i] * gains.gain[r]**2
+    np.fill_diagonal(amat, 0.0)
+    contamination = (np.abs(amat) ** 2).sum(axis=0) + bterm
+    for u in range(n_ue):
+        aps = net.serving_aps[u]
+        if len(aps) == 0:
+            continue
+        coherent = np.sqrt(gamma[aps, u] / cluster_len[aps]).sum()
+        den = (p_dl * total_gain[u] + noise_w
+               + p_dl * m_antennas**2 * contamination[u])
+        sinr[u] = p_dl * m_antennas * coherent**2 / den
+        se[u] = overhead * np.log2(1.0 + sinr[u])
+    return RateReport(se_per_ue=se, sinr_per_ue=sinr, overhead=overhead)
+
+
+def assign_maxmin_loop(ue_positions, tau_p):
+    """``assign_maxmin_distance`` with one ``np.linalg.norm`` per UE pair."""
+    pos = np.asarray(ue_positions, dtype=float)
+    n = pos.shape[0]
+    assignment = np.full(n, -1, dtype=np.int64)
+    members = [[] for _ in range(tau_p)]
+    for u in range(n):
+        load = np.array([len(mem) for mem in members])
+        candidates = np.flatnonzero(load == load.min())
+        best_m, best_score = candidates[0], -np.inf
+        for m in candidates:
+            if not members[m]:
+                score = np.inf
+            else:
+                score = min(np.linalg.norm(pos[u] - pos[v]) for v in members[m])
+            if score > best_score:
+                best_m, best_score = m, score
+        assignment[u] = best_m
+        members[best_m].append(u)
+    return assignment

@@ -4,7 +4,6 @@ import pytest
 from cfpilot.airframe import (
     REGIME_UPG,
     REGIME_UPNG,
-    augmented_matrix,
     read_frame_dump,
     synthesize_frame,
     write_frame_dump,
@@ -38,8 +37,9 @@ def toy_chan(net, m=4, noise_w=0.0, p_ul=1.0, rng=None, gains=None):
 def test_augmented_sequence_shapes():
     net = toy_net([0, 5])
     book = make_pilot_book("dft", 8, 0, 2, np.random.default_rng(0))
+    chan = toy_chan(net)
     rng = np.random.default_rng(1)
-    rows = augmented_matrix(book, net, REGIME_UPG, 0, rng)
+    rows = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, rng).x_aug[0]
     assert rows.shape == (2, 13)
     # t_ur = t_max -> no tail
     row_late = rows[1]
@@ -50,7 +50,7 @@ def test_augmented_sequence_shapes():
     np.testing.assert_allclose(row_early[:8], book.sequences[0], atol=1e-12)
     np.testing.assert_allclose(row_early[8:], 0)
     # UPNG tail is unit magnitude; the latest UE has none
-    rows_upng = augmented_matrix(book, net, REGIME_UPNG, 0, rng)
+    rows_upng = synthesize_frame(book, net, chan, REGIME_UPNG, 1.0, rng).x_aug[0]
     np.testing.assert_allclose(np.abs(rows_upng[0, 8:]), 1.0, atol=1e-12)
     np.testing.assert_allclose(rows_upng[1], row_late)
 

@@ -4,6 +4,7 @@ from downlink_oracle import batch_stderr, downlink_oracle, frozen_curve
 from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import (
+    conjugate_bf_rate_loop,
     empirical_covariance_oracle,
     link_covariances,
     link_profile,
@@ -24,7 +25,7 @@ from cfpilot.analytics import (
 from cfpilot.channel import LinkGains, draw_channels, sample_fading
 from cfpilot.estimator import estimate_trial_links
 from cfpilot.geometry import SimArea, topology_from_positions
-from cfpilot.harness import figure_config, run_trial
+from cfpilot.harness import figure_config, run_trial, trial_frames
 from cfpilot.pilots import make_mf_sequence, make_pilot_book, window_counts
 
 AREA = SimArea(side_m=836.660026534076, ap_count=1, ue_mean=1.0, gamma_m=20.0,
@@ -406,3 +407,26 @@ def test_nmse_aggregate_examples():
     assert agg3["p10_db"] == pytest.approx(-150.0)
     with pytest.raises(ValueError):
         nmse_aggregate([])
+
+
+# The batched bound sums each UE's serving APs in AP order, not pairwise
+# from 8 terms on, and squares with x * x, not pow(x, 2): a few units in
+# the last place apart from the loop.
+RATE_LOOP_RTOL = 8 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("fig,desk", [("fig7", False), ("fig9", True), ("fig6", True)])
+def test_batched_rate_bound_matches_loop(fig, desk):
+    # full-scale fig7 has UEs with 8 or more serving APs; fig6/fig9 desk
+    # add random pilots and UPNG bleed
+    cfg = figure_config(fig, desk_scale=desk, trials=2, seed=3)
+    for trial in range(2):
+        for _, frame in trial_frames(cfg, cfg.sweep_values[-1], trial):
+            links = estimate_trial_links(frame)
+            args = (frame.net, frame.chan.gains, links, frame.p_ul, cfg.noise_w,
+                    cfg.antennas, 0.8)
+            got, want = conjugate_bf_rate(*args), conjugate_bf_rate_loop(*args)
+            np.testing.assert_allclose(got.sinr_per_ue, want.sinr_per_ue,
+                                       rtol=RATE_LOOP_RTOL, atol=0)
+            np.testing.assert_allclose(got.se_per_ue, want.se_per_ue,
+                                       rtol=RATE_LOOP_RTOL, atol=0)

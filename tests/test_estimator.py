@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
-from oracles import empirical_covariance_oracle, link_covariances, link_profile
+from oracles import (
+    empirical_covariance_oracle,
+    estimate_links_loop,
+    link_covariances,
+    link_profile,
+)
 
-from cfpilot.airframe import REGIME_UPG, REGIME_UPNG, synthesize_frame
-from cfpilot.channel import LinkGains, draw_channels, sample_fading
+from cfpilot.airframe import REGIME_UPG, REGIME_UPNG, REGIMES, synthesize_frame
+from cfpilot.channel import LinkGains, draw_channels, draw_link_gains, sample_fading
 from cfpilot.estimator import estimate_trial_links
 from cfpilot.geometry import (
     SimArea,
     delay_spread_min_extension,
     sample_topology,
+    synchronize,
     topology_from_positions,
 )
 from cfpilot.pilots import make_mf_sequence, make_pilot_book
@@ -320,7 +326,6 @@ def test_oracle_synchronous_dft_no_cross_terms():
 def test_estimate_trial_links_runs_all_served():
     rng = np.random.default_rng(10)
     net = sample_topology(DESK, 4, rng)
-    from cfpilot.channel import draw_link_gains
     gains = draw_link_gains(net, rng)
     chan = draw_channels(net, gains, 4, rng, 1e-14, 0.1)
     book = make_pilot_book("dft_ext", 8, delay_spread_min_extension(net),
@@ -333,3 +338,30 @@ def test_estimate_trial_links_runs_all_served():
     # gamma populated exactly on served pairs
     assert np.count_nonzero(links.gamma) == links.nmse.size
 
+
+
+LINK_FIELDS = ("ap", "ue", "nmse", "gamma", "desired_power", "interference_power",
+               "noise_power", "gain_scale", "cross", "bleed")
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+@pytest.mark.parametrize("scheme,extension", [
+    ("random", None), ("dft", None), ("sync", None),
+    ("dft_ext", "below"), ("dft_ext", "at"), ("dft_ext", "above")])
+def test_batched_estimator_equals_link_loop(scheme, extension, regime):
+    # the batched pass computes every field with the loop's arithmetic
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        net = sample_topology(DESK, 4, rng)
+        if scheme == "sync":
+            net = synchronize(net)
+        spread = delay_spread_min_extension(net)
+        tau_ex = {None: 0, "below": spread // 2, "at": spread, "above": spread + 3}[extension]
+        assert extension != "below" or tau_ex < spread
+        gains = draw_link_gains(net, rng)
+        chan = draw_channels(net, gains, 4, rng, 1e-14, 1e-3)
+        book = make_pilot_book("dft" if scheme == "sync" else scheme, 8, tau_ex, net.n_ues, rng)
+        frame = synthesize_frame(book, net, chan, regime, 1e-3, rng)
+        got, want = estimate_trial_links(frame), estimate_links_loop(frame)
+        for name in LINK_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -349,6 +350,9 @@ INVALID_CONFIGS = _field_cases() + [
     (["run.p_dbm=4000", "sweep.variable=tau_p", "sweep.values=[8]"], "run.p_dbm"),
     (["chan.sigma_sh_db=nan"], "chan.sigma_sh_db"),
     (["chan.sigma_sh_db=-4"], "chan.sigma_sh_db"),
+    (["run.curves=[]"], "run.curves"),  # would run every trial for a header-only file
+    (["run.curves=[dft_ext:upg]", "sweep.variable=tau_ex", "sweep.values=[1]",
+      "pilot.tau_ex=5"], "pilot.tau_ex"),  # the sweep would replace it
 ]
 
 
@@ -444,3 +448,41 @@ def test_cli_crosscorr_and_dump(tmp_path):
                      "--ap", "0", "--out", str(frame_path))
     assert proc2.returncode == 0, proc2.stderr
     assert frame_path.read_bytes()[:4] == b"ACFE"
+
+
+# SHA-256 of the seed-1 CSVs below, recorded at commit 6f111d8, before the
+# estimator, the max-min assignment and the rate bound were batched: the
+# batched pass must write the same bytes. fig8 pins extended DFT below the
+# in-cluster spread, fig9 extended DFT under UPNG.
+GOLDEN_SHA256 = {
+    "fig6": "9e229d44414a16df64553bcd2c80cb528611edd015b5260036fc6fa1dac15cef",
+    "fig7": "9e5a3f566f0983f3479170c7680929795fa0f99be3b626810242e4ada482b8c3",
+    "fig8": "f4a2f491b065193bd769273cd9b2cbd3259fe07105df85299a17126e3570b9f3",
+    "fig9": "a9253260c5bb3df9dc866bc92b1794b30742016841f5193984f60bd604229b15",
+    "sweep": "b16b1687a992039655a59d925bc1d708ce3d0fd2691b3b58fac6e95958dccf86",
+    "diag": "df1130b0325859ac712882217c474794a5d3a4681abab611033e8124a5b60654",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("fig", ("fig6", "fig7", "fig8", "fig9"))
+def test_figure_csv_matches_golden_digest(tmp_path, fig):
+    # `figure <fig> --desk-scale --trials 20`
+    out = tmp_path / f"{fig}.csv"
+    run_figure(fig, desk_scale=True, trials=20, out_path=str(out))
+    assert _sha256(out) == GOLDEN_SHA256[fig]
+
+
+def test_diag_csv_matches_golden_digest(tmp_path):
+    # `sweep --diag` at desk scale over the random, DFT and extended-DFT
+    # data paths and the synchronous baseline
+    cfg = build_config(**DESK, tau_p=8, trials=5, sweep_values=(-12.0, 20.0),
+                       curves=("random:upng", "dft:upg", "dft:upng", "dft_ext:upng", "sync"))
+    result = run_sweep(cfg, diag=True)
+    write_rows(result.rows, tmp_path / "rows.csv", "csv")
+    write_rows(result.diag_rows, tmp_path / "diag.csv", "csv", columns=harness.DIAG_COLUMNS)
+    assert _sha256(tmp_path / "rows.csv") == GOLDEN_SHA256["sweep"]
+    assert _sha256(tmp_path / "diag.csv") == GOLDEN_SHA256["diag"]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import dft_cross_inner
+from oracles import assign_maxmin_loop, dft_cross_inner
 
 from cfpilot.analytics import dft_cross_power
 from cfpilot.geometry import SimArea, topology_from_positions
@@ -115,6 +115,20 @@ def test_maxmin_assignment_spreads_copilots():
         rr = _min_copilot_dist(pos, np.arange(12) % tau_p, tau_p)
         wins.append(greedy - rr)
     assert np.mean(wins) > 0
+
+
+def test_maxmin_assignment_equals_pair_loop():
+    # every third layout sits on a small integer lattice, so exact distance
+    # ties (and coincident UEs) exercise the tie-break: lowest index wins
+    rng = np.random.default_rng(12)
+    for i in range(300):
+        n, tau_p = int(rng.integers(1, 40)), int(rng.integers(1, 12))
+        if i % 3 == 0:
+            pos = 15.0 * rng.integers(0, 5, size=(n, 2))
+        else:
+            pos = rng.uniform(0.0, 1000.0, size=(n, 2))
+        assert np.array_equal(assign_maxmin_distance(pos, tau_p),
+                              assign_maxmin_loop(pos, tau_p)), (i, n, tau_p)
 
 
 def test_mf_sequence_shapes_and_window():
