@@ -339,7 +339,6 @@ def test_estimate_trial_links_runs_all_served():
     assert np.count_nonzero(links.gamma) == links.nmse.size
 
 
-
 LINK_FIELDS = ("ap", "ue", "nmse", "gamma", "desired_power", "interference_power",
                "noise_power", "gain_scale", "cross", "bleed")
 
