@@ -206,11 +206,6 @@ def find_crossover(rows):
 class RateReport:
     se_per_ue: np.ndarray
     sinr_per_ue: np.ndarray
-    overhead: float
-
-    @property
-    def se_mean(self):
-        return float(self.se_per_ue.mean())
 
 
 def overhead_factor(tau_c, tau_p, tau_ex):
@@ -248,7 +243,7 @@ def conjugate_bf_rate(net, gains, links, p_dl, noise_w, m_antennas, overhead):
     se = np.zeros(n_ue)
     sinr[served] = p_dl * m_antennas * coherent**2 / den
     se[served] = overhead * np.log2(1.0 + sinr[served])
-    return RateReport(se_per_ue=se, sinr_per_ue=sinr, overhead=overhead)
+    return RateReport(se_per_ue=se, sinr_per_ue=sinr)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +264,6 @@ def nmse_aggregate(values):
     if vals.size == 0:
         raise ValueError("nmse_aggregate needs at least one value")
     return {
-        "mean_linear": float(vals.mean()),
         "mean_db": _to_db(vals.mean()),
         "p10_db": _to_db(np.percentile(vals, 10)),
         "p90_db": _to_db(np.percentile(vals, 90)),

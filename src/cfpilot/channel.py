@@ -59,7 +59,6 @@ class ChannelMatrixSet:
     h: np.ndarray
     gains: LinkGains
     noise_w: float
-    p_ul: float
 
     @property
     def m_antennas(self):
@@ -73,8 +72,8 @@ def draw_link_gains(net, rng, sigma_sh_db=4.0):
     return LinkGains(beta=beta, psi=psi)
 
 
-def draw_channels(net, gains, m, rng, noise_w, p_ul):
+def draw_channels(net, gains, m, rng, noise_w):
     """Draw one Rayleigh fading block for every (AP, UE) link."""
     g = sample_fading(m, rng, size=net.d_ru.shape)
     h = np.sqrt(gains.gain)[..., None] * g
-    return ChannelMatrixSet(h=h, gains=gains, noise_w=noise_w, p_ul=p_ul)
+    return ChannelMatrixSet(h=h, gains=gains, noise_w=noise_w)

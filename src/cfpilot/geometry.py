@@ -6,7 +6,7 @@ are uniform outside a restricted disk around every AP. Each AP serves its
 sample counts, which is what the rest of the pipeline works with.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,10 +67,10 @@ class NetworkRealization:
     """One random network draw, immutable by convention after construction.
 
     ``serving[r]`` lists the UE indices served by AP ``r`` ordered by
-    distance; ``serving_aps[u]`` is the inverse map. ``t_ur`` holds the
-    integer sample delay of UE ``u`` at AP ``r`` (shape ``(R, U)``),
-    ``t_max_r`` the per-AP maximum over all UEs and ``t_w_r`` the per-AP
-    maximum over served UEs (the matched-filter window start).
+    distance. ``t_ur`` holds the integer sample delay of UE ``u`` at AP
+    ``r`` (shape ``(R, U)``), ``t_max_r`` the per-AP maximum over all UEs
+    and ``t_w_r`` the per-AP maximum over served UEs (the matched-filter
+    window start).
     """
 
     area: SimArea
@@ -79,9 +79,8 @@ class NetworkRealization:
     d_ru: np.ndarray
     t_ur: np.ndarray
     serving: np.ndarray
-    serving_aps: list = field(repr=False)
-    t_max_r: np.ndarray = field(repr=False, default=None)
-    t_w_r: np.ndarray = field(repr=False, default=None)
+    t_max_r: np.ndarray = field(repr=False)
+    t_w_r: np.ndarray = field(repr=False)
 
     @property
     def n_aps(self):
@@ -118,9 +117,6 @@ def topology_from_positions(area, ap_pos, ue_pos, cluster_size=4):
     k = min(cluster_size, ue_pos.shape[0])
     order = np.argsort(d, axis=1, kind="stable")
     serving = order[:, :k]
-    serving_aps = [np.flatnonzero((serving == u).any(axis=1)) for u in range(ue_pos.shape[0])]
-    t_max = t.max(axis=1)
-    t_w = np.array([t[r, serving[r]].max() for r in range(ap_pos.shape[0])], dtype=np.int64)
     return NetworkRealization(
         area=area,
         ap_pos=ap_pos,
@@ -128,9 +124,8 @@ def topology_from_positions(area, ap_pos, ue_pos, cluster_size=4):
         d_ru=d,
         t_ur=t,
         serving=serving,
-        serving_aps=serving_aps,
-        t_max_r=t_max,
-        t_w_r=t_w,
+        t_max_r=t.max(axis=1),
+        t_w_r=np.take_along_axis(t, serving, axis=1).max(axis=1),
     )
 
 
@@ -179,24 +174,11 @@ def synchronize(net):
     Positions, distances and serving sets are untouched, so large-scale
     coefficients drawn from the original network still pair link-by-link.
     """
-    zeros = np.zeros_like(net.t_ur)
-    return NetworkRealization(
-        area=net.area,
-        ap_pos=net.ap_pos,
-        ue_pos=net.ue_pos,
-        d_ru=net.d_ru,
-        t_ur=zeros,
-        serving=net.serving,
-        serving_aps=net.serving_aps,
-        t_max_r=np.zeros_like(net.t_max_r),
-        t_w_r=np.zeros_like(net.t_w_r),
-    )
+    return replace(net, t_ur=np.zeros_like(net.t_ur), t_max_r=np.zeros_like(net.t_max_r),
+                   t_w_r=np.zeros_like(net.t_w_r))
 
 
 def delay_spread_min_extension(net):
     """Smallest cyclic extension that covers every AP's in-cluster delay spread."""
-    spreads = [
-        int(net.t_ur[r, net.serving[r]].max() - net.t_ur[r, net.serving[r]].min())
-        for r in range(net.n_aps)
-    ]
-    return max(spreads)
+    served = np.take_along_axis(net.t_ur, net.serving, axis=1)
+    return int((served.max(axis=1) - served.min(axis=1)).max())

@@ -220,52 +220,47 @@ def validate_config(cfg):
 # Trial execution
 # ---------------------------------------------------------------------------
 
-def _trial_streams(seed, trial, curve_index=None):
-    if curve_index is None:
-        return (np.random.default_rng(np.random.SeedSequence((seed, trial, 0))),
-                np.random.default_rng(np.random.SeedSequence((seed, trial, 1))))
-    return np.random.default_rng(np.random.SeedSequence((seed, trial, 2, curve_index)))
+def _stream(*key):
+    return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def configured_tau_ex(cfg, scheme, sweep_value):
-    """A curve's extension as configured: 0, an integer or ``"auto_min"``."""
-    if scheme != SCHEME_DFT_EXT:
-        return 0
-    if cfg.sweep_variable == "tau_ex":
-        return int(sweep_value)
-    return cfg.tau_ex
+def point_config(cfg, value):
+    """The config of one sweep point: ``cfg`` with its sweep variable set to ``value``."""
+    kind = float if cfg.sweep_variable == "p_dbm" else int
+    return replace(cfg, **{cfg.sweep_variable: kind(value)})
 
 
 def trial_frames(cfg, sweep_value, trial):
     """Yield (curve, ReceivedFrame) for every configured curve of one trial.
 
-    The network, large-scale gains, fading and pilot assignment are drawn
-    once and shared by all curves (paired comparison); each curve's pilot
-    book, UPNG data and noise come from its own transmit stream, and the
-    ``sync`` curve runs on the synchronized network, which keeps the UE
-    positions the assignment depends on. The sweep value sets the power,
-    pilot length or extension; ``auto_min`` resolves to the curve network's
+    Power, pilot length and extension are read from the sweep point's config
+    (:func:`point_config`). The network, large-scale gains, fading and pilot
+    assignment are drawn once and shared by all curves (paired comparison);
+    each curve's pilot book, UPNG data and noise come from its own transmit
+    stream, and the ``sync`` curve runs on the synchronized network, which
+    keeps the UE positions the assignment depends on. Only ``dft_ext``
+    curves are extended; ``auto_min`` resolves to the curve network's
     largest in-cluster delay spread.
     """
-    net_rng, fad_rng = _trial_streams(cfg.seed, trial)
-    net = sample_topology(cfg.area(), cfg.cluster_size, net_rng)
-    gains = draw_link_gains(net, net_rng, cfg.sigma_sh_db)
-    p_ul = dbm_to_watts(sweep_value if cfg.sweep_variable == "p_dbm" else cfg.p_dbm)
-    tau_p = int(sweep_value) if cfg.sweep_variable == "tau_p" else cfg.tau_p
-    chan = draw_channels(net, gains, cfg.antennas, fad_rng, cfg.noise_w, p_ul)
-    assignment = (pilots.assign_maxmin_distance(net.ue_pos, tau_p)
-                  if cfg.assignment == ASSIGN_MAXMIN_DISTANCE else None)
-    for ci, curve in enumerate(cfg.curves):
+    pc = point_config(cfg, sweep_value)
+    net_rng = _stream(pc.seed, trial, 0)
+    net = sample_topology(pc.area(), pc.cluster_size, net_rng)
+    gains = draw_link_gains(net, net_rng, pc.sigma_sh_db)
+    chan = draw_channels(net, gains, pc.antennas, _stream(pc.seed, trial, 1), pc.noise_w)
+    p_ul = dbm_to_watts(pc.p_dbm)
+    assignment = (pilots.assign_maxmin_distance(net.ue_pos, pc.tau_p)
+                  if pc.assignment == ASSIGN_MAXMIN_DISTANCE else None)
+    for ci, curve in enumerate(pc.curves):
         scheme, regime = parse_curve(curve)
-        tx_rng = _trial_streams(cfg.seed, trial, ci)
+        tx_rng = _stream(pc.seed, trial, 2, ci)
         cnet = net
         if scheme == CURVE_SYNC:
             cnet, scheme = synchronize(net), SCHEME_DFT
-        tau_ex = configured_tau_ex(cfg, scheme, sweep_value)
+        tau_ex = pc.tau_ex if scheme == SCHEME_DFT_EXT else 0
         if tau_ex == "auto_min":
             tau_ex = delay_spread_min_extension(cnet)
-        book = make_pilot_book(scheme, tau_p, tau_ex, cnet.n_ues, tx_rng,
-                               phase_levels=cfg.phase_levels, assignment=assignment)
+        book = make_pilot_book(scheme, pc.tau_p, tau_ex, cnet.n_ues, tx_rng,
+                               phase_levels=pc.phase_levels, assignment=assignment)
         yield curve, synthesize_frame(book, cnet, chan, regime, p_ul, tx_rng)
 
 
@@ -334,6 +329,7 @@ def run_sweep(cfg, diag=False, progress=False):
     validate_config(cfg)
     rows, diag_rows = [], []
     for sweep_value in cfg.sweep_values:
+        pc = point_config(cfg, sweep_value)
         tasks = [(cfg, sweep_value, trial) for trial in range(cfg.trials)]
         if cfg.workers > 1:
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -345,14 +341,13 @@ def run_sweep(cfg, diag=False, progress=False):
             nmse = np.concatenate([out.curves[curve]["nmse"] for out in trial_outputs])
             se = np.concatenate([out.curves[curve]["se"] for out in trial_outputs])
             agg = analytics.nmse_aggregate(nmse)
-            tau_p = int(sweep_value) if cfg.sweep_variable == "tau_p" else cfg.tau_p
             rows.append({
                 "sweep_var": cfg.sweep_variable,
                 "sweep_value": float(sweep_value),
                 "scheme": scheme,
                 "regime": regime,
-                "tau_p": tau_p,
-                "tau_ex": configured_tau_ex(cfg, scheme, sweep_value),
+                "tau_p": pc.tau_p,
+                "tau_ex": pc.tau_ex if scheme == SCHEME_DFT_EXT else 0,
                 "nmse_db_mean": agg["mean_db"],
                 "nmse_db_p10": agg["p10_db"],
                 "nmse_db_p90": agg["p90_db"],
@@ -392,6 +387,13 @@ def write_jsonl(rows, path, columns=CSV_COLUMNS):
 
 
 def write_rows(rows, path, fmt, columns=CSV_COLUMNS):
+    """Write ``rows`` as CSV or JSONL; a non-finite value is refused before the file opens."""
+    for row in rows:
+        for col in columns:
+            if isinstance(row[col], float) and not math.isfinite(row[col]):
+                # the sweep point and curve, on the rows that have them
+                where = ", ".join(f"{k}={_fmt(row[k])}" for k in CSV_COLUMNS[:4] if k in row)
+                raise ConfigError(f"{col} is {row[col]} ({where}); nothing is written")
     if fmt == "csv":
         write_csv(rows, path, columns)
     elif fmt == "jsonl":

@@ -76,7 +76,6 @@ class MFSequence:
     """
 
     row: np.ndarray
-    window_start: np.ndarray
     align_phase: np.ndarray
     ap: np.ndarray
     ue: np.ndarray
@@ -205,5 +204,5 @@ def make_mf_sequence(book, net, r, u):
     row = np.zeros(u.shape + (book.seq_len + int(net.t_max_r[r].max()),), dtype=complex)
     np.put_along_axis(row, start[..., None] + np.arange(tau_p), seq, axis=-1)
     pilot, data = window_counts(start[..., None], tau_p, net.t_ur[r], book.seq_len)
-    return MFSequence(row=row, window_start=start, align_phase=phase, ap=r, ue=u,
+    return MFSequence(row=row, align_phase=phase, ap=r, ue=u,
                       pilot=pilot, data=data)

@@ -105,7 +105,7 @@ def downlink_oracle(frozen, m_antennas, noise_w, tau_c, draws, n_batches, seed):
     cross = np.zeros((n_batches, n_ue))
     for b in range(n_batches):
         for _ in range(per_batch):
-            chan = draw_channels(net, gains, m_antennas, fad_rng, noise_w, p_ul)
+            chan = draw_channels(net, gains, m_antennas, fad_rng, noise_w)
             frame = synthesize_frame(book, net, chan, frozen.regime, p_ul, tx_rng)
             links = estimate_trial_links(frame)
             bmat = np.zeros((n_ue, n_ue), dtype=complex)  # [u, w] = b_uw

@@ -40,7 +40,7 @@ def link_covariances(book, net, gains, regime, noise_w, p_ul, m_antennas=4):
     / M. Neither scale depends on the fading, noise or data draw.
     """
     rng = np.random.default_rng(0)
-    chan = draw_channels(net, gains, m_antennas, rng, noise_w, p_ul)
+    chan = draw_channels(net, gains, m_antennas, rng, noise_w)
     links = estimate_trial_links(synthesize_frame(book, net, chan, regime, p_ul, rng))
     yh, ys = np.zeros(net.d_ru.shape), np.zeros(net.d_ru.shape)
     yh[links.ap, links.ue] = links.gamma[links.ap, links.ue] / links.gain_scale
@@ -248,7 +248,7 @@ def conjugate_bf_rate_loop(net, gains, links, p_dl, noise_w, m_antennas, overhea
     np.fill_diagonal(amat, 0.0)
     contamination = (np.abs(amat) ** 2).sum(axis=0) + bterm
     for u in range(n_ue):
-        aps = net.serving_aps[u]
+        aps = np.flatnonzero((net.serving == u).any(axis=1))
         if len(aps) == 0:
             continue
         coherent = np.sqrt(gamma[aps, u] / cluster_len[aps]).sum()
@@ -256,7 +256,7 @@ def conjugate_bf_rate_loop(net, gains, links, p_dl, noise_w, m_antennas, overhea
                + p_dl * m_antennas**2 * contamination[u])
         sinr[u] = p_dl * m_antennas * coherent**2 / den
         se[u] = overhead * np.log2(1.0 + sinr[u])
-    return RateReport(se_per_ue=se, sinr_per_ue=sinr, overhead=overhead)
+    return RateReport(se_per_ue=se, sinr_per_ue=sinr)
 
 
 def assign_maxmin_loop(ue_positions, tau_p):

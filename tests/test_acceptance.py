@@ -348,7 +348,7 @@ def test_criterion_11_lmmse_sanity():
     rng = np.random.default_rng(42)
     num = den = 0.0
     for _ in range(10_000):
-        chan = draw_channels(net, gains, m_ant, rng, noise_w, p_ul)
+        chan = draw_channels(net, gains, m_ant, rng, noise_w)
         frame = synthesize_frame(book, net, chan, REGIME_UPG, p_ul, rng)
         links = estimate_trial_links(frame)
         h = chan.h[0, 0]

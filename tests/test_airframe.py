@@ -28,10 +28,10 @@ def unit_gains(net):
     return LinkGains(beta=ones, psi=ones.copy())
 
 
-def toy_chan(net, m=4, noise_w=0.0, p_ul=1.0, rng=None, gains=None):
+def toy_chan(net, m=4, noise_w=0.0, rng=None, gains=None):
     gains = gains if gains is not None else unit_gains(net)
     rng = rng or np.random.default_rng(0)
-    return draw_channels(net, gains, m, rng, noise_w, p_ul)
+    return draw_channels(net, gains, m, rng, noise_w)
 
 
 def test_augmented_sequence_shapes():
@@ -58,7 +58,7 @@ def test_augmented_sequence_shapes():
 def test_frame_single_ue_noiseless():
     net = toy_net([0])
     book = make_pilot_book("dft", 8, 0, 1, np.random.default_rng(0))
-    chan = toy_chan(net, m=3, noise_w=0.0, p_ul=4.0)
+    chan = toy_chan(net, m=3, noise_w=0.0)
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 4.0, np.random.default_rng(2))
     expected = 2.0 * np.outer(chan.h[0, 0], book.sequences[0])
     np.testing.assert_allclose(frame.y[0], expected, atol=1e-12)
@@ -69,7 +69,7 @@ def test_frame_linearity():
     net = toy_net([0, 3, 7])
     book = make_pilot_book("dft", 8, 0, 3, np.random.default_rng(0))
     gains = unit_gains(net)
-    chan = toy_chan(net, m=2, noise_w=1e-3, p_ul=1.0, gains=gains)
+    chan = toy_chan(net, m=2, noise_w=1e-3, gains=gains)
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, np.random.default_rng(3))
     rebuilt = frame.noise[0].copy()
     for u in range(3):
@@ -82,7 +82,7 @@ def test_frame_noise_only_variance():
     book = make_pilot_book("dft", 8, 0, 2, np.random.default_rng(0))
     gains = LinkGains(beta=np.zeros_like(net.d_ru), psi=np.ones_like(net.d_ru))
     noise_w = 2.5e-3
-    chan = draw_channels(net, gains, 8, np.random.default_rng(1), noise_w, 1.0)
+    chan = draw_channels(net, gains, 8, np.random.default_rng(1), noise_w)
     rng = np.random.default_rng(4)
     samples = []
     for _ in range(1500):
@@ -118,7 +118,7 @@ def test_frame_energy_accounting_upng():
     total = 0.0
     trials = 10_000
     for _ in range(trials):
-        chan = draw_channels(net, gains, m, rng, noise_w, p_ul)
+        chan = draw_channels(net, gains, m, rng, noise_w)
         frame = synthesize_frame(book, net, chan, REGIME_UPNG, p_ul, rng)
         total += (np.abs(frame.y[0]) ** 2).sum()
     cols = tau_p + int(net.t_max_r[0])

@@ -170,7 +170,7 @@ def test_dft_profile_is_cross_row_power(aps, ues, cluster, tau_p, tau_ex, scheme
             got = interference_profile(book, net, gains, regime, mf, cross)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * tau_p**2)
     rng = np.random.default_rng(1)
-    chan = draw_channels(net, gains, 2, rng, 1e-3, 1.0)
+    chan = draw_channels(net, gains, 2, rng, 1e-3)
     links = estimate_trial_links(synthesize_frame(book, net, chan, regime, 1.0, rng))
     assert (links.nmse >= 0).all()
     sigma_y = links.desired_power + links.interference_power + links.noise_power

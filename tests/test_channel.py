@@ -71,7 +71,7 @@ def test_channel_normalization():
     cov = np.einsum("nm,nk->mk", h, h.conj()) / draws
     target = gains.gain[0, 0] * np.eye(m)
     assert np.linalg.norm(cov - target) / np.linalg.norm(target) < 0.02
-    chan = draw_channels(net, gains, m, rng, 1e-14, 0.1)
+    chan = draw_channels(net, gains, m, rng, 1e-14)
     assert chan.h.shape == (1, 1, m)
     assert chan.m_antennas == m
 

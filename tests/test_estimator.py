@@ -54,7 +54,7 @@ def test_mf_noiseless_single_ue_matched():
     net = toy_net([0])
     book = make_pilot_book("dft", 16, 0, 1, np.random.default_rng(0))
     gains = unit_gains(net)
-    chan = draw_channels(net, gains, 4, np.random.default_rng(1), 0.0, 1.0)
+    chan = draw_channels(net, gains, 4, np.random.default_rng(1), 0.0)
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, np.random.default_rng(2))
     y, desired, interference, _ = mf_parts(frame, 0, 0)
     np.testing.assert_allclose(y, chan.h[0, 0] * 16, rtol=1e-12)
@@ -66,7 +66,7 @@ def test_mf_synchronous_dft_orthogonality():
     net = toy_net([0, 0])
     book = make_pilot_book("dft", 16, 0, 2, np.random.default_rng(0))
     gains = unit_gains(net)
-    chan = draw_channels(net, gains, 4, np.random.default_rng(1), 0.0, 1.0)
+    chan = draw_channels(net, gains, 4, np.random.default_rng(1), 0.0)
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, np.random.default_rng(2))
     y, _, interference, _ = mf_parts(frame, 0, 0)
     np.testing.assert_allclose(interference, 0, atol=1e-9)
@@ -78,7 +78,7 @@ def test_mf_reconstruction_identity():
     net = sample_topology(DESK, 4, rng)
     book = make_pilot_book("random", 16, 0, net.n_ues, rng)
     gains = unit_gains(net, 1e-9)
-    chan = draw_channels(net, gains, 4, rng, 1e-13, 0.5)
+    chan = draw_channels(net, gains, 4, rng, 1e-13)
     frame = synthesize_frame(book, net, chan, REGIME_UPNG, 0.5, rng)
     for r in (0, 3):
         for u in net.serving[r][:2]:
@@ -110,7 +110,7 @@ def test_matched_filter_validation():
     net = toy_net([0])
     book = make_pilot_book("dft", 8, 0, 1, np.random.default_rng(0))
     gains = unit_gains(net)
-    chan = draw_channels(net, gains, 2, np.random.default_rng(1), 0.0, 1.0)
+    chan = draw_channels(net, gains, 2, np.random.default_rng(1), 0.0)
     for p_ul in (0.0, -1.0):
         with pytest.raises(ValueError):
             synthesize_frame(book, net, chan, REGIME_UPG, p_ul, np.random.default_rng(2))
@@ -166,7 +166,7 @@ def test_lmmse_perfect_conditions():
     net = toy_net([0])
     book = make_pilot_book("dft", 16, 0, 1, np.random.default_rng(0))
     gains = unit_gains(net, 0.7)
-    chan = draw_channels(net, gains, 4, np.random.default_rng(1), 0.0, 1.0)
+    chan = draw_channels(net, gains, 4, np.random.default_rng(1), 0.0)
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, np.random.default_rng(2))
     links = estimate_trial_links(frame)
     y, _, _, _ = mf_parts(frame, 0, 0)
@@ -327,7 +327,7 @@ def test_estimate_trial_links_runs_all_served():
     rng = np.random.default_rng(10)
     net = sample_topology(DESK, 4, rng)
     gains = draw_link_gains(net, rng)
-    chan = draw_channels(net, gains, 4, rng, 1e-14, 0.1)
+    chan = draw_channels(net, gains, 4, rng, 1e-14)
     book = make_pilot_book("dft_ext", 8, delay_spread_min_extension(net),
                            net.n_ues, rng)
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 0.1, rng)
@@ -358,7 +358,7 @@ def test_batched_estimator_equals_link_loop(scheme, extension, regime):
         tau_ex = {None: 0, "below": spread // 2, "at": spread, "above": spread + 3}[extension]
         assert extension != "below" or tau_ex < spread
         gains = draw_link_gains(net, rng)
-        chan = draw_channels(net, gains, 4, rng, 1e-14, 1e-3)
+        chan = draw_channels(net, gains, 4, rng, 1e-14)
         book = make_pilot_book("dft" if scheme == "sync" else scheme, 8, tau_ex, net.n_ues, rng)
         frame = synthesize_frame(book, net, chan, regime, 1e-3, rng)
         got, want = estimate_trial_links(frame), estimate_links_loop(frame)

@@ -10,6 +10,7 @@ import pytest
 
 from cfpilot import harness
 from cfpilot.airframe import read_frame_dump, synthesize_frame
+from cfpilot.channel import dbm_to_watts
 from cfpilot.estimator import estimate_trial_links
 from cfpilot.harness import (
     CSV_COLUMNS,
@@ -249,10 +250,10 @@ def test_dump_frame_roundtrip(tmp_path):
         dump_frame(cfg, tmp_path / "x.bin", ap=99)
 
 
-@pytest.mark.parametrize("variable,value", [("tau_p", 8.0), ("tau_ex", 5.0)])
+@pytest.mark.parametrize("variable,value", [("p_dbm", -4.0), ("tau_p", 8.0), ("tau_ex", 5.0)])
 def test_dump_frame_is_run_trial_frame(tmp_path, monkeypatch, variable, value):
     # the dumped frame is the one run_trial builds for the first sweep value,
-    # trial 0, curve 0: the sweep's pilot length or extension, not the
+    # trial 0, curve 0: the sweep's power, pilot length or extension, not the
     # fixed config value
     cfg = small_cfg(tau_p=32, curves=("dft_ext:upg", "dft:upg"),
                     sweep_variable=variable, sweep_values=(value, value + 1))
@@ -267,7 +268,10 @@ def test_dump_frame_is_run_trial_frame(tmp_path, monkeypatch, variable, value):
     monkeypatch.undo()
     want = built[0]
     frame = dump_frame(cfg, tmp_path / "f.bin", ap=3)
-    assert getattr(want.book, variable) == int(value)
+    if variable == "p_dbm":
+        assert frame.p_ul == want.p_ul == dbm_to_watts(value)
+    else:
+        assert getattr(want.book, variable) == int(value)
     assert (frame.book.tau_p, frame.book.tau_ex) == (want.book.tau_p, want.book.tau_ex)
     np.testing.assert_array_equal(frame.y[3], want.y[3])
     np.testing.assert_array_equal(read_frame_dump(tmp_path / "f.bin"),
@@ -388,6 +392,19 @@ def test_cli_figure_bad_format_refused_before_trials(tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_cli_non_finite_row_refused(tmp_path):
+    # shadowing 10**(X/10) overflows at a 2000-dB deviation and every metric
+    # of every row is NaN; the run must fail with nothing written
+    out = tmp_path / "fig6.csv"
+    proc = _run_cli("figure", "fig6", "--desk-scale", "--trials", "2",
+                    "--set", "sweep.values=[20]", "--set", "chan.sigma_sh_db=2000",
+                    "--out", str(out))
+    assert proc.returncode == 2, proc.stderr
+    assert ("config error: nmse_db_mean is nan (sweep_var=p_dbm, sweep_value=20, "
+            "scheme=random, regime=upg)") in proc.stderr
+    assert not out.exists()
+
+
 def test_cli_fig3_refuses_ignored_arguments(tmp_path):
     # fig3 is a fixed cross-correlation table: network, pilot and worker
     # settings would be ignored, so they are refused
@@ -461,6 +478,8 @@ GOLDEN_SHA256 = {
     "fig9": "a9253260c5bb3df9dc866bc92b1794b30742016841f5193984f60bd604229b15",
     "sweep": "b16b1687a992039655a59d925bc1d708ce3d0fd2691b3b58fac6e95958dccf86",
     "diag": "df1130b0325859ac712882217c474794a5d3a4681abab611033e8124a5b60654",
+    "tau_p_sweep": "7f21512af66d58f64ee43b3310b385a8c96ec9f040e2440d84772d47e6a8b328",
+    "tau_p_diag": "1f11792bd1aeac175c65e5c0e85f7c42c83e7fd2f99570cc7ed8500382eb6b77",
 }
 
 
@@ -486,3 +505,15 @@ def test_diag_csv_matches_golden_digest(tmp_path):
     write_rows(result.diag_rows, tmp_path / "diag.csv", "csv", columns=harness.DIAG_COLUMNS)
     assert _sha256(tmp_path / "rows.csv") == GOLDEN_SHA256["sweep"]
     assert _sha256(tmp_path / "diag.csv") == GOLDEN_SHA256["diag"]
+
+
+def test_tau_p_sweep_matches_golden_digest(tmp_path):
+    # `sweep --diag` at desk scale over pilot lengths 4, 8 and 16, with the
+    # extended-DFT curve and the synchronous baseline; recorded at c357d35
+    cfg = build_config(**DESK, trials=5, seed=1, sweep_variable="tau_p",
+                       sweep_values=(4.0, 8.0, 16.0), curves=("dft:upg", "dft_ext:upg", "sync"))
+    result = run_sweep(cfg, diag=True)
+    write_rows(result.rows, tmp_path / "rows.csv", "csv")
+    write_rows(result.diag_rows, tmp_path / "diag.csv", "csv", columns=harness.DIAG_COLUMNS)
+    assert _sha256(tmp_path / "rows.csv") == GOLDEN_SHA256["tau_p_sweep"]
+    assert _sha256(tmp_path / "diag.csv") == GOLDEN_SHA256["tau_p_diag"]
