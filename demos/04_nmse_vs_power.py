@@ -7,10 +7,10 @@ cyclically extended DFT pilots track the synchronous baseline to within a
 fraction of a dB.
 """
 
-from cfpilot.harness import run_figure
+from cfpilot.harness import figure_config, run_sweep, write_rows
 
-rows, info = run_figure("fig7", desk_scale=True, seed=1, trials=100,
-                        out_path="nmse_vs_power_desk.csv")
+rows = run_sweep(figure_config("fig7", desk_scale=True, seed=1, trials=100)).rows
+write_rows(rows, "nmse_vs_power_desk.csv", "csv")
 
 curves = {}
 for row in rows:

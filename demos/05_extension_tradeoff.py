@@ -11,9 +11,9 @@ baseline; past that point extra extension only costs coherence-block time.
 import numpy as np
 
 from cfpilot import SimArea, delay_spread_min_extension, sample_topology
-from cfpilot.harness import run_figure
+from cfpilot.harness import figure_config, run_sweep
 
-rows, _ = run_figure("fig8", desk_scale=True, seed=1, trials=100)
+rows = run_sweep(figure_config("fig8", desk_scale=True, seed=1, trials=100)).rows
 
 ext_rows = [r for r in rows if r["scheme"] == "dft_ext"]
 sync_rows = {r["sweep_value"]: r for r in rows if r["scheme"] == "sync"}

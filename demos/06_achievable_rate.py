@@ -8,10 +8,10 @@ term. The extended pilots trade a few samples of overhead for near-
 synchronous estimates.
 """
 
-from cfpilot.harness import run_figure
+from cfpilot.harness import figure_config, run_sweep, write_rows
 
-rows, _ = run_figure("fig9", desk_scale=True, seed=1, trials=100,
-                     out_path="rate_vs_power_desk.csv")
+rows = run_sweep(figure_config("fig9", desk_scale=True, seed=1, trials=100)).rows
+write_rows(rows, "rate_vs_power_desk.csv", "csv")
 
 curves = {}
 for row in rows:

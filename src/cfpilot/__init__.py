@@ -46,7 +46,6 @@ from .harness import (
     build_config,
     dump_frame,
     parse_config_file,
-    run_figure,
     run_sweep,
     run_trial,
 )

@@ -267,5 +267,4 @@ def nmse_aggregate(values):
         "mean_db": _to_db(vals.mean()),
         "p10_db": _to_db(np.percentile(vals, 10)),
         "p90_db": _to_db(np.percentile(vals, 90)),
-        "count": int(vals.size),
     }

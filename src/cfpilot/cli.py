@@ -48,13 +48,15 @@ def build_parser():
     _add_common(p_sweep)
     p_sweep.add_argument("--diag", help="also write a per-link diagnostic CSV here")
 
-    p_fig = sub.add_parser("figure", help="run a figure reproduction preset")
+    p_fig = sub.add_parser("figure", help="run a figure's sweep preset "
+                                          "(the fig3 table is written by crosscorr)")
     p_fig.add_argument("figure_id", choices=harness.FIGURE_IDS)
     _add_common(p_fig)
     p_fig.add_argument("--desk-scale", action="store_true",
                        help="shrink to 0.1 km^2 at the full-scale densities")
+    p_fig.set_defaults(diag=None)
 
-    p_cc = sub.add_parser("crosscorr", help="random-vs-DFT cross-correlation table")
+    p_cc = sub.add_parser("crosscorr", help="random-vs-DFT cross-correlation table (fig3)")
     for flag in ("--delay", "--tau-p-min", "--tau-p-max", "--tau-p-step", "--trials"):
         p_cc.add_argument(flag, type=int,
                           default=harness.FIG3_PRESET[flag[2:].replace("-", "_")])
@@ -76,21 +78,20 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "sweep":
-            cfg = harness.build_config(**_config_fields(args))
+        if args.command in ("sweep", "figure"):
+            values = _config_fields(args)
+            if args.command == "figure":
+                cfg = harness.figure_config(args.figure_id, desk_scale=args.desk_scale, **values)
+            else:
+                cfg = harness.build_config(**values)
             result = harness.run_sweep(cfg, diag=bool(args.diag), progress=True)
-            out = cfg.out_path or "sweep_results." + cfg.out_format
+            name = getattr(args, "figure_id", "sweep_results")
+            out = cfg.out_path or f"{name}.{cfg.out_format}"
             harness.write_rows(result.rows, out, cfg.out_format)
             if args.diag:
-                harness.write_csv(result.diag_rows, args.diag, columns=harness.DIAG_COLUMNS)
+                harness.write_rows(result.diag_rows, args.diag, "csv",
+                                   columns=harness.DIAG_COLUMNS)
             print(out)
-        elif args.command == "figure":
-            values = _config_fields(args)
-            fmt = values.get("out_format", harness.ExperimentConfig.out_format)
-            out = values["out_path"] = values.get("out_path") or f"{args.figure_id}.{fmt}"
-            _, info = harness.run_figure(args.figure_id, desk_scale=args.desk_scale,
-                                         progress=True, **values)
-            print(f"{out} crossover={info['crossover']}" if args.figure_id == "fig3" else out)
         elif args.command == "crosscorr":
             rows = harness.crosscorr_rows(
                 args.seed, **{name: getattr(args, name) for name in harness.FIG3_PRESET})

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics
-from .airframe import REGIME_UPNG
+from .airframe import REGIME_UPNG, pilot_rows
 from .pilots import make_mf_sequence
 
 
@@ -76,14 +76,14 @@ def estimate_trial_links(frame):
     rows = mf.row.conj()
     y = np.empty((ap.size, chan.m_antennas), dtype=complex)
     c = np.empty((ap.size, net.n_ues), dtype=complex)
+    # a UPG frame's transmit rows are its pilot rows
+    pilot_mats = (pilot_rows(book, net, range(n_aps)) if frame.regime == REGIME_UPNG
+                  else frame.x_aug)
     for r in range(n_aps):
         sl = slice(r * k, (r + 1) * k)
         mf_r = np.ascontiguousarray(rows[sl, :frame.y[r].shape[1], None])
-        # a UPG frame's transmit rows are its pilot rows
-        pilot_mat = (analytics.pilot_matrix(book, net, r) if frame.regime == REGIME_UPNG
-                     else frame.x_aug[r])
         y[sl] = np.matmul(frame.y[r], mf_r)[..., 0]
-        c[sl] = np.matmul(pilot_mat, mf_r)[..., 0]
+        c[sl] = np.matmul(pilot_mats[r], mf_r)[..., 0]
     y /= np.sqrt(frame.p_ul)
     prof = analytics.interference_profile(book, net, chan.gains, frame.regime, mf, c)
     g = chan.gains.gain[ap, ue]

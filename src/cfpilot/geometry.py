@@ -73,7 +73,6 @@ class NetworkRealization:
     window start).
     """
 
-    area: SimArea
     ap_pos: np.ndarray
     ue_pos: np.ndarray
     d_ru: np.ndarray
@@ -118,7 +117,6 @@ def topology_from_positions(area, ap_pos, ue_pos, cluster_size=4):
     order = np.argsort(d, axis=1, kind="stable")
     serving = order[:, :k]
     return NetworkRealization(
-        area=area,
         ap_pos=ap_pos,
         ue_pos=ue_pos,
         d_ru=d,

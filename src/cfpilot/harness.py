@@ -9,8 +9,11 @@ for a given (config, seed) no matter how many workers run the trials.
 """
 
 import csv
+import ctypes
+import glob
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -273,7 +276,6 @@ class TrialRecord:
     """
 
     trial: int
-    seed: int
     sweep_value: float
     curves: dict
 
@@ -298,13 +300,29 @@ def run_trial(cfg, sweep_value, trial):
             "interference_power": links.interference_power,
             "noise_power": links.noise_power,
         }
-    return TrialRecord(trial=trial, seed=cfg.seed, sweep_value=float(sweep_value),
-                       curves=out)
+    return TrialRecord(trial=trial, sweep_value=float(sweep_value), curves=out)
 
 
 def _trial_worker(args):
     cfg, sweep_value, trial = args
     return run_trial(cfg, sweep_value, trial)
+
+
+def _one_blas_thread():
+    """Pool initializer: run numpy's bundled OpenBLAS on one thread in this worker.
+
+    Each worker's OpenBLAS would otherwise start a thread per core, and the
+    workers' threads oversubscribe the host. Does nothing without a bundled
+    OpenBLAS.
+    """
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
 
 
 @dataclass
@@ -332,7 +350,8 @@ def run_sweep(cfg, diag=False, progress=False):
         pc = point_config(cfg, sweep_value)
         tasks = [(cfg, sweep_value, trial) for trial in range(cfg.trials)]
         if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            with ProcessPoolExecutor(max_workers=cfg.workers,
+                                     initializer=_one_blas_thread) as pool:
                 trial_outputs = list(pool.map(_trial_worker, tasks))
         else:
             trial_outputs = [run_trial(*task) for task in tasks]
@@ -369,37 +388,26 @@ def run_sweep(cfg, diag=False, progress=False):
 
 
 # ---------------------------------------------------------------------------
-# Output writers
+# Output writer
 # ---------------------------------------------------------------------------
 
-def write_csv(rows, path, columns=CSV_COLUMNS):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in columns])
-
-
-def write_jsonl(rows, path, columns=CSV_COLUMNS):
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps({col: row[col] for col in columns}) + "\n")
-
-
 def write_rows(rows, path, fmt, columns=CSV_COLUMNS):
-    """Write ``rows`` as CSV or JSONL; a non-finite value is refused before the file opens."""
+    """Write ``rows`` as CSV or JSONL, refusing an unknown format or a non-finite value first."""
+    if fmt not in CONFIG_KEYS["out.format"].metadata["choices"]:
+        raise ConfigError(f"out.format: unknown format {fmt!r}")
     for row in rows:
         for col in columns:
             if isinstance(row[col], float) and not math.isfinite(row[col]):
                 # the sweep point and curve, on the rows that have them
                 where = ", ".join(f"{k}={_fmt(row[k])}" for k in CSV_COLUMNS[:4] if k in row)
                 raise ConfigError(f"{col} is {row[col]} ({where}); nothing is written")
-    if fmt == "csv":
-        write_csv(rows, path, columns)
-    elif fmt == "jsonl":
-        write_jsonl(rows, path, columns)
-    else:
-        raise ConfigError(f"out.format: unknown format {fmt!r}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if fmt == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([_fmt(row[col]) for col in columns] for row in rows)
+        else:
+            fh.writelines(json.dumps({col: row[col] for col in columns}) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +426,7 @@ FIG3_PRESET = {
 
 
 def crosscorr_rows(seed, **params):
-    """The random-vs-DFT cross-correlation table of ``crosscorr`` and ``figure fig3``.
+    """The random-vs-DFT cross-correlation table of Fig. 3, as ``crosscorr`` writes it.
 
     ``params`` override ``FIG3_PRESET``; the pilot lengths run from
     ``tau_p_min`` to ``tau_p_max`` in steps of ``tau_p_step``. A value out of
@@ -435,8 +443,6 @@ def crosscorr_rows(seed, **params):
         trials=p["trials"], pair_mode=p["pair_mode"], regime=p["regime"])
 
 
-FIGURE_IDS = ("fig3", "fig6", "fig7", "fig8", "fig9")
-
 # fig7/fig9 pin the max-min assigner: the comparison against the synchronous
 # baseline presumes co-pilot UEs are kept spatially distant, as systems
 # normally do; round-robin leaves the baseline contamination-dominated by
@@ -450,6 +456,7 @@ _FIG_PRESETS = {
     "fig9": {"curves": ("sync", "dft:upng", "dft_ext:upng"),
              "assignment": "maxmin_distance"},
 }
+FIGURE_IDS = tuple(_FIG_PRESETS)
 
 
 def desk_scale_overrides(fig_id=None):
@@ -472,7 +479,7 @@ def desk_scale_overrides(fig_id=None):
 
 
 def figure_config(fig_id, desk_scale=False, **overrides):
-    if fig_id not in FIGURE_IDS or fig_id == "fig3":
+    if fig_id not in FIGURE_IDS:
         raise ConfigError(f"figure {fig_id!r} has no sweep preset")
     base = dict(_FIG_PRESETS[fig_id])
     if desk_scale:
@@ -481,39 +488,14 @@ def figure_config(fig_id, desk_scale=False, **overrides):
     return build_config(**base)
 
 
-def run_figure(fig_id, desk_scale=False, progress=False, **overrides):
-    """Run a reproduction preset; returns (rows, extra), written to ``out_path`` if given."""
-    if fig_id not in FIGURE_IDS:
-        raise ConfigError(f"unknown figure id {fig_id!r}")
-    if fig_id == "fig3":
-        cfg = build_config(**{name: overrides.pop(name) for name in
-                              ("seed", "out_path", "out_format") if name in overrides})
-        key_of = {f.name: key for key, f in CONFIG_KEYS.items()}
-        unused = sorted(key_of.get(k, k) for k in overrides if k not in FIG3_PRESET)
-        if desk_scale:
-            unused.append("--desk-scale")
-        if unused:
-            raise ConfigError(f"figure fig3 does not use {', '.join(unused)}")
-        rows, columns = crosscorr_rows(cfg.seed, **overrides), CROSSCORR_COLUMNS
-        extra = {"crossover": analytics.find_crossover(rows)}
-    else:
-        cfg = figure_config(fig_id, desk_scale=desk_scale, **overrides)
-        rows, columns = run_sweep(cfg, progress=progress).rows, CSV_COLUMNS
-        extra = {"config": cfg}
-    if cfg.out_path:
-        write_rows(rows, cfg.out_path, cfg.out_format, columns=columns)
-    return rows, extra
-
-
-def dump_frame(cfg, path, ap=0, sweep_value=None, trial=0):
+def dump_frame(cfg, path, ap=0):
     """Dump AP ``ap``'s received frame of the first curve, as ``run_trial`` builds it.
 
-    The point is the first sweep value unless ``sweep_value`` is given, so the
-    frame's power, pilot length and extension are those the sweep runs there.
+    The frame is trial 0's at the first sweep value, so its power, pilot
+    length and extension are those the sweep runs there.
     """
     if not 0 <= ap < cfg.ap_count:
         raise ConfigError(f"dump-frame: AP index {ap} out of range")
-    value = cfg.sweep_values[0] if sweep_value is None else sweep_value
-    _, frame = next(trial_frames(cfg, value, trial))
+    _, frame = next(trial_frames(cfg, cfg.sweep_values[0], 0))
     write_frame_dump(path, frame.y[ap])
     return frame

@@ -27,9 +27,9 @@ from cfpilot.geometry import (
 )
 from cfpilot.harness import (
     build_config,
+    crosscorr_rows,
     desk_scale_overrides,
     figure_config,
-    run_figure,
     run_sweep,
     run_trial,
     write_rows,
@@ -59,8 +59,7 @@ def curve_table(rows):
 
 @pytest.fixture(scope="session")
 def fig7_desk_rows():
-    rows, _ = run_figure("fig7", desk_scale=True, seed=1)
-    return rows
+    return run_sweep(figure_config("fig7", desk_scale=True, seed=1)).rows
 
 
 @pytest.fixture(scope="session")
@@ -222,7 +221,7 @@ def test_criterion_5b_full_scale_gap(full_scale_rows):
 
 
 def test_criterion_6_fig6_ordering():
-    rows, _ = run_figure("fig6", desk_scale=True, seed=1)
+    rows = run_sweep(figure_config("fig6", desk_scale=True, seed=1)).rows
     table = curve_table(rows)
     ok = True
     details = []
@@ -242,7 +241,7 @@ def test_criterion_6_fig6_ordering():
 
 
 def test_criterion_7_fig3_shape():
-    rows, info = run_figure("fig3", seed=1)
+    rows = crosscorr_rows(seed=1)
     taus = np.array([r["tau_p"] for r in rows])
     rand = np.array([r["random_expected"] for r in rows])
     dft = np.array([r["dft_closed"] for r in rows])
@@ -255,14 +254,14 @@ def test_criterion_7_fig3_shape():
     post = dft[taus >= delay + 2][:8]
     superlinear = (np.diff(post, 2) > 0).all() and post[-1] - post[0] > (
         rand[taus >= delay + 2][7] - rand[taus >= delay + 2][0])
-    crossover = info["crossover"]
+    crossover = analytics.find_crossover(rows)
     ok = linear and superlinear and crossover is not None and 30 <= crossover <= 46
     report(7, ok, f"random slope 1 per sample: {linear}; DFT super-linear: "
                   f"{superlinear}; crossover at tau_p={crossover} (band [30, 46])")
 
 
 def test_criterion_8_extension_trend():
-    rows, _ = run_figure("fig8", desk_scale=True, seed=1)
+    rows = run_sweep(figure_config("fig8", desk_scale=True, seed=1)).rows
     table = curve_table(rows)
     ext = table[("dft_ext", "upg")]
     values = [ext[v]["nmse_db_mean"] for v in sorted(ext)]

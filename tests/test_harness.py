@@ -1,8 +1,12 @@
 import csv
+import ctypes
+import glob
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 
 from cfpilot import harness
 from cfpilot.airframe import read_frame_dump, synthesize_frame
+from cfpilot.analytics import find_crossover
 from cfpilot.channel import dbm_to_watts
 from cfpilot.estimator import estimate_trial_links
 from cfpilot.harness import (
@@ -19,12 +24,12 @@ from cfpilot.harness import (
     ExperimentConfig,
     FULL_SCALE_AREA_KM2,
     build_config,
+    crosscorr_rows,
     desk_scale_overrides,
     dump_frame,
     figure_config,
     parse_config_file,
     parse_curve,
-    run_figure,
     run_sweep,
     run_trial,
     trial_frames,
@@ -101,7 +106,7 @@ def test_single_curve_shorthand():
 def test_run_trial_record_shapes():
     cfg = small_cfg()
     record = run_trial(cfg, 20.0, 0)
-    assert record.trial == 0 and record.seed == cfg.seed
+    assert record.trial == 0 and record.sweep_value == 20.0
     assert set(record.curves) == set(cfg.curves)
     rec = record.curves["dft:upg"]
     assert rec["nmse"].shape == rec["ap"].shape
@@ -146,6 +151,37 @@ def test_outputs_byte_identical_and_worker_independent(tmp_path):
     p3 = tmp_path / "c.csv"
     write_rows(res3.rows, p3, "csv")
     assert p1.read_bytes() == p3.read_bytes()
+
+
+def _blas_threads():
+    """This process's OpenBLAS thread count, or None without a bundled OpenBLAS."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    # each worker's OpenBLAS would start a thread per core and oversubscribe
+    # the host; the parent's setting is left alone
+    parent = _blas_threads()
+    if parent is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    reported = []
+
+    class ReportingPool(ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            reported.append(self.submit(_blas_threads).result())
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", ReportingPool)
+    run_sweep(small_cfg(trials=2, sweep_values=(20.0,), curves=("dft:upg",), workers=2))
+    assert reported == [1]
+    assert _blas_threads() == parent
 
 
 def test_jsonl_output_matches_schema(tmp_path):
@@ -197,9 +233,9 @@ def test_figure_presets():
 
 
 def test_fig3_preset_runs(tmp_path):
-    rows, info = run_figure("fig3", out_path=tmp_path / "fig3.csv", seed=1,
-                            trials=200, tau_p_min=30, tau_p_max=47)
-    assert info["crossover"] is not None
+    rows = crosscorr_rows(seed=1, trials=200, tau_p_min=30, tau_p_max=47)
+    assert find_crossover(rows) is not None
+    write_rows(rows, tmp_path / "fig3.csv", "csv", columns=harness.CROSSCORR_COLUMNS)
     header = (tmp_path / "fig3.csv").read_text().splitlines()[0]
     assert header == "tau_p,random_mc,random_expected,dft_closed,delay"
 
@@ -285,15 +321,16 @@ def _run_cli(*args):
 
 
 def test_cli_sweep_and_exit_codes(tmp_path):
-    out = tmp_path / "rows.csv"
+    out, diag = tmp_path / "rows.csv", tmp_path / "diag.csv"
     proc = _run_cli("sweep", "--set", "area.side_m=316.2277660168379",
                     "--set", "area.ap_count=10", "--set", "area.ue_mean=14",
                     "--set", "pilot.tau_p=8", "--set", "run.curves=[dft:upg]",
                     "--set", "sweep.values=[20]", "--trials", "1",
-                    "--seed", "3", "--out", str(out))
+                    "--seed", "3", "--out", str(out), "--diag", str(diag))
     assert proc.returncode == 0, proc.stderr
     header = out.read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
+    assert diag.read_text().splitlines()[0] == ",".join(harness.DIAG_COLUMNS)
 
 
 def test_cli_figure_set_overrides(tmp_path):
@@ -405,22 +442,19 @@ def test_cli_non_finite_row_refused(tmp_path):
     assert not out.exists()
 
 
-def test_cli_fig3_refuses_ignored_arguments(tmp_path):
-    # fig3 is a fixed cross-correlation table: network, pilot and worker
-    # settings would be ignored, so they are refused
-    proc = _run_cli("figure", "fig3", "--set", "pilot.tau_p=8", "--workers", "4",
-                    "--desk-scale", "--out", str(tmp_path / "fig3.csv"))
+def test_cli_figure_fig3_exits_2(tmp_path):
+    # the fig3 table has one command, crosscorr; figure runs sweep presets only
+    proc = _run_cli("figure", "fig3", "--out", str(tmp_path / "fig3.csv"))
     assert proc.returncode == 2
-    for name in ("pilot.tau_p", "run.workers", "--desk-scale"):
-        assert name in proc.stderr
+    assert "invalid choice: 'fig3'" in proc.stderr
     assert not (tmp_path / "fig3.csv").exists()
 
 
 CROSSCORR_BAD_ARGS = [
     (["crosscorr", "--trials", "0"], "--trials"),
-    (["figure", "fig3", "--trials", "0"], "--trials"),
-    (["figure", "fig3", "--trials", "-5"], "--trials"),
+    (["crosscorr", "--trials", "-5"], "--trials"),
     (["crosscorr", "--delay", "-3"], "--delay"),
+    (["crosscorr", "--delay", "-1"], "--delay"),
     (["crosscorr", "--tau-p-min", "0"], "--tau-p-min"),
     (["crosscorr", "--tau-p-step", "0"], "--tau-p-step"),
     (["crosscorr", "--tau-p-min", "20", "--tau-p-max", "10"], "--tau-p-max"),
@@ -430,7 +464,7 @@ CROSSCORR_BAD_ARGS = [
 @pytest.mark.parametrize("args,flag", CROSSCORR_BAD_ARGS,
                          ids=[" ".join(args) for args, _ in CROSSCORR_BAD_ARGS])
 def test_cli_crosscorr_bad_numbers_exit_2(tmp_path, args, flag):
-    # crosscorr and figure fig3 share one check of the table's numbers
+    # crosscorr_rows checks the table's numbers before any trial runs
     out = tmp_path / "x.csv"
     proc = _run_cli(*args, "--out", str(out))
     assert proc.returncode == 2, proc.stderr
@@ -491,7 +525,7 @@ def _sha256(path):
 def test_figure_csv_matches_golden_digest(tmp_path, fig):
     # `figure <fig> --desk-scale --trials 20`
     out = tmp_path / f"{fig}.csv"
-    run_figure(fig, desk_scale=True, trials=20, out_path=str(out))
+    write_rows(run_sweep(figure_config(fig, desk_scale=True, trials=20)).rows, out, "csv")
     assert _sha256(out) == GOLDEN_SHA256[fig]
 
 
