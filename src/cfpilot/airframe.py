@@ -8,11 +8,13 @@ at AP r sums the rank-1 contributions of all UEs plus AWGN:
 
     Y_r = sqrt(p_ul) * sum_u h_ru x_ur + Z_r,   Y_r in C^(M x (L + t_max_r))
 
-with L = tau_p + tau_ex.
+with L = tau_p + tau_ex. Only the scale sqrt(p_ul) depends on the transmit
+power, so a frame keeps its power-free signal sum_u h_ru x_ur and noise Z_r
+and can be received again at another power (``ReceivedFrame.at_power``).
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,16 +35,25 @@ class ReceivedFrame:
     ``y[r]`` is the M x (L + t_max_r) observation; ``x_aug[r]`` stacks the
     augmented transmit rows (U x cols) and ``noise[r]`` the AWGN draw, kept
     so MF outputs can be decomposed into desired/interference/noise parts.
+    ``signal[r]`` is the noiseless unit-power sum h_r^T x_aug[r], so
+    ``y[r] = sqrt(p_ul) * signal[r] + noise[r]``.
     """
 
     y: list
     x_aug: list
     noise: list
+    signal: list
     p_ul: float
     regime: str
     book: object
     net: object
     chan: object
+
+    def at_power(self, p_ul):
+        """The same draws received at transmit power ``p_ul``."""
+        scale = np.sqrt(p_ul)
+        return replace(self, y=[scale * s + z for s, z in zip(self.signal, self.noise)],
+                       p_ul=p_ul)
 
 
 def pilot_rows(book, net, aps):
@@ -73,7 +84,7 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng):
         raise ValueError("p_ul must be positive")
     if book.n_ues != net.n_ues:
         raise ValueError("pilot book and network disagree on UE count")
-    ys, xs, zs = [], [], []
+    ys, xs, zs, signals = [], [], [], []
     scale = np.sqrt(p_ul)
     sigma = np.sqrt(chan.noise_w / 2.0)
     for r, x in enumerate(pilot_rows(book, net, range(net.n_aps))):
@@ -84,11 +95,12 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng):
                 x[data] = DEFAULT_DATA_ALPHABET[idx]
         z = sigma * (rng.standard_normal((chan.m_antennas, x.shape[1]))
                      + 1j * rng.standard_normal((chan.m_antennas, x.shape[1])))
-        y = scale * (chan.h[r].T @ x) + z
-        ys.append(y)
+        signal = chan.h[r].T @ x
+        ys.append(scale * signal + z)
         xs.append(x)
         zs.append(z)
-    return ReceivedFrame(y=ys, x_aug=xs, noise=zs, p_ul=p_ul, regime=regime,
+        signals.append(signal)
+    return ReceivedFrame(y=ys, x_aug=xs, noise=zs, signal=signals, p_ul=p_ul, regime=regime,
                          book=book, net=net, chan=chan)
 
 

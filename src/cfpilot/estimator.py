@@ -25,6 +25,10 @@ window counts and interference profiles of all links come from one call
 each. Only the two products with AP r's frame and pilot rows run per AP, as
 stacked matrix-vector products: one GEMV per link, which rounds exactly like
 ``y_r @ row``; a single ``Y_r @ MF^H`` GEMM rounds differently.
+
+Only the product with the frame depends on the transmit power. Everything
+else is the frame's ``LinkSetup`` (:func:`link_setup`), which the frames of
+one draw at several powers share.
 """
 
 from dataclasses import dataclass
@@ -37,6 +41,32 @@ from .pilots import make_mf_sequence
 
 
 @dataclass
+class LinkSetup:
+    """The power-free part of one frame's link estimates.
+
+    Everything but the MF outputs of ``y``: it depends on the frame's
+    pilot book, network and channel draws, never on the transmit power, so
+    the frames of one draw at several powers (``ReceivedFrame.at_power``)
+    share it. Per-link arrays follow the batched layout above;
+    ``mf_rows[r]`` stacks AP r's conjugated MF rows as (k, cols, 1) and
+    ``align`` is the conjugated window phase as a column.
+    """
+
+    ap: np.ndarray
+    ue: np.ndarray
+    mf_rows: list
+    align: np.ndarray
+    yh: np.ndarray
+    signal_var: np.ndarray
+    desired_power: np.ndarray
+    interference_power: np.ndarray
+    h: np.ndarray
+    sq_h: np.ndarray
+    cross: np.ndarray
+    bleed: np.ndarray
+
+
+@dataclass
 class LinkEstimates:
     """Per served-link results of one trial, in (AP, UE) iteration order.
 
@@ -45,7 +75,8 @@ class LinkEstimates:
     every UE inside that link's estimate (n_links, U), and ``bleed`` the
     count of every other UE's data samples inside that link's MF window
     (zero under a guard time); all three feed the downlink rate bound's
-    contamination term.
+    contamination term. ``setup`` is the ``LinkSetup`` they were computed
+    from.
     """
 
     ap: np.ndarray
@@ -58,15 +89,11 @@ class LinkEstimates:
     gain_scale: np.ndarray
     cross: np.ndarray
     bleed: np.ndarray
+    setup: LinkSetup = None
 
 
-def estimate_trial_links(frame):
-    """Run MF + LMMSE over every served (AP, UE) pair of one frame.
-
-    Returns per-link realized NMSE, the per-antenna estimate quality
-    gamma = Sigma_yh^2 / Sigma_y laid out as an (R, U) array, and
-    the expected MF power breakdown used by the diagnostic dump.
-    """
+def link_setup(frame):
+    """The power-free ``LinkSetup`` of every served (AP, UE) pair of one frame."""
     book, net, chan = frame.book, frame.net, frame.chan
     n_aps, k = net.serving.shape
     ap = np.repeat(np.arange(n_aps), k)
@@ -74,44 +101,73 @@ def estimate_trial_links(frame):
     link = np.arange(ap.size)
     mf = make_mf_sequence(book, net, ap, ue)
     rows = mf.row.conj()
-    y = np.empty((ap.size, chan.m_antennas), dtype=complex)
     c = np.empty((ap.size, net.n_ues), dtype=complex)
     # a UPG frame's transmit rows are its pilot rows
     pilot_mats = (pilot_rows(book, net, range(n_aps)) if frame.regime == REGIME_UPNG
                   else frame.x_aug)
+    mf_rows = []
     for r in range(n_aps):
-        sl = slice(r * k, (r + 1) * k)
-        mf_r = np.ascontiguousarray(rows[sl, :frame.y[r].shape[1], None])
-        y[sl] = np.matmul(frame.y[r], mf_r)[..., 0]
-        c[sl] = np.matmul(pilot_mats[r], mf_r)[..., 0]
-    y /= np.sqrt(frame.p_ul)
+        mf_r = np.ascontiguousarray(rows[r * k:(r + 1) * k, :pilot_mats[r].shape[1], None])
+        c[r * k:(r + 1) * k] = np.matmul(pilot_mats[r], mf_r)[..., 0]
+        mf_rows.append(mf_r)
     prof = analytics.interference_profile(book, net, chan.gains, frame.regime, mf, c)
     g = chan.gains.gain[ap, ue]
     pilot = mf.pilot[link, ue]
-    noise_scale = chan.noise_w * book.tau_p / frame.p_ul
     interference = prof.sum(axis=-1)
-    yh = pilot * g
-    ys = pilot**2 * g + interference + noise_scale
-    obs = np.conj(mf.align_phase)[:, None] * y
+    align = np.conj(mf.align_phase)[:, None]
     h = chan.h[ap, ue]
-    err = h - (yh / ys)[:, None] * obs
-    # a stacked vdot: a sum of squares rounds differently
-    sq_err = np.matmul(err.conj()[:, None, :], err[:, :, None])[:, 0, 0].real
-    sq_h = np.matmul(h.conj()[:, None, :], h[:, :, None])[:, 0, 0].real
-    gamma = np.zeros((net.n_aps, net.n_ues))
-    gamma[ap, ue] = yh * yh / ys
-    m_ant = chan.m_antennas
     bleed = mf.data * (frame.regime == REGIME_UPNG)
     bleed[link, ue] = 0
-    return LinkEstimates(
+    m_ant = chan.m_antennas
+    return LinkSetup(
         ap=ap,
         ue=ue,
-        nmse=sq_err / sq_h,
-        gamma=gamma,
+        mf_rows=mf_rows,
+        align=align,
+        yh=pilot * g,
+        signal_var=pilot**2 * g + interference,
         desired_power=m_ant * g * pilot**2,
         interference_power=m_ant * interference,
-        noise_power=np.full(ap.size, m_ant * noise_scale),
-        gain_scale=yh / ys,
-        cross=np.conj(mf.align_phase)[:, None] * c,
+        h=h,
+        # a stacked vdot: a sum of squares rounds differently
+        sq_h=np.matmul(h.conj()[:, None, :], h[:, :, None])[:, 0, 0].real,
+        cross=align * c,
         bleed=bleed,
+    )
+
+
+def estimate_trial_links(frame, setup=None):
+    """Run MF + LMMSE over every served (AP, UE) pair of one frame.
+
+    Returns per-link realized NMSE, the per-antenna estimate quality
+    gamma = Sigma_yh^2 / Sigma_y laid out as an (R, U) array, and
+    the expected MF power breakdown used by the diagnostic dump.
+    ``setup`` is the frame's ``LinkSetup``, built here when not given.
+    """
+    if setup is None:
+        setup = link_setup(frame)
+    s, net, chan = setup, frame.net, frame.chan
+    k = net.serving.shape[1]
+    y = np.empty((s.ap.size, chan.m_antennas), dtype=complex)
+    for r, mf_r in enumerate(s.mf_rows):
+        y[r * k:(r + 1) * k] = np.matmul(frame.y[r], mf_r)[..., 0]
+    y /= np.sqrt(frame.p_ul)
+    noise_scale = chan.noise_w * frame.book.tau_p / frame.p_ul
+    ys = s.signal_var + noise_scale
+    err = s.h - (s.yh / ys)[:, None] * (s.align * y)
+    sq_err = np.matmul(err.conj()[:, None, :], err[:, :, None])[:, 0, 0].real
+    gamma = np.zeros((net.n_aps, net.n_ues))
+    gamma[s.ap, s.ue] = s.yh * s.yh / ys
+    return LinkEstimates(
+        ap=s.ap,
+        ue=s.ue,
+        nmse=sq_err / s.sq_h,
+        gamma=gamma,
+        desired_power=s.desired_power,
+        interference_power=s.interference_power,
+        noise_power=np.full(s.ap.size, chan.m_antennas * noise_scale),
+        gain_scale=s.yh / ys,
+        cross=s.cross,
+        bleed=s.bleed,
+        setup=s,
     )

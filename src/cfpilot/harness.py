@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -47,6 +48,11 @@ SWEEP_VARIABLES = ("p_dbm", "tau_p", "tau_ex")
 
 CURVE_SYNC = "sync"
 
+# Largest accepted shadowing deviation, in dB. A draw X within 10 sigma scales a
+# gain by 10**(X/10) <= 10**sigma, and the rate bound squares gains (path loss
+# below 1), so 10**(2 sigma) must stay below float64's largest value: 154 dB.
+SIGMA_SH_DB_MAX = math.floor(math.log10(sys.float_info.max) / 2)
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the offending key."""
@@ -55,10 +61,11 @@ class ConfigError(ValueError):
 POSITIVE, NONNEGATIVE = "positive", "nonnegative"
 
 
-def _key(name, default, kind=None, bound=None, choices=None):
-    """A config field: dotted key, parse kind (default: its type), bound and allowed set."""
+def _key(name, default, kind=None, bound=None, choices=None, high=None):
+    """A config field: dotted key, parse kind (default: its type), bound, allowed set
+    and largest value."""
     return field(default=default,
-                 metadata=dict(key=name, kind=kind, bound=bound, choices=choices))
+                 metadata=dict(key=name, kind=kind, bound=bound, choices=choices, high=high))
 
 
 @dataclass
@@ -70,7 +77,7 @@ class ExperimentConfig:
     bw_hz: float = _key("sys.bw_hz", 20e6, bound=POSITIVE)
     cluster_size: int = _key("cluster.size", 4, bound=POSITIVE)
     seed: int = _key("seed", 1, bound=NONNEGATIVE)
-    sigma_sh_db: float = _key("chan.sigma_sh_db", 4.0, bound=NONNEGATIVE)
+    sigma_sh_db: float = _key("chan.sigma_sh_db", 4.0, bound=NONNEGATIVE, high=SIGMA_SH_DB_MAX)
     noise_w: float = _key("chan.noise_w", 1e-14, bound=NONNEGATIVE)
     antennas: int = _key("chan.antennas", 8, bound=POSITIVE)
     tau_p: int = _key("pilot.tau_p", 32, bound=POSITIVE)
@@ -174,7 +181,7 @@ def validate_config(cfg):
     """Each key's own checks, from its field's declaration, then the rules that span keys."""
     for key, f in CONFIG_KEYS.items():
         value, meta = getattr(cfg, f.name), f.metadata
-        bound, choices = meta["bound"], meta["choices"]
+        bound, choices, high = meta["bound"], meta["choices"], meta["high"]
         if meta["kind"] == "tau_ex" and not isinstance(value, int):
             if value == "auto_min":
                 continue
@@ -183,6 +190,8 @@ def validate_config(cfg):
             raise ConfigError(f"{key}: must be finite")
         if bound and not (value > 0 if bound == POSITIVE else value >= 0):
             raise ConfigError(f"{key}: must be {bound}")
+        if high is not None and value > high:
+            raise ConfigError(f"{key}: must be at most {high}")
         if choices and value not in choices:
             raise ConfigError(f"{key}: unknown value {value!r}, expected one of "
                               f"{', '.join(choices)}")
@@ -280,12 +289,48 @@ class TrialRecord:
     curves: dict
 
 
+# This process's last trial: (key, [(curve, frame without y and x_aug, LinkSetup)]).
+_memo = None
+
+
+def _read_only(obj):
+    """Make every array reachable through ``obj``'s attributes and sequences read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _read_only(item)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            _read_only(item)
+    return obj
+
+
 def run_trial(cfg, sweep_value, trial):
-    """One Monte-Carlo trial at one sweep point: every curve on shared draws."""
-    out = {}
-    for curve, frame in trial_frames(cfg, sweep_value, trial):
+    """One Monte-Carlo trial at one sweep point: every curve on shared draws.
+
+    No draw depends on the transmit power, so in a sweep over several powers
+    the trial's power-free state (each curve's frame signal and noise and
+    its ``LinkSetup``) is kept in a one-entry memo keyed by the point's
+    config at a fixed power and the trial index: the trial's other points
+    only rescale the signal, and get the same bits as a fresh draw.
+    """
+    global _memo
+    pc = point_config(cfg, sweep_value)
+    key = (replace(pc, p_dbm=0.0), trial)
+    keep = cfg.sweep_variable == "p_dbm" and len(cfg.sweep_values) > 1
+    if _memo is not None and _memo[0] == key:
+        p_ul = dbm_to_watts(pc.p_dbm)
+        drawn = ((curve, base.at_power(p_ul), setup) for curve, base, setup in _memo[1])
+    else:
+        _memo = None  # drop the last trial before drawing this one
+        drawn = ((curve, frame, None) for curve, frame in trial_frames(cfg, sweep_value, trial))
+    out, state = {}, []
+    for curve, frame, setup in drawn:
         book = frame.book
-        links = estimate_trial_links(frame)
+        links = estimate_trial_links(frame, setup)
+        if setup is None and keep:
+            state.append((curve, replace(frame, y=None, x_aug=None), links.setup))
         overhead = analytics.overhead_factor(cfg.tau_c, book.tau_p, book.tau_ex)
         rate = analytics.conjugate_bf_rate(frame.net, frame.chan.gains, links,
                                            p_dl=frame.p_ul, noise_w=cfg.noise_w,
@@ -300,6 +345,8 @@ def run_trial(cfg, sweep_value, trial):
             "interference_power": links.interference_power,
             "noise_power": links.noise_power,
         }
+    if state:
+        _memo = (key, _read_only(state))
     return TrialRecord(trial=trial, sweep_value=float(sweep_value), curves=out)
 
 
@@ -337,24 +384,51 @@ def _fmt(value):
     return str(value)
 
 
+def _progress(records, cfg):
+    """Pass ``records`` through, printing trials done, trials/s and the ETA about ten times."""
+    points, step = len(cfg.sweep_values), math.ceil(cfg.trials / 10)
+    start = time.perf_counter()
+    for i, record in enumerate(records, 1):
+        done, rest = divmod(i, points)
+        if not rest and (done % step == 0 or done == cfg.trials):
+            rate = done / (time.perf_counter() - start)
+            print(f"[cfpilot] {done}/{cfg.trials} trials of {points} sweep point(s), "
+                  f"{rate:.3g} trials/s, ETA {(cfg.trials - done) / rate:.0f} s",
+                  file=sys.stderr)
+        yield record
+
+
 def run_sweep(cfg, diag=False, progress=False):
     """Run the configured sweep and aggregate per (sweep value, curve).
+
+    Trials run trial-major: every sweep point of trial t, then trial t+1,
+    so a power sweep's points reuse the trial's draws (see ``run_trial``).
+    With ``workers`` > 1 one pool runs the sweep, a trial's points in one
+    task chunk.
 
     Per-link NMSE ratios are pooled over all trials of a point and reported
     as linear mean plus 10/90 percentiles in dB; the rate column is the mean
     per-UE spectral efficiency (unserved UEs count as zero).
     """
+    global _memo
     validate_config(cfg)
-    rows, diag_rows = [], []
-    for sweep_value in cfg.sweep_values:
-        pc = point_config(cfg, sweep_value)
-        tasks = [(cfg, sweep_value, trial) for trial in range(cfg.trials)]
+    points = len(cfg.sweep_values)
+    tasks = [(cfg, value, trial) for trial in range(cfg.trials) for value in cfg.sweep_values]
+    try:
         if cfg.workers > 1:
             with ProcessPoolExecutor(max_workers=cfg.workers,
                                      initializer=_one_blas_thread) as pool:
-                trial_outputs = list(pool.map(_trial_worker, tasks))
+                records = pool.map(_trial_worker, tasks, chunksize=points)
+                outputs = list(_progress(records, cfg) if progress else records)
         else:
-            trial_outputs = [run_trial(*task) for task in tasks]
+            records = (run_trial(*task) for task in tasks)
+            outputs = list(_progress(records, cfg) if progress else records)
+    finally:
+        _memo = None
+    rows, diag_rows = [], []
+    for point, sweep_value in enumerate(cfg.sweep_values):
+        pc = point_config(cfg, sweep_value)
+        trial_outputs = outputs[point::points]
         for curve in cfg.curves:
             scheme, regime = parse_curve(curve)
             nmse = np.concatenate([out.curves[curve]["nmse"] for out in trial_outputs])
@@ -381,9 +455,6 @@ def run_sweep(cfg, diag=False, progress=False):
                         diag_rows.append({"r": int(rec["ap"][i]), "u": int(rec["ue"][i]),
                                           "scheme": scheme, "regime": regime,
                                           **{c: float(rec[c][i]) for c in DIAG_COLUMNS[4:]}})
-        if progress:
-            print(f"[cfpilot] sweep point {cfg.sweep_variable}={sweep_value} done",
-                  file=sys.stderr)
     return SweepResult(rows=rows, diag_rows=diag_rows)
 
 

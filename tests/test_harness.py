@@ -7,12 +7,12 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
-from cfpilot import harness
+from cfpilot import cli, harness
 from cfpilot.airframe import read_frame_dump, synthesize_frame
 from cfpilot.analytics import find_crossover
 from cfpilot.channel import dbm_to_watts
@@ -23,6 +23,7 @@ from cfpilot.harness import (
     DESK_AREA_KM2,
     ExperimentConfig,
     FULL_SCALE_AREA_KM2,
+    SIGMA_SH_DB_MAX,
     build_config,
     crosscorr_rows,
     desk_scale_overrides,
@@ -184,6 +185,121 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     assert _blas_threads() == parent
 
 
+def _rows_bytes(result, path):
+    write_rows(result.rows, path, "csv")
+    write_rows(result.diag_rows, path.with_suffix(".diag"), "csv", columns=harness.DIAG_COLUMNS)
+    return path.read_bytes(), path.with_suffix(".diag").read_bytes()
+
+
+@pytest.mark.parametrize("fig", ("fig6", "fig9"))
+def test_power_sweep_equals_each_point_alone(tmp_path, fig):
+    # a power sweep's points reuse each trial's draws; the rows and --diag
+    # rows are those of every point run as its own one-value sweep
+    cfg = figure_config(fig, desk_scale=True, trials=3, sweep_values=(-12.0, 4.0, 20.0))
+    swept = _rows_bytes(run_sweep(cfg, diag=True), tmp_path / "swept.csv")
+    alone = harness.SweepResult(rows=[], diag_rows=[])
+    for value in cfg.sweep_values:
+        point = run_sweep(replace(cfg, sweep_values=(value,)), diag=True)
+        alone.rows += point.rows
+        alone.diag_rows += point.diag_rows
+    assert swept == _rows_bytes(alone, tmp_path / "alone.csv")
+
+
+def test_pool_equals_serial_on_full_scale_power_sweep(tmp_path):
+    cfg = figure_config("fig7", trials=2, sweep_values=(-4.0, 4.0, 20.0))
+    serial = _rows_bytes(run_sweep(cfg, diag=True), tmp_path / "serial.csv")
+    pooled = _rows_bytes(run_sweep(replace(cfg, workers=2), diag=True), tmp_path / "pool.csv")
+    assert pooled == serial
+
+
+def test_one_pool_per_sweep_trial_major(monkeypatch):
+    # one pool runs the whole sweep; a trial's points are one task chunk,
+    # so a worker runs them back to back on one draw
+    maps = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def map(self, fn, tasks, **kwargs):
+            tasks = list(tasks)
+            maps.append(([(value, trial) for _, value, trial in tasks], kwargs))
+            return super().map(fn, tasks, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
+    cfg = small_cfg(trials=2, sweep_values=(-4.0, 4.0, 20.0), curves=("dft:upg",), workers=2)
+    run_sweep(cfg)
+    assert maps == [([(-4.0, 0), (4.0, 0), (20.0, 0), (-4.0, 1), (4.0, 1), (20.0, 1)],
+                     {"chunksize": 3})]
+
+
+def _arrays(obj):
+    """Every array reachable through ``obj``'s dataclasses and sequences."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays(item)
+
+
+def test_trial_memo_is_read_only_and_cleared_by_run_sweep():
+    cfg = small_cfg(curves=("dft:upg", "dft:upng", "sync"))
+    run_trial(cfg, 20.0, 0)
+    key, state = harness._memo
+    assert key == (replace(cfg, p_dbm=0.0), 0)
+    assert [curve for curve, _, _ in state] == list(cfg.curves)
+    assert all(frame.y is None and frame.x_aug is None for _, frame, _ in state)
+    arrays = list(_arrays(state))
+    assert len(arrays) > 30
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a
+    run_sweep(small_cfg(trials=1, curves=("dft:upg",)))
+    assert harness._memo is None
+
+
+def test_trial_memo_reused_across_powers_only(monkeypatch):
+    drawn = []
+
+    def counting(*args, **kwargs):
+        drawn.append(args[3])
+        return synthesize_frame(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "synthesize_frame", counting)
+    monkeypatch.setattr(harness, "_memo", None)
+
+    def draws(cfg, value, trial):
+        del drawn[:]
+        run_trial(cfg, value, trial)
+        return len(drawn)
+
+    cfg = small_cfg()
+    curves = len(cfg.curves)
+    assert draws(cfg, -4.0, 0) == curves
+    assert draws(cfg, 20.0, 0) == 0  # another power of the same trial
+    assert draws(cfg, 20.0, 1) == curves
+    assert draws(cfg, -4.0, 1) == 0
+    assert draws(replace(cfg, seed=10), -4.0, 1) == curves
+    assert draws(replace(cfg, seed=10, sigma_sh_db=6.0), -4.0, 1) == curves
+    # nothing else can reuse a draw: a tau_p sweep redraws at every point,
+    # and a single power keeps no state
+    tau_p = small_cfg(sweep_variable="tau_p", sweep_values=(8.0, 16.0))
+    assert draws(tau_p, 8.0, 0) == curves
+    assert draws(tau_p, 16.0, 0) == curves
+    assert draws(tau_p, 16.0, 0) == curves
+    assert harness._memo is None
+    assert draws(small_cfg(sweep_values=(20.0,)), 20.0, 0) == curves
+    assert harness._memo is None
+
+
+def test_progress_reports_trials(capsys):
+    run_sweep(small_cfg(trials=25, curves=("dft:upg",)), progress=True)
+    lines = capsys.readouterr().err.splitlines()
+    assert 2 <= len(lines) <= 10
+    assert lines[-1].startswith("[cfpilot] 25/25 trials of 2 sweep point(s), ")
+    assert all("trials/s, ETA " in line for line in lines)
+
+
 def test_jsonl_output_matches_schema(tmp_path):
     cfg = small_cfg(trials=1, sweep_values=(20.0,), curves=("dft:upg",))
     res = run_sweep(cfg)
@@ -288,18 +404,18 @@ def test_dump_frame_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("variable,value", [("p_dbm", -4.0), ("tau_p", 8.0), ("tau_ex", 5.0)])
 def test_dump_frame_is_run_trial_frame(tmp_path, monkeypatch, variable, value):
-    # the dumped frame is the one run_trial builds for the first sweep value,
-    # trial 0, curve 0: the sweep's power, pilot length or extension, not the
-    # fixed config value
+    # the dumped frame is the one run_trial estimates from for the first
+    # sweep value, trial 0, curve 0: the sweep's power, pilot length or
+    # extension, not the fixed config value
     cfg = small_cfg(tau_p=32, curves=("dft_ext:upg", "dft:upg"),
                     sweep_variable=variable, sweep_values=(value, value + 1))
     built = []
 
-    def capture(*args, **kwargs):
-        built.append(synthesize_frame(*args, **kwargs))
-        return built[-1]
+    def capture(frame, setup=None):
+        built.append(frame)
+        return estimate_trial_links(frame, setup)
 
-    monkeypatch.setattr(harness, "synthesize_frame", capture)
+    monkeypatch.setattr(harness, "estimate_trial_links", capture)
     run_trial(cfg, value, 0)
     monkeypatch.undo()
     want = built[0]
@@ -363,11 +479,14 @@ def _field_cases():
     """One refused value per single-key check that an ExperimentConfig field declares."""
     cases = []
     for f in fields(ExperimentConfig):
-        key, bound, choices = (f.metadata[name] for name in ("key", "bound", "choices"))
+        key, bound, choices, high = (f.metadata[name]
+                                     for name in ("key", "bound", "choices", "high"))
         if f.type is float:
             cases.append(([f"{key}=inf"], key))
         if bound:
             cases.append(([f"{key}={0 if bound == 'positive' else -1}"], key))
+        if high is not None:
+            cases.append(([f"{key}={high + 1}"], key))
         if choices:
             cases.append(([f"{key}=foo"], key))
     return cases
@@ -425,21 +544,56 @@ def test_cli_figure_bad_format_refused_before_trials(tmp_path):
                     "--set", "out.format=parquet", "--out", str(tmp_path / "x.csv"))
     assert proc.returncode == 2
     assert "out.format" in proc.stderr
-    assert "sweep point" not in proc.stderr
+    assert "trials/s" not in proc.stderr  # no progress line: no trial ran
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_cli_non_finite_row_refused(tmp_path):
-    # shadowing 10**(X/10) overflows at a 2000-dB deviation and every metric
-    # of every row is NaN; the run must fail with nothing written
+def test_cli_non_finite_row_refused(tmp_path, monkeypatch, capsys):
+    # a NaN metric must fail the run with nothing written; no accepted config
+    # is known to produce one (a 2000-dB shadowing deviation did, and is now
+    # refused up front), so the sweep's first row is made NaN
+    sweep = harness.run_sweep
+
+    def nan_sweep(cfg, **kwargs):
+        result = sweep(cfg, **kwargs)
+        result.rows[0]["nmse_db_mean"] = float("nan")
+        return result
+
+    monkeypatch.setattr(harness, "run_sweep", nan_sweep)
+    out = tmp_path / "fig6.csv"
+    code = cli.main(["figure", "fig6", "--desk-scale", "--trials", "1",
+                     "--set", "sweep.values=[20]", "--out", str(out)])
+    assert code == 2
+    assert ("config error: nmse_db_mean is nan (sweep_var=p_dbm, sweep_value=20, "
+            "scheme=random, regime=upg)") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_absurd_shadowing_refused_before_trials(tmp_path):
+    # at a 2000-dB deviation the shadowing gains overflow; the bound refuses
+    # it before any trial runs
     out = tmp_path / "fig6.csv"
     proc = _run_cli("figure", "fig6", "--desk-scale", "--trials", "2",
                     "--set", "sweep.values=[20]", "--set", "chan.sigma_sh_db=2000",
                     "--out", str(out))
     assert proc.returncode == 2, proc.stderr
-    assert ("config error: nmse_db_mean is nan (sweep_var=p_dbm, sweep_value=20, "
-            "scheme=random, regime=upg)") in proc.stderr
+    assert "config error: chan.sigma_sh_db" in proc.stderr
+    assert "trials/s" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert not out.exists()
+
+
+def test_largest_shadowing_deviation_gives_finite_rows():
+    # tier-1 turns numpy RuntimeWarnings (overflow, invalid values) into errors
+    cfg = figure_config("fig6", desk_scale=True, trials=2, sweep_values=(20.0,),
+                        sigma_sh_db=SIGMA_SH_DB_MAX)
+    result = run_sweep(cfg, diag=True)
+    for row in result.rows:
+        assert all(np.isfinite(row[col]) for col in CSV_COLUMNS[6:10])
+    for row in result.diag_rows:
+        assert all(np.isfinite(row[col]) for col in harness.DIAG_COLUMNS[4:])
+    with pytest.raises(ConfigError, match="chan.sigma_sh_db"):
+        harness.validate_config(replace(cfg, sigma_sh_db=SIGMA_SH_DB_MAX + 1e-9))
 
 
 def test_cli_figure_fig3_exits_2(tmp_path):
