@@ -309,16 +309,17 @@ def _read_only(obj):
 def run_trial(cfg, sweep_value, trial):
     """One Monte-Carlo trial at one sweep point: every curve on shared draws.
 
-    No draw depends on the transmit power, so in a sweep over several powers
-    the trial's power-free state (each curve's frame signal and noise and
-    its ``LinkSetup``) is kept in a one-entry memo keyed by the point's
-    config at a fixed power and the trial index: the trial's other points
-    only rescale the signal, and get the same bits as a fresh draw.
+    No draw depends on the transmit power, so in a power sweep the trial's
+    power-free state (each curve's frame signal and noise and its
+    ``LinkSetup``) is kept in a one-entry memo keyed by the point's config at
+    a fixed power and the trial index: the trial's later points only rescale
+    the signal, and get the same bits as a fresh draw. Sweeps run
+    trial-major, so the memo is dropped after the sweep's last power.
     """
     global _memo
     pc = point_config(cfg, sweep_value)
     key = (replace(pc, p_dbm=0.0), trial)
-    keep = cfg.sweep_variable == "p_dbm" and len(cfg.sweep_values) > 1
+    keep = cfg.sweep_variable == "p_dbm" and sweep_value != cfg.sweep_values[-1]
     if _memo is not None and _memo[0] == key:
         p_ul = dbm_to_watts(pc.p_dbm)
         drawn = ((curve, base.at_power(p_ul), setup) for curve, base, setup in _memo[1])
@@ -345,7 +346,9 @@ def run_trial(cfg, sweep_value, trial):
             "interference_power": links.interference_power,
             "noise_power": links.noise_power,
         }
-    if state:
+    if not keep:
+        _memo = None
+    elif state:
         _memo = (key, _read_only(state))
     return TrialRecord(trial=trial, sweep_value=float(sweep_value), curves=out)
 

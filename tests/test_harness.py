@@ -244,7 +244,7 @@ def _arrays(obj):
 
 def test_trial_memo_is_read_only_and_cleared_by_run_sweep():
     cfg = small_cfg(curves=("dft:upg", "dft:upng", "sync"))
-    run_trial(cfg, 20.0, 0)
+    run_trial(cfg, -4.0, 0)
     key, state = harness._memo
     assert key == (replace(cfg, p_dbm=0.0), 0)
     assert [curve for curve, _, _ in state] == list(cfg.curves)
@@ -273,22 +273,24 @@ def test_trial_memo_reused_across_powers_only(monkeypatch):
         run_trial(cfg, value, trial)
         return len(drawn)
 
-    cfg = small_cfg()
+    cfg = small_cfg(sweep_values=(-4.0, 4.0, 20.0))
     curves = len(cfg.curves)
     assert draws(cfg, -4.0, 0) == curves
-    assert draws(cfg, 20.0, 0) == 0  # another power of the same trial
-    assert draws(cfg, 20.0, 1) == curves
+    assert draws(cfg, 4.0, 0) == 0  # a later power of the same trial
+    assert draws(cfg, 4.0, 1) == curves
     assert draws(cfg, -4.0, 1) == 0
     assert draws(replace(cfg, seed=10), -4.0, 1) == curves
     assert draws(replace(cfg, seed=10, sigma_sh_db=6.0), -4.0, 1) == curves
-    # nothing else can reuse a draw: a tau_p sweep redraws at every point,
-    # and a single power keeps no state
-    tau_p = small_cfg(sweep_variable="tau_p", sweep_values=(8.0, 16.0))
+    assert draws(replace(cfg, seed=10, sigma_sh_db=6.0), 20.0, 1) == 0
+    # the sweep's last power drops the state: no later point can use it
+    assert harness._memo is None
+    assert draws(cfg, 20.0, 2) == curves
+    assert harness._memo is None
+    # a tau_p sweep redraws at every point
+    tau_p = small_cfg(sweep_variable="tau_p", sweep_values=(8.0, 16.0, 32.0))
     assert draws(tau_p, 8.0, 0) == curves
     assert draws(tau_p, 16.0, 0) == curves
     assert draws(tau_p, 16.0, 0) == curves
-    assert harness._memo is None
-    assert draws(small_cfg(sweep_values=(20.0,)), 20.0, 0) == curves
     assert harness._memo is None
 
 
