@@ -84,8 +84,7 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng):
         raise ValueError("p_ul must be positive")
     if book.n_ues != net.n_ues:
         raise ValueError("pilot book and network disagree on UE count")
-    ys, xs, zs, signals = [], [], [], []
-    scale = np.sqrt(p_ul)
+    xs, zs, signals = [], [], []
     sigma = np.sqrt(chan.noise_w / 2.0)
     for r, x in enumerate(pilot_rows(book, net, range(net.n_aps))):
         if regime == REGIME_UPNG:
@@ -95,13 +94,11 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng):
                 x[data] = DEFAULT_DATA_ALPHABET[idx]
         z = sigma * (rng.standard_normal((chan.m_antennas, x.shape[1]))
                      + 1j * rng.standard_normal((chan.m_antennas, x.shape[1])))
-        signal = chan.h[r].T @ x
-        ys.append(scale * signal + z)
         xs.append(x)
         zs.append(z)
-        signals.append(signal)
-    return ReceivedFrame(y=ys, x_aug=xs, noise=zs, signal=signals, p_ul=p_ul, regime=regime,
-                         book=book, net=net, chan=chan)
+        signals.append(chan.h[r].T @ x)
+    return ReceivedFrame(y=None, x_aug=xs, noise=zs, signal=signals, p_ul=None, regime=regime,
+                         book=book, net=net, chan=chan).at_power(p_ul)
 
 
 def write_frame_dump(path, y_r):

@@ -4,8 +4,9 @@ Reproducibility contract: every trial derives its random streams from
 ``SeedSequence`` tuples of (seed, trial, stream), so the network, large-scale
 gains and fading of a trial are shared by all compared curves (paired
 comparison), while transmit-side randomness (random pilot phases, UPNG data,
-noise) comes from a per-curve stream. Results are therefore byte-identical
-for a given (config, seed) no matter how many workers run the trials.
+noise) comes from a per-curve stream. A trial's sweep points share every draw
+that does not read the swept value (``TrialDraws``). Results are therefore
+byte-identical for a given (config, seed) no matter how many workers run them.
 """
 
 import csv
@@ -18,6 +19,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -242,38 +244,71 @@ def point_config(cfg, value):
     return replace(cfg, **{cfg.sweep_variable: kind(value)})
 
 
-def trial_frames(cfg, sweep_value, trial):
-    """Yield (curve, ReceivedFrame) for every configured curve of one trial.
+class TrialDraws:
+    """One trial's draws, each made on first use and kept for the sweep points that read it.
 
-    Power, pilot length and extension are read from the sweep point's config
-    (:func:`point_config`). The network, large-scale gains, fading and pilot
-    assignment are drawn once and shared by all curves (paired comparison);
-    each curve's pilot book, UPNG data and noise come from its own transmit
-    stream, and the ``sync`` curve runs on the synchronized network, which
-    keeps the UE positions the assignment depends on. Only ``dft_ext``
-    curves are extended; ``auto_min`` resolves to the curve network's
-    largest in-cluster delay spread.
+    The network, gains and fading read no sweep variable, the max-min
+    assignment only ``tau_p``, and a curve's frame ``tau_p`` and its
+    configured extension but not the power: a curve keeps the power-free
+    part of its last frame and its ``LinkSetup``, rescaled at a later power.
     """
-    pc = point_config(cfg, sweep_value)
-    net_rng = _stream(pc.seed, trial, 0)
-    net = sample_topology(pc.area(), pc.cluster_size, net_rng)
-    gains = draw_link_gains(net, net_rng, pc.sigma_sh_db)
-    chan = draw_channels(net, gains, pc.antennas, _stream(pc.seed, trial, 1), pc.noise_w)
-    p_ul = dbm_to_watts(pc.p_dbm)
-    assignment = (pilots.assign_maxmin_distance(net.ue_pos, pc.tau_p)
-                  if pc.assignment == ASSIGN_MAXMIN_DISTANCE else None)
-    for ci, curve in enumerate(pc.curves):
-        scheme, regime = parse_curve(curve)
-        tx_rng = _stream(pc.seed, trial, 2, ci)
-        cnet = net
-        if scheme == CURVE_SYNC:
-            cnet, scheme = synchronize(net), SCHEME_DFT
+
+    def __init__(self, cfg, trial):
+        self.cfg, self.trial = cfg, trial
+        self._maxmin = {}  # tau_p -> max-min pilot assignment
+        self._curves = {}  # curve index -> {(tau_p, extension): (power-free frame, LinkSetup)}
+
+    @cached_property
+    def channel(self):
+        """The trial's network and its channel draws."""
+        cfg, trial = self.cfg, self.trial
+        net_rng = _stream(cfg.seed, trial, 0)
+        net = sample_topology(cfg.area(), cfg.cluster_size, net_rng)
+        gains = draw_link_gains(net, net_rng, cfg.sigma_sh_db)
+        chan = draw_channels(net, gains, cfg.antennas, _stream(cfg.seed, trial, 1), cfg.noise_w)
+        return net, chan
+
+    def frame(self, pc, ci):
+        """Draw curve ``ci``'s frame at sweep point ``pc`` (a :func:`point_config`).
+
+        The curve's pilot book, UPNG data and noise come from its own
+        transmit stream. ``sync`` runs on the synchronized network, which
+        keeps the UE positions the assignment reads; ``auto_min`` resolves
+        to the curve network's largest in-cluster delay spread.
+        """
+        net, chan = self.channel
+        if pc.assignment == ASSIGN_MAXMIN_DISTANCE and pc.tau_p not in self._maxmin:
+            self._maxmin[pc.tau_p] = pilots.assign_maxmin_distance(net.ue_pos, pc.tau_p)
+        scheme, regime = parse_curve(pc.curves[ci])
         tau_ex = pc.tau_ex if scheme == SCHEME_DFT_EXT else 0
+        if scheme == CURVE_SYNC:
+            net, scheme = synchronize(net), SCHEME_DFT
         if tau_ex == "auto_min":
-            tau_ex = delay_spread_min_extension(cnet)
-        book = make_pilot_book(scheme, pc.tau_p, tau_ex, cnet.n_ues, tx_rng,
-                               phase_levels=pc.phase_levels, assignment=assignment)
-        yield curve, synthesize_frame(book, cnet, chan, regime, p_ul, tx_rng)
+            tau_ex = delay_spread_min_extension(net)
+        tx_rng = _stream(pc.seed, self.trial, 2, ci)
+        book = make_pilot_book(scheme, pc.tau_p, tau_ex, net.n_ues, tx_rng,
+                               phase_levels=pc.phase_levels, assignment=self._maxmin.get(pc.tau_p))
+        return synthesize_frame(book, net, chan, regime, dbm_to_watts(pc.p_dbm), tx_rng)
+
+    def estimate(self, pc, ci):
+        """Curve ``ci``'s frame at point ``pc``, less ``y`` and ``x_aug``, and its links."""
+        key = (pc.tau_p, pc.tau_ex if parse_curve(pc.curves[ci])[0] == SCHEME_DFT_EXT else 0)
+        kept = self._curves.pop(ci, {}).get(key)  # a stale slot is freed before drawing
+        if kept is None:
+            frame, setup = self.frame(pc, ci), None
+        else:
+            frame, setup = kept[0].at_power(dbm_to_watts(pc.p_dbm)), kept[1]
+        links = estimate_trial_links(frame, setup)
+        frame = replace(frame, y=None, x_aug=None)  # so no caller holds them past this curve
+        self._curves[ci] = {key: (frame, links.setup)}
+        return frame, links
+
+
+def trial_frames(cfg, sweep_value, trial):
+    """Yield (curve, ReceivedFrame) for every curve of one trial, drawn as in ``run_trial``."""
+    draws, pc = TrialDraws(cfg, trial), point_config(cfg, sweep_value)
+    for ci, curve in enumerate(cfg.curves):
+        yield curve, draws.frame(pc, ci)
 
 
 @dataclass
@@ -289,49 +324,19 @@ class TrialRecord:
     curves: dict
 
 
-# This process's last trial: (key, [(curve, frame without y and x_aug, LinkSetup)]).
-_memo = None
-
-
-def _read_only(obj):
-    """Make every array reachable through ``obj``'s attributes and sequences read-only."""
-    if isinstance(obj, np.ndarray):
-        obj.setflags(write=False)
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            _read_only(item)
-    elif hasattr(obj, "__dict__"):
-        for item in vars(obj).values():
-            _read_only(item)
-    return obj
-
-
-def run_trial(cfg, sweep_value, trial):
+def run_trial(cfg, sweep_value, trial, draws=None):
     """One Monte-Carlo trial at one sweep point: every curve on shared draws.
 
-    No draw depends on the transmit power, so in a power sweep the trial's
-    power-free state (each curve's frame signal and noise and its
-    ``LinkSetup``) is kept in a one-entry memo keyed by the point's config at
-    a fixed power and the trial index: the trial's later points only rescale
-    the signal, and get the same bits as a fresh draw. Sweeps run
-    trial-major, so the memo is dropped after the sweep's last power.
+    ``draws`` is the trial's :class:`TrialDraws`, which its earlier sweep
+    points may have filled; the record is the same bits without it.
     """
-    global _memo
     pc = point_config(cfg, sweep_value)
-    key = (replace(pc, p_dbm=0.0), trial)
-    keep = cfg.sweep_variable == "p_dbm" and sweep_value != cfg.sweep_values[-1]
-    if _memo is not None and _memo[0] == key:
-        p_ul = dbm_to_watts(pc.p_dbm)
-        drawn = ((curve, base.at_power(p_ul), setup) for curve, base, setup in _memo[1])
-    else:
-        _memo = None  # drop the last trial before drawing this one
-        drawn = ((curve, frame, None) for curve, frame in trial_frames(cfg, sweep_value, trial))
-    out, state = {}, []
-    for curve, frame, setup in drawn:
+    if draws is None:
+        draws = TrialDraws(cfg, trial)
+    out = {}
+    for ci, curve in enumerate(cfg.curves):
+        frame, links = draws.estimate(pc, ci)
         book = frame.book
-        links = estimate_trial_links(frame, setup)
-        if setup is None and keep:
-            state.append((curve, replace(frame, y=None, x_aug=None), links.setup))
         overhead = analytics.overhead_factor(cfg.tau_c, book.tau_p, book.tau_ex)
         rate = analytics.conjugate_bf_rate(frame.net, frame.chan.gains, links,
                                            p_dl=frame.p_ul, noise_w=cfg.noise_w,
@@ -346,16 +351,19 @@ def run_trial(cfg, sweep_value, trial):
             "interference_power": links.interference_power,
             "noise_power": links.noise_power,
         }
-    if not keep:
-        _memo = None
-    elif state:
-        _memo = (key, _read_only(state))
     return TrialRecord(trial=trial, sweep_value=float(sweep_value), curves=out)
 
 
-def _trial_worker(args):
-    cfg, sweep_value, trial = args
-    return run_trial(cfg, sweep_value, trial)
+class _TrialTasks:
+    """Runs sweep tasks in order, one ``TrialDraws`` per trial; pools pickle it with each chunk."""
+
+    draws = None
+
+    def __call__(self, task):
+        cfg, sweep_value, trial = task
+        if self.draws is None or (self.draws.cfg, self.draws.trial) != (cfg, trial):
+            self.draws = TrialDraws(cfg, trial)
+        return run_trial(cfg, sweep_value, trial, self.draws)
 
 
 def _one_blas_thread():
@@ -405,29 +413,23 @@ def run_sweep(cfg, diag=False, progress=False):
     """Run the configured sweep and aggregate per (sweep value, curve).
 
     Trials run trial-major: every sweep point of trial t, then trial t+1,
-    so a power sweep's points reuse the trial's draws (see ``run_trial``).
-    With ``workers`` > 1 one pool runs the sweep, a trial's points in one
-    task chunk.
+    all on one ``TrialDraws``. With ``workers`` > 1 one pool runs the sweep,
+    a trial's points in one task chunk.
 
     Per-link NMSE ratios are pooled over all trials of a point and reported
     as linear mean plus 10/90 percentiles in dB; the rate column is the mean
     per-UE spectral efficiency (unserved UEs count as zero).
     """
-    global _memo
     validate_config(cfg)
     points = len(cfg.sweep_values)
     tasks = [(cfg, value, trial) for trial in range(cfg.trials) for value in cfg.sweep_values]
-    try:
-        if cfg.workers > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers,
-                                     initializer=_one_blas_thread) as pool:
-                records = pool.map(_trial_worker, tasks, chunksize=points)
-                outputs = list(_progress(records, cfg) if progress else records)
-        else:
-            records = (run_trial(*task) for task in tasks)
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_one_blas_thread) as pool:
+            records = pool.map(_TrialTasks(), tasks, chunksize=points)
             outputs = list(_progress(records, cfg) if progress else records)
-    finally:
-        _memo = None
+    else:
+        records = map(_TrialTasks(), tasks)
+        outputs = list(_progress(records, cfg) if progress else records)
     rows, diag_rows = [], []
     for point, sweep_value in enumerate(cfg.sweep_values):
         pc = point_config(cfg, sweep_value)
@@ -536,7 +538,7 @@ FIGURE_IDS = tuple(_FIG_PRESETS)
 def desk_scale_overrides(fig_id=None):
     """Shrink to 0.1 km^2 / 10 APs / mean 14 UEs at the full-scale densities.
 
-    fig7 additionally drops the pilot length to 9 so that co-pilot UEs still
+    fig7 additionally drops the pilot length to 8 so that co-pilot UEs still
     exist at the reduced UE count: with 14 UEs and 32 sequences nothing
     shares a pilot, the synchronous baseline loses its contamination floor,
     and the figure's synchronous-versus-extended comparison degenerates.

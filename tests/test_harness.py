@@ -1,13 +1,16 @@
+import collections
 import csv
 import ctypes
+import gc
 import glob
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -191,15 +194,26 @@ def _rows_bytes(result, path):
     return path.read_bytes(), path.with_suffix(".diag").read_bytes()
 
 
-@pytest.mark.parametrize("fig", ("fig6", "fig9"))
-def test_power_sweep_equals_each_point_alone(tmp_path, fig):
-    # a power sweep's points reuse each trial's draws; the rows and --diag
-    # rows are those of every point run as its own one-value sweep
-    cfg = figure_config(fig, desk_scale=True, trials=3, sweep_values=(-12.0, 4.0, 20.0))
+POWERS = dict(sweep_values=(-12.0, 4.0, 20.0))
+
+
+@pytest.mark.parametrize("fig,overrides", [
+    pytest.param("fig6", POWERS, id="fig6"),
+    pytest.param("fig9", POWERS, id="fig9"),
+    pytest.param("fig8", {}, id="fig8-tau_ex"),
+    pytest.param("fig7", dict(sweep_variable="tau_p", sweep_values=(8.0, 12.0, 8.0)),
+                 id="fig7-tau_p"),
+    pytest.param("fig6", dict(POWERS, workers=2), id="fig6-workers2"),
+])
+def test_power_sweep_equals_each_point_alone(tmp_path, fig, overrides):
+    # a sweep's points share each trial's draws; the rows and --diag rows are
+    # those of every point run serially as its own one-value sweep, so no
+    # point changed an array that a later point reads
+    cfg = figure_config(fig, desk_scale=True, trials=3, **overrides)
     swept = _rows_bytes(run_sweep(cfg, diag=True), tmp_path / "swept.csv")
     alone = harness.SweepResult(rows=[], diag_rows=[])
     for value in cfg.sweep_values:
-        point = run_sweep(replace(cfg, sweep_values=(value,)), diag=True)
+        point = run_sweep(replace(cfg, sweep_values=(value,), workers=1), diag=True)
         alone.rows += point.rows
         alone.diag_rows += point.diag_rows
     assert swept == _rows_bytes(alone, tmp_path / "alone.csv")
@@ -230,68 +244,64 @@ def test_one_pool_per_sweep_trial_major(monkeypatch):
                      {"chunksize": 3})]
 
 
-def _arrays(obj):
-    """Every array reachable through ``obj``'s dataclasses and sequences."""
-    if isinstance(obj, np.ndarray):
-        yield obj
-    elif is_dataclass(obj):
-        for f in fields(obj):
-            yield from _arrays(getattr(obj, f.name))
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            yield from _arrays(item)
+@pytest.fixture
+def draws_made(monkeypatch, tmp_path):
+    """Count the networks, frames (by pilot scheme) and max-min assignments drawn.
+
+    Each draw appends a line to a file, so pool workers forked from this
+    process, which inherit the patches, are counted too.
+    """
+    log = tmp_path / "draws.log"
+
+    def count(module, name, tag):
+        draw = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(tag(*args) + "\n")
+            return draw(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(harness, "sample_topology", lambda *args: "net")
+    count(harness, "synthesize_frame", lambda book, *args: f"frame {book.scheme}")
+    count(harness.pilots, "assign_maxmin_distance", lambda pos, tau_p: f"maxmin {tau_p}")
+    return lambda: collections.Counter(log.read_text(encoding="utf-8").splitlines())
 
 
-def test_trial_memo_is_read_only_and_cleared_by_run_sweep():
-    cfg = small_cfg(curves=("dft:upg", "dft:upng", "sync"))
-    run_trial(cfg, -4.0, 0)
-    key, state = harness._memo
-    assert key == (replace(cfg, p_dbm=0.0), 0)
-    assert [curve for curve, _, _ in state] == list(cfg.curves)
-    assert all(frame.y is None and frame.x_aug is None for _, frame, _ in state)
-    arrays = list(_arrays(state))
-    assert len(arrays) > 30
-    for a in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            a[...] = a
-    run_sweep(small_cfg(trials=1, curves=("dft:upg",)))
-    assert harness._memo is None
+def _live_draws():
+    gc.collect()
+    return [obj for obj in gc.get_objects() if isinstance(obj, harness.TrialDraws)]
 
 
-def test_trial_memo_reused_across_powers_only(monkeypatch):
-    drawn = []
+@pytest.mark.parametrize("workers", (1, 2))
+def test_power_sweep_draws_once_per_trial(draws_made, workers):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the counting patches only when forked")
+    # 3 trials, 3 powers; curves dft:upg, dft_ext:upg and sync (a dft book)
+    cfg = small_cfg(sweep_values=(-4.0, 4.0, 20.0), assignment="maxmin_distance",
+                    workers=workers)
+    run_sweep(cfg)
+    assert draws_made() == {"net": 3, "maxmin 8": 3, "frame dft": 6, "frame dft_ext": 3}
+    # the parent process keeps no draws once the sweep returns
+    assert _live_draws() == []
 
-    def counting(*args, **kwargs):
-        drawn.append(args[3])
-        return synthesize_frame(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "synthesize_frame", counting)
-    monkeypatch.setattr(harness, "_memo", None)
+def test_tau_ex_sweep_redraws_only_the_extended_curve(draws_made):
+    cfg = figure_config("fig8", desk_scale=True, trials=3)  # dft_ext:upg and sync
+    run_sweep(cfg)
+    assert draws_made() == {"net": 3, "frame dft": 3, "frame dft_ext": 3 * 7}
+    assert _live_draws() == []
 
-    def draws(cfg, value, trial):
-        del drawn[:]
-        run_trial(cfg, value, trial)
-        return len(drawn)
 
-    cfg = small_cfg(sweep_values=(-4.0, 4.0, 20.0))
-    curves = len(cfg.curves)
-    assert draws(cfg, -4.0, 0) == curves
-    assert draws(cfg, 4.0, 0) == 0  # a later power of the same trial
-    assert draws(cfg, 4.0, 1) == curves
-    assert draws(cfg, -4.0, 1) == 0
-    assert draws(replace(cfg, seed=10), -4.0, 1) == curves
-    assert draws(replace(cfg, seed=10, sigma_sh_db=6.0), -4.0, 1) == curves
-    assert draws(replace(cfg, seed=10, sigma_sh_db=6.0), 20.0, 1) == 0
-    # the sweep's last power drops the state: no later point can use it
-    assert harness._memo is None
-    assert draws(cfg, 20.0, 2) == curves
-    assert harness._memo is None
-    # a tau_p sweep redraws at every point
-    tau_p = small_cfg(sweep_variable="tau_p", sweep_values=(8.0, 16.0, 32.0))
-    assert draws(tau_p, 8.0, 0) == curves
-    assert draws(tau_p, 16.0, 0) == curves
-    assert draws(tau_p, 16.0, 0) == curves
-    assert harness._memo is None
+def test_tau_p_sweep_draws_assignment_once_per_tau_p(draws_made):
+    cfg = small_cfg(sweep_variable="tau_p", sweep_values=(8.0, 16.0, 8.0),
+                    assignment="maxmin_distance")
+    run_sweep(cfg)
+    # a curve's frame reads tau_p, so the repeated 8 redraws it, but not the assignment
+    assert draws_made() == {"net": 3, "maxmin 8": 3, "maxmin 16": 3,
+                            "frame dft": 2 * 3 * 3, "frame dft_ext": 3 * 3}
+    assert _live_draws() == []
 
 
 def test_progress_reports_trials(capsys):
