@@ -27,11 +27,13 @@ stacked matrix-vector products: one GEMV per link, which rounds exactly like
 ``y_r @ row``; a single ``Y_r @ MF^H`` GEMM rounds differently.
 
 Only the product with the frame depends on the transmit power. Everything
-else is the frame's ``LinkSetup`` (:func:`link_setup`), which the frames of
-one draw at several powers share.
+else is the frame's power-free part, which the frames of one draw at
+several powers share: ``estimate_trial_links(frame, previous)`` recomputes
+just the four power-dependent fields of ``previous``, the same draw's
+estimates at another power.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,28 +44,19 @@ from .pilots import make_mf_sequence
 
 @dataclass
 class LinkSetup:
-    """The power-free part of one frame's link estimates.
+    """The power-free estimator internals of one frame that ``LinkEstimates`` does not expose.
 
-    Everything but the MF outputs of ``y``: it depends on the frame's
-    pilot book, network and channel draws, never on the transmit power, so
-    the frames of one draw at several powers (``ReceivedFrame.at_power``)
-    share it. Per-link arrays follow the batched layout above;
-    ``mf_rows[r]`` stacks AP r's conjugated MF rows as (k, cols, 1) and
-    ``align`` is the conjugated window phase as a column.
+    ``mf_rows[r]`` stacks AP r's conjugated MF rows as (k, cols, 1),
+    ``align`` is the conjugated window phase as a column, and the per-link
+    arrays follow the batched layout above.
     """
 
-    ap: np.ndarray
-    ue: np.ndarray
     mf_rows: list
     align: np.ndarray
     yh: np.ndarray
     signal_var: np.ndarray
-    desired_power: np.ndarray
-    interference_power: np.ndarray
     h: np.ndarray
     sq_h: np.ndarray
-    cross: np.ndarray
-    bleed: np.ndarray
 
 
 @dataclass
@@ -75,8 +68,8 @@ class LinkEstimates:
     every UE inside that link's estimate (n_links, U), and ``bleed`` the
     count of every other UE's data samples inside that link's MF window
     (zero under a guard time); all three feed the downlink rate bound's
-    contamination term. ``setup`` is the ``LinkSetup`` they were computed
-    from.
+    contamination term. ``nmse``, ``gamma``, ``noise_power`` and
+    ``gain_scale`` read the transmit power; the rest, with ``setup``, do not.
     """
 
     ap: np.ndarray
@@ -92,8 +85,8 @@ class LinkEstimates:
     setup: LinkSetup = None
 
 
-def link_setup(frame):
-    """The power-free ``LinkSetup`` of every served (AP, UE) pair of one frame."""
+def _link_setup(frame):
+    """The power-free fields of one frame's ``LinkEstimates``, with its ``LinkSetup``."""
     book, net, chan = frame.book, frame.net, frame.chan
     n_aps, k = net.serving.shape
     ap = np.repeat(np.arange(n_aps), k)
@@ -119,36 +112,37 @@ def link_setup(frame):
     bleed = mf.data * (frame.regime == REGIME_UPNG)
     bleed[link, ue] = 0
     m_ant = chan.m_antennas
-    return LinkSetup(
+    # a stacked vdot: a sum of squares rounds differently
+    sq_h = np.matmul(h.conj()[:, None, :], h[:, :, None])[:, 0, 0].real
+    return LinkEstimates(
         ap=ap,
         ue=ue,
-        mf_rows=mf_rows,
-        align=align,
-        yh=pilot * g,
-        signal_var=pilot**2 * g + interference,
+        nmse=None,
+        gamma=None,
         desired_power=m_ant * g * pilot**2,
         interference_power=m_ant * interference,
-        h=h,
-        # a stacked vdot: a sum of squares rounds differently
-        sq_h=np.matmul(h.conj()[:, None, :], h[:, :, None])[:, 0, 0].real,
+        noise_power=None,
+        gain_scale=None,
         cross=align * c,
         bleed=bleed,
+        setup=LinkSetup(mf_rows=mf_rows, align=align, yh=pilot * g,
+                        signal_var=pilot**2 * g + interference, h=h, sq_h=sq_h),
     )
 
 
-def estimate_trial_links(frame, setup=None):
+def estimate_trial_links(frame, previous=None):
     """Run MF + LMMSE over every served (AP, UE) pair of one frame.
 
     Returns per-link realized NMSE, the per-antenna estimate quality
     gamma = Sigma_yh^2 / Sigma_y laid out as an (R, U) array, and
     the expected MF power breakdown used by the diagnostic dump.
-    ``setup`` is the frame's ``LinkSetup``, built here when not given.
+    ``previous`` is the estimates of the same draw at another power, whose
+    power-free fields are reused; they are computed here when not given.
     """
-    if setup is None:
-        setup = link_setup(frame)
-    s, net, chan = setup, frame.net, frame.chan
+    links = _link_setup(frame) if previous is None else previous
+    s, net, chan = links.setup, frame.net, frame.chan
     k = net.serving.shape[1]
-    y = np.empty((s.ap.size, chan.m_antennas), dtype=complex)
+    y = np.empty((links.ap.size, chan.m_antennas), dtype=complex)
     for r, mf_r in enumerate(s.mf_rows):
         y[r * k:(r + 1) * k] = np.matmul(frame.y[r], mf_r)[..., 0]
     y /= np.sqrt(frame.p_ul)
@@ -157,17 +151,6 @@ def estimate_trial_links(frame, setup=None):
     err = s.h - (s.yh / ys)[:, None] * (s.align * y)
     sq_err = np.matmul(err.conj()[:, None, :], err[:, :, None])[:, 0, 0].real
     gamma = np.zeros((net.n_aps, net.n_ues))
-    gamma[s.ap, s.ue] = s.yh * s.yh / ys
-    return LinkEstimates(
-        ap=s.ap,
-        ue=s.ue,
-        nmse=sq_err / s.sq_h,
-        gamma=gamma,
-        desired_power=s.desired_power,
-        interference_power=s.interference_power,
-        noise_power=np.full(s.ap.size, chan.m_antennas * noise_scale),
-        gain_scale=s.yh / ys,
-        cross=s.cross,
-        bleed=s.bleed,
-        setup=s,
-    )
+    gamma[links.ap, links.ue] = s.yh * s.yh / ys
+    return replace(links, nmse=sq_err / s.sq_h, gamma=gamma, gain_scale=s.yh / ys,
+                   noise_power=np.full(links.ap.size, chan.m_antennas * noise_scale))

@@ -5,8 +5,10 @@ Reproducibility contract: every trial derives its random streams from
 gains and fading of a trial are shared by all compared curves (paired
 comparison), while transmit-side randomness (random pilot phases, UPNG data,
 noise) comes from a per-curve stream. A trial's sweep points share every draw
-that does not read the swept value (``TrialDraws``). Results are therefore
-byte-identical for a given (config, seed) no matter how many workers run them.
+that does not read the swept value: one ``TrialDraws`` per trial travels with
+that trial's tasks and keeps, per curve, only what a later point can read.
+Results are therefore byte-identical for a given (config, seed) no matter how
+many workers run them.
 """
 
 import csv
@@ -167,10 +169,8 @@ def config_fields(pairs):
     return out
 
 
-def build_config(file_overrides=None, **direct):
-    """Assemble an ExperimentConfig from dotted-key overrides plus field values."""
-    values = config_fields((file_overrides or {}).items())
-    values.update(direct)
+def build_config(**values):
+    """Assemble and validate an ExperimentConfig from field values (see ``config_fields``)."""
     unknown = set(values) - {f.name for f in CONFIG_KEYS.values()}
     if unknown:
         raise ConfigError(f"unknown config field {min(unknown)!r}")
@@ -244,19 +244,25 @@ def point_config(cfg, value):
     return replace(cfg, **{cfg.sweep_variable: kind(value)})
 
 
+def _extension(pc, scheme):
+    """A curve's configured extension at point ``pc``: ``tau_ex`` for ``dft_ext``, else 0."""
+    return pc.tau_ex if scheme == SCHEME_DFT_EXT else 0
+
+
 class TrialDraws:
     """One trial's draws, each made on first use and kept for the sweep points that read it.
 
     The network, gains and fading read no sweep variable, the max-min
     assignment only ``tau_p``, and a curve's frame ``tau_p`` and its
-    configured extension but not the power: a curve keeps the power-free
-    part of its last frame and its ``LinkSetup``, rescaled at a later power.
+    configured extension but not the power. Until the sweep's last point,
+    a curve keeps one record of its last frame's signal and noise and its
+    ``LinkEstimates``, received and estimated again at a later power.
     """
 
     def __init__(self, cfg, trial):
         self.cfg, self.trial = cfg, trial
         self._maxmin = {}  # tau_p -> max-min pilot assignment
-        self._curves = {}  # curve index -> {(tau_p, extension): (power-free frame, LinkSetup)}
+        self._curves = {}  # curve index -> ((tau_p, extension), power-free frame, LinkEstimates)
 
     @cached_property
     def channel(self):
@@ -280,7 +286,7 @@ class TrialDraws:
         if pc.assignment == ASSIGN_MAXMIN_DISTANCE and pc.tau_p not in self._maxmin:
             self._maxmin[pc.tau_p] = pilots.assign_maxmin_distance(net.ue_pos, pc.tau_p)
         scheme, regime = parse_curve(pc.curves[ci])
-        tau_ex = pc.tau_ex if scheme == SCHEME_DFT_EXT else 0
+        tau_ex = _extension(pc, scheme)
         if scheme == CURVE_SYNC:
             net, scheme = synchronize(net), SCHEME_DFT
         if tau_ex == "auto_min":
@@ -292,15 +298,16 @@ class TrialDraws:
 
     def estimate(self, pc, ci):
         """Curve ``ci``'s frame at point ``pc``, less ``y`` and ``x_aug``, and its links."""
-        key = (pc.tau_p, pc.tau_ex if parse_curve(pc.curves[ci])[0] == SCHEME_DFT_EXT else 0)
-        kept = self._curves.pop(ci, {}).get(key)  # a stale slot is freed before drawing
-        if kept is None:
-            frame, setup = self.frame(pc, ci), None
-        else:
-            frame, setup = kept[0].at_power(dbm_to_watts(pc.p_dbm)), kept[1]
-        links = estimate_trial_links(frame, setup)
+        key = (pc.tau_p, _extension(pc, parse_curve(pc.curves[ci])[0]))
+        kept_key, frame, links = self._curves.pop(ci, (None, None, None))
+        if kept_key != key:
+            frame = links = None  # a stale record is freed before drawing
+        frame = self.frame(pc, ci) if frame is None else frame.at_power(dbm_to_watts(pc.p_dbm))
+        links = estimate_trial_links(frame, links)
         frame = replace(frame, y=None, x_aug=None)  # so no caller holds them past this curve
-        self._curves[ci] = {key: (frame, links.setup)}
+        # a record is read only by a later point of the sweep
+        if getattr(pc, pc.sweep_variable) != pc.sweep_values[-1]:
+            self._curves[ci] = (key, frame, links)
         return frame, links
 
 
@@ -327,8 +334,9 @@ class TrialRecord:
 def run_trial(cfg, sweep_value, trial, draws=None):
     """One Monte-Carlo trial at one sweep point: every curve on shared draws.
 
-    ``draws`` is the trial's :class:`TrialDraws`, which its earlier sweep
-    points may have filled; the record is the same bits without it.
+    ``draws`` is the trial's :class:`TrialDraws`, shared by all its sweep
+    points, which reuse what earlier points drew; the record is the same
+    bits without it.
     """
     pc = point_config(cfg, sweep_value)
     if draws is None:
@@ -354,16 +362,9 @@ def run_trial(cfg, sweep_value, trial, draws=None):
     return TrialRecord(trial=trial, sweep_value=float(sweep_value), curves=out)
 
 
-class _TrialTasks:
-    """Runs sweep tasks in order, one ``TrialDraws`` per trial; pools pickle it with each chunk."""
-
-    draws = None
-
-    def __call__(self, task):
-        cfg, sweep_value, trial = task
-        if self.draws is None or (self.draws.cfg, self.draws.trial) != (cfg, trial):
-            self.draws = TrialDraws(cfg, trial)
-        return run_trial(cfg, sweep_value, trial, self.draws)
+def _run_task(task):
+    """Run one sweep task; ``run_trial`` is looked up per call, so a wrapped one runs too."""
+    return run_trial(*task)
 
 
 def _one_blas_thread():
@@ -412,9 +413,11 @@ def _progress(records, cfg):
 def run_sweep(cfg, diag=False, progress=False):
     """Run the configured sweep and aggregate per (sweep value, curve).
 
-    Trials run trial-major: every sweep point of trial t, then trial t+1,
-    all on one ``TrialDraws``. With ``workers`` > 1 one pool runs the sweep,
-    a trial's points in one task chunk.
+    Trials run trial-major: every sweep point of trial t, then trial t+1.
+    A task is ``(cfg, value, trial, draws)``, with one ``TrialDraws`` per
+    trial; serially the tasks are made lazily, so a trial's draws end with
+    it. With ``workers`` > 1 one pool runs the sweep, a trial's points in
+    one task chunk, which pickles the trial's draws once.
 
     Per-link NMSE ratios are pooled over all trials of a point and reported
     as linear mean plus 10/90 percentiles in dB; the rate column is the mean
@@ -422,13 +425,14 @@ def run_sweep(cfg, diag=False, progress=False):
     """
     validate_config(cfg)
     points = len(cfg.sweep_values)
-    tasks = [(cfg, value, trial) for trial in range(cfg.trials) for value in cfg.sweep_values]
+    tasks = ((cfg, value, trial, draws) for trial in range(cfg.trials)
+             for draws in [TrialDraws(cfg, trial)] for value in cfg.sweep_values)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_one_blas_thread) as pool:
-            records = pool.map(_TrialTasks(), tasks, chunksize=points)
+            records = pool.map(_run_task, tasks, chunksize=points)
             outputs = list(_progress(records, cfg) if progress else records)
     else:
-        records = map(_TrialTasks(), tasks)
+        records = map(_run_task, tasks)
         outputs = list(_progress(records, cfg) if progress else records)
     rows, diag_rows = [], []
     for point, sweep_value in enumerate(cfg.sweep_values):
@@ -445,7 +449,7 @@ def run_sweep(cfg, diag=False, progress=False):
                 "scheme": scheme,
                 "regime": regime,
                 "tau_p": pc.tau_p,
-                "tau_ex": pc.tau_ex if scheme == SCHEME_DFT_EXT else 0,
+                "tau_ex": _extension(pc, scheme),
                 "nmse_db_mean": agg["mean_db"],
                 "nmse_db_p10": agg["p10_db"],
                 "nmse_db_p90": agg["p90_db"],

@@ -348,7 +348,8 @@ LINK_FIELDS = ("ap", "ue", "nmse", "gamma", "desired_power", "interference_power
     ("random", None), ("dft", None), ("sync", None),
     ("dft_ext", "below"), ("dft_ext", "at"), ("dft_ext", "above")])
 def test_batched_estimator_equals_link_loop(scheme, extension, regime):
-    # the batched pass computes every field with the loop's arithmetic
+    # the batched pass computes every field with the loop's arithmetic, also
+    # when it reuses the same draw's estimates at another power
     rng = np.random.default_rng(11)
     for _ in range(4):
         net = sample_topology(DESK, 4, rng)
@@ -364,3 +365,8 @@ def test_batched_estimator_equals_link_loop(scheme, extension, regime):
         got, want = estimate_trial_links(frame), estimate_links_loop(frame)
         for name in LINK_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        at_p2 = frame.at_power(0.1)
+        again = estimate_trial_links(at_p2, previous=got)
+        want = estimate_links_loop(at_p2)
+        for name in LINK_FIELDS:
+            assert np.array_equal(getattr(again, name), getattr(want, name)), name

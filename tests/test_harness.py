@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import types
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
@@ -16,10 +17,10 @@ import numpy as np
 import pytest
 
 from cfpilot import cli, harness
-from cfpilot.airframe import read_frame_dump, synthesize_frame
+from cfpilot.airframe import ReceivedFrame, read_frame_dump, synthesize_frame
 from cfpilot.analytics import find_crossover
 from cfpilot.channel import dbm_to_watts
-from cfpilot.estimator import estimate_trial_links
+from cfpilot.estimator import LinkEstimates, estimate_trial_links
 from cfpilot.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -28,6 +29,7 @@ from cfpilot.harness import (
     FULL_SCALE_AREA_KM2,
     SIGMA_SH_DB_MAX,
     build_config,
+    config_fields,
     crosscorr_rows,
     desk_scale_overrides,
     dump_frame,
@@ -67,7 +69,7 @@ def test_config_file_roundtrip(tmp_path):
         "sweep.values = [-4, 20]\n"
         "run.trials = 2\n"
         "out.format = jsonl\n")
-    cfg = build_config(parse_config_file(path))
+    cfg = build_config(**config_fields(parse_config_file(path).items()))
     assert cfg.seed == 7
     assert cfg.tau_p == 16
     assert cfg.tau_ex == "auto_min"
@@ -103,7 +105,7 @@ def test_single_curve_shorthand():
     # curves are set by run.curves only; the old shorthand keys are unknown
     for key in ("pilot.scheme", "frame.regime"):
         with pytest.raises(ConfigError, match=key):
-            build_config({key: "dft"})
+            build_config(**config_fields([(key, "dft")]))
     assert parse_curve("sync") == ("sync", "upg")
 
 
@@ -234,7 +236,7 @@ def test_one_pool_per_sweep_trial_major(monkeypatch):
     class SpyPool(ProcessPoolExecutor):
         def map(self, fn, tasks, **kwargs):
             tasks = list(tasks)
-            maps.append(([(value, trial) for _, value, trial in tasks], kwargs))
+            maps.append(([(value, trial) for _, value, trial, _ in tasks], kwargs))
             return super().map(fn, tasks, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", SpyPool)
@@ -302,6 +304,37 @@ def test_tau_p_sweep_draws_assignment_once_per_tau_p(draws_made):
     assert draws_made() == {"net": 3, "maxmin 8": 3, "maxmin 16": 3,
                             "frame dft": 2 * 3 * 3, "frame dft_ext": 3 * 3}
     assert _live_draws() == []
+
+
+def _kept_records(draws):
+    """The frames and link estimates reachable from ``draws`` through its data."""
+    seen, stack, kept = set(), [draws], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (ReceivedFrame, LinkEstimates)):
+            kept.append(obj)
+        stack += gc.get_referents(obj)
+    return kept
+
+
+def test_one_point_sweep_keeps_no_curve_record():
+    # no later point reads the frames or estimates of a one-point sweep, so
+    # its draws keep the network and fading but drop each curve's record
+    cfg = small_cfg(sweep_values=(20.0,))
+    draws = harness.TrialDraws(cfg, 0)
+    run_trial(cfg, 20.0, 0, draws)
+    assert "channel" in vars(draws)
+    assert _kept_records(draws) == []
+    # a multi-point sweep keeps one record per curve until its last point
+    cfg = small_cfg(sweep_values=(-4.0, 20.0))
+    draws = harness.TrialDraws(cfg, 0)
+    run_trial(cfg, -4.0, 0, draws)
+    assert len([r for r in _kept_records(draws) if isinstance(r, LinkEstimates)]) == 3
+    run_trial(cfg, 20.0, 0, draws)
+    assert _kept_records(draws) == []
 
 
 def test_progress_reports_trials(capsys):
@@ -606,6 +639,19 @@ def test_largest_shadowing_deviation_gives_finite_rows():
         assert all(np.isfinite(row[col]) for col in harness.DIAG_COLUMNS[4:])
     with pytest.raises(ConfigError, match="chan.sigma_sh_db"):
         harness.validate_config(replace(cfg, sigma_sh_db=SIGMA_SH_DB_MAX + 1e-9))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the sync curve reads +240.8 dB at sigma_sh_db=154: the FOUND line on the largest "
+    "accepted shadowing deviation in CHANGES.md, ROADMAP open item 3"))
+def test_largest_shadowing_deviation_gives_meaningful_nmse():
+    # an LMMSE estimate's expected NMSE is at most 0 dB; at sigma_sh_db=60
+    # the sync row reads -9.0 dB and the other curves -0.6 to -0.8 dB, while
+    # at 154 the other curves read -0.2 to -0.3 dB
+    cfg = figure_config("fig6", desk_scale=True, trials=3, sweep_values=(20.0,),
+                        sigma_sh_db=154, seed=1)
+    for row in run_sweep(cfg).rows:
+        assert row["nmse_db_mean"] <= 3.0, row
 
 
 def test_cli_figure_fig3_exits_2(tmp_path):
