@@ -11,6 +11,13 @@ at AP r sums the rank-1 contributions of all UEs plus AWGN:
 with L = tau_p + tau_ex. Only the scale sqrt(p_ul) depends on the transmit
 power, so a frame keeps its power-free signal sum_u h_ru x_ur and noise Z_r
 and can be received again at another power (``ReceivedFrame.at_power``).
+
+The pilot rows read neither the regime nor the power, only the pilot book
+and the network. A ``BookSetup`` holds them, and every frame drawn from one
+book on one network can share it: a UPG frame transmits the shared rows as
+they are, and a UPNG frame writes its data into a copy of them. The setup
+also carries the estimator's regime-free part of those frames (MF rows,
+cross rows and cross powers), made by the first frame's estimate.
 """
 
 import struct
@@ -29,6 +36,22 @@ FRAME_MAGIC = b"ACFE"
 
 
 @dataclass
+class BookSetup:
+    """What the frames of one pilot book on one network share, whatever their regime and power.
+
+    ``rows[r]`` holds every UE's pilot row at AP r (:func:`pilot_rows`),
+    read-only, since frames share them. ``links`` is the estimator's
+    regime-free part, filled in by the first estimate of a frame that
+    carries this setup (``cfpilot.estimator.BookLinks``).
+    """
+
+    book: object
+    net: object
+    rows: list
+    links: object = None
+
+
+@dataclass
 class ReceivedFrame:
     """Per-AP received matrices plus everything needed to take them apart.
 
@@ -36,7 +59,8 @@ class ReceivedFrame:
     augmented transmit rows (U x cols) and ``noise[r]`` the AWGN draw, kept
     so MF outputs can be decomposed into desired/interference/noise parts.
     ``signal[r]`` is the noiseless unit-power sum h_r^T x_aug[r], so
-    ``y[r] = sqrt(p_ul) * signal[r] + noise[r]``.
+    ``y[r] = sqrt(p_ul) * signal[r] + noise[r]``. ``setup`` is the
+    frame's ``BookSetup``, shared with the other frames of its book.
     """
 
     y: list
@@ -48,6 +72,7 @@ class ReceivedFrame:
     book: object
     net: object
     chan: object
+    setup: BookSetup = None
 
     def at_power(self, p_ul):
         """The same draws received at transmit power ``p_ul``."""
@@ -70,7 +95,7 @@ def pilot_rows(book, net, aps):
     return [windows[ue, t_max - net.t_ur[r], :book.seq_len + int(net.t_max_r[r])] for r in aps]
 
 
-def synthesize_frame(book, net, chan, regime, p_ul, rng):
+def synthesize_frame(book, net, chan, regime, p_ul, rng, setup=None):
     """Synthesize the received pilot-phase frame at every AP.
 
     All UEs contribute (interference is not restricted to served links).
@@ -78,27 +103,40 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng):
     tail], L + t_max_r samples long; the tail is zeros under UPG and i.i.d.
     QPSK symbols (``DEFAULT_DATA_ALPHABET``) under UPNG. Noise entries are
     i.i.d. CN(0, noise_w). Per AP, ``rng`` draws the data symbols, then the
-    noise's real part, then its imaginary part.
+    noise's real part, then its imaginary part. ``setup`` is the
+    ``BookSetup`` of ``book`` on ``net`` that earlier frames made; a new
+    one is made when it is not given.
     """
     if p_ul <= 0:
         raise ValueError("p_ul must be positive")
     if book.n_ues != net.n_ues:
         raise ValueError("pilot book and network disagree on UE count")
+    if setup is None:
+        setup = BookSetup(book, net, pilot_rows(book, net, range(net.n_aps)))
+        for rows in setup.rows:
+            rows.flags.writeable = False
+    elif setup.book is not book or setup.net is not net:
+        raise ValueError("book setup of another pilot book or network")
     xs, zs, signals = [], [], []
     sigma = np.sqrt(chan.noise_w / 2.0)
-    for r, x in enumerate(pilot_rows(book, net, range(net.n_aps))):
+    m_ant = chan.m_antennas
+    for r, x in enumerate(setup.rows):
         if regime == REGIME_UPNG:
             data = np.arange(x.shape[1]) >= (net.t_ur[r] + book.seq_len)[:, None]
             if data.any():
                 idx = rng.integers(0, len(DEFAULT_DATA_ALPHABET), size=int(data.sum()))
+                x = x.copy()
                 x[data] = DEFAULT_DATA_ALPHABET[idx]
-        z = sigma * (rng.standard_normal((chan.m_antennas, x.shape[1]))
-                     + 1j * rng.standard_normal((chan.m_antennas, x.shape[1])))
+        # the real parts' draws, then the imaginary parts', in one call
+        w = rng.standard_normal((2, m_ant, x.shape[1]))
+        z = np.empty((m_ant, x.shape[1]), dtype=complex)
+        np.multiply(w[0], sigma, out=z.real)
+        np.multiply(w[1], sigma, out=z.imag)
         xs.append(x)
         zs.append(z)
         signals.append(chan.h[r].T @ x)
     return ReceivedFrame(y=None, x_aug=xs, noise=zs, signal=signals, p_ul=None, regime=regime,
-                         book=book, net=net, chan=chan).at_power(p_ul)
+                         book=book, net=net, chan=chan, setup=setup).at_power(p_ul)
 
 
 def write_frame_dump(path, y_r):

@@ -21,13 +21,15 @@ every random/DFT link and every covered extended link. Its own data samples
 (nonzero only on an uncovered extended link under UPNG) count as
 interference.
 
-Batched layout: :func:`interference_profile` takes the MF windows and cross
-rows of any number of links (leading axes) and returns one row over all UEs
-per link; the estimator passes every served link of a frame in one call.
+Batched layout: :func:`cross_powers` takes the MF windows and cross rows of
+any number of links (leading axes) and returns one row over all UEs per
+link. It reads no regime, so the estimator computes it once per pilot book
+and network; :func:`interference_profile` adds one regime's data samples
+and the gains to it, for every served link of a frame in one call.
 :func:`conjugate_bf_rate` reads the links in the estimator's (AP,
-serving-order) order: A_wu accumulates with ``np.add.at`` and B_wu as a sum
-over the link axis, both in that order, and each UE's coherent gain sums its
-serving APs in index order.
+serving-order) order: each A_wu bin sums with ``np.bincount`` and B_wu as a
+sum over the link axis, both in that order, and each UE's coherent gain
+sums its serving APs in index order.
 
 Rate bound (pinned design): downlink conjugate beamforming with channel
 hardening, equal power fractions across each AP's served UEs and full per-AP
@@ -92,11 +94,16 @@ def dft_cross_power(k, tau_p, pilot):
     broadcast. The term is pilot^2 for co-pilot pairs (k = 0 mod tau_p),
     exactly 0 on the lattice k pilot = 0 (mod tau_p) (e.g. full overlap),
     and otherwise the squared sin-ratio
-    (sin(pi k pilot / tau_p) / sin(pi k / tau_p))^2.
+    (sin(pi k pilot / tau_p) / sin(pi k / tau_p))^2, evaluated on those
+    entries only.
     """
+    k, pilot = np.broadcast_arrays(k, pilot)
     copilot = k % tau_p == 0
-    ratio = np.sin(np.pi * k * pilot / tau_p) / np.sin(np.pi * np.where(copilot, 1, k) / tau_p)
-    return np.where(copilot, pilot * pilot, np.where(k * pilot % tau_p == 0, 0.0, ratio ** 2))
+    out = np.where(copilot, pilot * pilot, 0.0)
+    rest = ~copilot & (k * pilot % tau_p != 0)
+    k, pilot = k[rest], pilot[rest]
+    out[rest] = (np.sin(np.pi * k * pilot / tau_p) / np.sin(np.pi * k / tau_p)) ** 2
+    return out
 
 
 def pilot_matrix(book, net, r):
@@ -104,27 +111,38 @@ def pilot_matrix(book, net, r):
     return pilot_rows(book, net, [r])[0]
 
 
-def interference_profile(book, net, gains, regime, mf, cross):
-    """Per-interferer contributions to the MF signal covariance diagonal.
+def cross_powers(book, mf, cross):
+    """The regime-free part of :func:`interference_profile`, at unit gain.
 
-    Returns, for each link of ``mf`` (an ``MFSequence``) whose pilot-part
-    cross row is ``cross``, an array over all UEs (last axis) of
-    beta' psi' * <expected squared MF cross term>, by the scheme rules
-    above. The target's entry holds its own data samples only.
+    For each link of ``mf`` (an ``MFSequence``) whose pilot-part cross row
+    is ``cross``, an array over all UEs (last axis) of the expected squared
+    pilot-part MF cross term by the scheme rules above: the pilot samples
+    (random), the squared sin-ratio (DFT), or the coherent/zero value of a
+    covered UE and |c|^2 otherwise (extended DFT). A covered UE has no data
+    samples in the window, so every scheme adds the data samples alike.
     """
-    tau_p = book.tau_p
+    if book.scheme == SCHEME_RANDOM:
+        return mf.pilot
     m_idx = book.assignment
     m_target = m_idx[mf.ue][..., None]
+    if book.scheme == SCHEME_DFT:
+        return dft_cross_power(m_target - m_idx, book.tau_p, mf.pilot)
+    if book.scheme == SCHEME_DFT_EXT:
+        coherent = np.where(m_idx == m_target, float(book.tau_p) ** 2, 0.0)
+        return np.where(mf.pilot == book.tau_p, coherent, np.abs(cross) ** 2)
+    raise ValueError(f"unknown pilot scheme {book.scheme!r}")
+
+
+def interference_profile(gains, regime, mf, cross_power):
+    """Per-interferer contributions to the MF signal covariance diagonal.
+
+    Returns, for each link of ``mf`` (an ``MFSequence``), an array over all
+    UEs (last axis) of beta' psi' * <expected squared MF cross term>: the
+    regime-free ``cross_power`` (:func:`cross_powers`) plus the data samples
+    the regime sends. The target's entry holds its own data samples only.
+    """
     data = mf.data * (regime == REGIME_UPNG)
-    if book.scheme == SCHEME_RANDOM:
-        factor = mf.pilot + data
-    elif book.scheme == SCHEME_DFT:
-        factor = dft_cross_power(m_target - m_idx, tau_p, mf.pilot) + data
-    elif book.scheme == SCHEME_DFT_EXT:
-        coherent = np.where(m_idx == m_target, float(tau_p) ** 2, 0.0)
-        factor = np.where(mf.pilot == tau_p, coherent, np.abs(cross) ** 2 + data)
-    else:
-        raise ValueError(f"unknown pilot scheme {book.scheme!r}")
+    factor = cross_power + data
     target = mf.ue[..., None]
     np.put_along_axis(factor, target, np.take_along_axis(data, target, axis=-1), axis=-1)
     return gains.gain[mf.ap] * factor
@@ -229,8 +247,12 @@ def conjugate_bf_rate(net, gains, links, p_dl, noise_w, m_antennas, overhead):
     eta = 1.0 / (m_antennas * gamma[ap, w] * cluster_len)
     scale = links.gain_scale[keep]
     gain = gains.gain[ap]
-    amat = np.zeros((n_ue, n_ue), dtype=complex)  # [w, u]
-    np.add.at(amat, w, (np.sqrt(eta) * scale)[:, None] * np.conj(links.cross[keep]) * gain)
+    terms = (np.sqrt(eta) * scale)[:, None] * np.conj(links.cross[keep]) * gain
+    # every [w, u] bin sums its links in link order, as np.add.at does
+    flat = (w[:, None] * n_ue + np.arange(n_ue)).ravel()
+    amat = np.empty((n_ue, n_ue), dtype=complex)  # [w, u]
+    amat.real = np.bincount(flat, terms.real.ravel(), n_ue * n_ue).reshape(n_ue, n_ue)
+    amat.imag = np.bincount(flat, terms.imag.ravel(), n_ue * n_ue).reshape(n_ue, n_ue)
     bterm = ((eta * scale**2)[:, None] * links.bleed[keep] * gain**2).sum(axis=0)
     np.fill_diagonal(amat, 0.0)
     contamination = (np.abs(amat) ** 2).sum(axis=0) + bterm

@@ -31,6 +31,15 @@ else is the frame's power-free part, which the frames of one draw at
 several powers share: ``estimate_trial_links(frame, previous)`` recomputes
 just the four power-dependent fields of ``previous``, the same draw's
 estimates at another power.
+
+Of the power-free part, the MF rows, the cross rows and their cross powers
+(:func:`cfpilot.analytics.cross_powers`) read only the pilot book and the
+network, not the regime. They are the ``BookLinks`` of the frame's book
+setup (``cfpilot.airframe.BookSetup``), made from its pilot rows by the
+first estimate of a frame that carries the setup and read by every later
+one, so a UPG and a UPNG frame of one book build them once. Per frame only
+the data and bleed counts, the target entry, the gains and the
+interference sum are computed.
 """
 
 from dataclasses import dataclass, replace
@@ -38,8 +47,44 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytics
-from .airframe import REGIME_UPNG, pilot_rows
+from .airframe import REGIME_UPNG
 from .pilots import make_mf_sequence
+
+
+@dataclass
+class BookLinks:
+    """The regime-free estimator part of a book setup, in the batched layout.
+
+    ``mf`` is the served links' ``MFSequence``, ``mf_rows[r]`` stacks AP
+    r's conjugated MF rows as (k, cols, 1), ``align`` is the conjugated
+    window phase as a column, ``cross`` the aligned cross rows
+    align * (pilot_mat @ conj(mf.row)) and ``cross_power`` the links'
+    regime-free interference factors.
+    """
+
+    mf: object
+    mf_rows: list
+    align: np.ndarray
+    cross: np.ndarray
+    cross_power: np.ndarray
+
+
+def _book_links(setup):
+    """The ``BookLinks`` of a ``BookSetup``, from its pilot rows."""
+    book, net = setup.book, setup.net
+    n_aps, k = net.serving.shape
+    ap = np.repeat(np.arange(n_aps), k)
+    mf = make_mf_sequence(book, net, ap, net.serving.ravel())
+    rows = mf.row.conj()
+    c = np.empty((ap.size, net.n_ues), dtype=complex)
+    mf_rows = []
+    for r, pilot_mat in enumerate(setup.rows):
+        mf_r = np.ascontiguousarray(rows[r * k:(r + 1) * k, :pilot_mat.shape[1], None])
+        c[r * k:(r + 1) * k] = np.matmul(pilot_mat, mf_r)[..., 0]
+        mf_rows.append(mf_r)
+    align = np.conj(mf.align_phase)[:, None]
+    return BookLinks(mf=mf, mf_rows=mf_rows, align=align, cross=align * c,
+                     cross_power=analytics.cross_powers(book, mf, c))
 
 
 @dataclass
@@ -87,27 +132,17 @@ class LinkEstimates:
 
 def _link_setup(frame):
     """The power-free fields of one frame's ``LinkEstimates``, with its ``LinkSetup``."""
-    book, net, chan = frame.book, frame.net, frame.chan
-    n_aps, k = net.serving.shape
-    ap = np.repeat(np.arange(n_aps), k)
-    ue = net.serving.ravel()
+    net, chan, setup = frame.net, frame.chan, frame.setup
+    if setup.links is None:
+        setup.links = _book_links(setup)
+    b = setup.links
+    mf = b.mf
+    ap, ue = mf.ap, mf.ue
     link = np.arange(ap.size)
-    mf = make_mf_sequence(book, net, ap, ue)
-    rows = mf.row.conj()
-    c = np.empty((ap.size, net.n_ues), dtype=complex)
-    # a UPG frame's transmit rows are its pilot rows
-    pilot_mats = (pilot_rows(book, net, range(n_aps)) if frame.regime == REGIME_UPNG
-                  else frame.x_aug)
-    mf_rows = []
-    for r in range(n_aps):
-        mf_r = np.ascontiguousarray(rows[r * k:(r + 1) * k, :pilot_mats[r].shape[1], None])
-        c[r * k:(r + 1) * k] = np.matmul(pilot_mats[r], mf_r)[..., 0]
-        mf_rows.append(mf_r)
-    prof = analytics.interference_profile(book, net, chan.gains, frame.regime, mf, c)
+    prof = analytics.interference_profile(chan.gains, frame.regime, mf, b.cross_power)
     g = chan.gains.gain[ap, ue]
     pilot = mf.pilot[link, ue]
     interference = prof.sum(axis=-1)
-    align = np.conj(mf.align_phase)[:, None]
     h = chan.h[ap, ue]
     bleed = mf.data * (frame.regime == REGIME_UPNG)
     bleed[link, ue] = 0
@@ -123,9 +158,9 @@ def _link_setup(frame):
         interference_power=m_ant * interference,
         noise_power=None,
         gain_scale=None,
-        cross=align * c,
+        cross=b.cross,
         bleed=bleed,
-        setup=LinkSetup(mf_rows=mf_rows, align=align, yh=pilot * g,
+        setup=LinkSetup(mf_rows=b.mf_rows, align=b.align, yh=pilot * g,
                         signal_var=pilot**2 * g + interference, h=h, sq_h=sq_h),
     )
 

@@ -31,7 +31,7 @@ from .channel import dbm_to_watts, draw_channels, draw_link_gains
 from .estimator import estimate_trial_links
 from .geometry import SimArea, delay_spread_min_extension, sample_topology, synchronize
 from .pilots import (ASSIGN_MAXMIN_DISTANCE, ASSIGNMENTS, SCHEMES, SCHEME_DFT, SCHEME_DFT_EXT,
-                     make_pilot_book)
+                     SCHEME_RANDOM, make_pilot_book)
 
 FULL_SCALE_AREA_KM2 = 0.7
 DESK_AREA_KM2 = 0.1
@@ -249,6 +249,18 @@ def _extension(pc, scheme):
     return pc.tau_ex if scheme == SCHEME_DFT_EXT else 0
 
 
+def _book_key(pc, ci):
+    """The key of curve ``ci``'s book setup at point ``pc``; None when its book is its own.
+
+    A random book is drawn from the curve's own stream, so it is never
+    shared. The parsed scheme names the curve network too (``sync`` runs
+    DFT pilots on the synchronized network); on one network the configured
+    extension fixes the resolved one.
+    """
+    scheme = parse_curve(pc.curves[ci])[0]
+    return None if scheme == SCHEME_RANDOM else (scheme, pc.tau_p, _extension(pc, scheme))
+
+
 class TrialDraws:
     """One trial's draws, each made on first use and kept for the sweep points that read it.
 
@@ -257,11 +269,15 @@ class TrialDraws:
     configured extension but not the power. Until the sweep's last point,
     a curve keeps one record of its last frame's signal and noise and its
     ``LinkEstimates``, received and estimated again at a later power.
+    Within a point, the curves whose pilot books read no stream share one
+    ``BookSetup`` per :func:`_book_key`, which is dropped once the last of
+    them has drawn its frame.
     """
 
     def __init__(self, cfg, trial):
         self.cfg, self.trial = cfg, trial
         self._maxmin = {}  # tau_p -> max-min pilot assignment
+        self._books = {}  # book key -> BookSetup, for a later curve of the point
         self._curves = {}  # curve index -> ((tau_p, extension), power-free frame, LinkEstimates)
 
     @cached_property
@@ -280,21 +296,32 @@ class TrialDraws:
         The curve's pilot book, UPNG data and noise come from its own
         transmit stream. ``sync`` runs on the synchronized network, which
         keeps the UE positions the assignment reads; ``auto_min`` resolves
-        to the curve network's largest in-cluster delay spread.
+        to the curve network's largest in-cluster delay spread. A book
+        setup an earlier curve of the point made for this key is reused.
         """
         net, chan = self.channel
         if pc.assignment == ASSIGN_MAXMIN_DISTANCE and pc.tau_p not in self._maxmin:
             self._maxmin[pc.tau_p] = pilots.assign_maxmin_distance(net.ue_pos, pc.tau_p)
         scheme, regime = parse_curve(pc.curves[ci])
-        tau_ex = _extension(pc, scheme)
-        if scheme == CURVE_SYNC:
-            net, scheme = synchronize(net), SCHEME_DFT
-        if tau_ex == "auto_min":
-            tau_ex = delay_spread_min_extension(net)
         tx_rng = _stream(pc.seed, self.trial, 2, ci)
-        book = make_pilot_book(scheme, pc.tau_p, tau_ex, net.n_ues, tx_rng,
-                               phase_levels=pc.phase_levels, assignment=self._maxmin.get(pc.tau_p))
-        return synthesize_frame(book, net, chan, regime, dbm_to_watts(pc.p_dbm), tx_rng)
+        key = _book_key(pc, ci)
+        setup = self._books.pop(key, None)
+        if setup is None:
+            tau_ex = _extension(pc, scheme)
+            if scheme == CURVE_SYNC:
+                net, scheme = synchronize(net), SCHEME_DFT
+            if tau_ex == "auto_min":
+                tau_ex = delay_spread_min_extension(net)
+            book = make_pilot_book(scheme, pc.tau_p, tau_ex, net.n_ues, tx_rng,
+                                   phase_levels=pc.phase_levels,
+                                   assignment=self._maxmin.get(pc.tau_p))
+        else:
+            book, net = setup.book, setup.net
+        frame = synthesize_frame(book, net, chan, regime, dbm_to_watts(pc.p_dbm), tx_rng, setup)
+        later = {_book_key(pc, cj) for cj in range(ci + 1, len(pc.curves))}
+        if key is not None and key in later:
+            self._books[key] = frame.setup
+        return frame
 
     def estimate(self, pc, ci):
         """Curve ``ci``'s frame at point ``pc``, less ``y`` and ``x_aug``, and its links."""
@@ -304,7 +331,8 @@ class TrialDraws:
             frame = links = None  # a stale record is freed before drawing
         frame = self.frame(pc, ci) if frame is None else frame.at_power(dbm_to_watts(pc.p_dbm))
         links = estimate_trial_links(frame, links)
-        frame = replace(frame, y=None, x_aug=None)  # so no caller holds them past this curve
+        # so no caller holds them past this curve
+        frame = replace(frame, y=None, x_aug=None, setup=None)
         # a record is read only by a later point of the sweep
         if getattr(pc, pc.sweep_variable) != pc.sweep_values[-1]:
             self._curves[ci] = (key, frame, links)

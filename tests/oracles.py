@@ -15,6 +15,10 @@
   ``assign_maxmin_loop``: the per-link, per-UE and per-pair loops that the
   batched ``estimate_trial_links``, ``conjugate_bf_rate`` and
   ``assign_maxmin_distance`` replaced, kept as their references.
+* ``dft_cross_power_where`` and ``conjugate_bf_rate_add_at``: the earlier
+  forms of ``dft_cross_power`` (the sin-ratio on every entry, then masked)
+  and ``conjugate_bf_rate`` (A_wu accumulated with ``np.add.at``), which
+  the library must match bit for bit.
 """
 
 from collections import namedtuple
@@ -23,7 +27,7 @@ import numpy as np
 
 from cfpilot import analytics
 from cfpilot.airframe import DEFAULT_DATA_ALPHABET, REGIME_UPNG, REGIMES, synthesize_frame
-from cfpilot.analytics import RateReport, interference_profile, pilot_matrix
+from cfpilot.analytics import RateReport, cross_powers, interference_profile, pilot_matrix
 from cfpilot.channel import draw_channels, sample_fading
 from cfpilot.estimator import LinkEstimates, estimate_trial_links
 from cfpilot.pilots import SCHEME_DFT_EXT, SCHEME_RANDOM, dft_sequence, make_mf_sequence
@@ -52,8 +56,8 @@ def link_covariances(book, net, gains, regime, noise_w, p_ul, m_antennas=4):
 def link_profile(book, net, gains, regime, r, u):
     """``interference_profile`` of link (r, u), with its MF window and cross row."""
     mf = make_mf_sequence(book, net, r, u)
-    return interference_profile(book, net, gains, regime, mf,
-                                pilot_matrix(book, net, r) @ mf.row.conj())
+    cross = pilot_matrix(book, net, r) @ mf.row.conj()
+    return interference_profile(gains, regime, mf, cross_powers(book, mf, cross))
 
 
 def uncontaminated_links(net, gamma):
@@ -194,7 +198,8 @@ def estimate_links_loop(frame):
             row = mf.row.conj()
             y = y_r @ row / sqrt_p
             c = pilot_mat @ row
-            prof = analytics.interference_profile(book, net, chan.gains, frame.regime, mf, c)
+            prof = analytics.interference_profile(chan.gains, frame.regime, mf,
+                                                  analytics.cross_powers(book, mf, c))
             g = chan.gains.gain[r, u]
             pilot = mf.pilot[u]
             yh = pilot * g
@@ -279,3 +284,37 @@ def assign_maxmin_loop(ue_positions, tau_p):
         assignment[u] = best_m
         members[best_m].append(u)
     return assignment
+
+
+def dft_cross_power_where(k, tau_p, pilot):
+    """``dft_cross_power`` with the sin-ratio evaluated on every entry, then masked."""
+    copilot = k % tau_p == 0
+    ratio = np.sin(np.pi * k * pilot / tau_p) / np.sin(np.pi * np.where(copilot, 1, k) / tau_p)
+    return np.where(copilot, pilot * pilot, np.where(k * pilot % tau_p == 0, 0.0, ratio ** 2))
+
+
+def conjugate_bf_rate_add_at(net, gains, links, p_dl, noise_w, m_antennas, overhead):
+    """``conjugate_bf_rate`` with A_wu accumulated by ``np.add.at`` on the complex matrix."""
+    n_ue = net.n_ues
+    gamma = links.gamma
+    cluster_len = float(net.serving.shape[1])
+    keep = gamma[links.ap, links.ue] > 0
+    ap, w = links.ap[keep], links.ue[keep]
+    eta = 1.0 / (m_antennas * gamma[ap, w] * cluster_len)
+    scale = links.gain_scale[keep]
+    gain = gains.gain[ap]
+    amat = np.zeros((n_ue, n_ue), dtype=complex)  # [w, u]
+    np.add.at(amat, w, (np.sqrt(eta) * scale)[:, None] * np.conj(links.cross[keep]) * gain)
+    bterm = ((eta * scale**2)[:, None] * links.bleed[keep] * gain**2).sum(axis=0)
+    np.fill_diagonal(amat, 0.0)
+    contamination = (np.abs(amat) ** 2).sum(axis=0) + bterm
+    served = np.zeros(n_ue, dtype=bool)
+    served[net.serving] = True
+    coherent = np.sqrt(gamma / cluster_len).sum(axis=0)[served]
+    den = (p_dl * gains.gain.sum(axis=0)[served] + noise_w
+           + p_dl * m_antennas**2 * contamination[served])
+    sinr = np.zeros(n_ue)
+    se = np.zeros(n_ue)
+    sinr[served] = p_dl * m_antennas * coherent**2 / den
+    se[served] = overhead * np.log2(1.0 + sinr[served])
+    return RateReport(se_per_ue=se, sinr_per_ue=sinr)

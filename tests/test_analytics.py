@@ -4,7 +4,9 @@ from downlink_oracle import batch_stderr, downlink_oracle, frozen_curve
 from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import (
+    conjugate_bf_rate_add_at,
     conjugate_bf_rate_loop,
+    dft_cross_power_where,
     empirical_covariance_oracle,
     link_covariances,
     link_profile,
@@ -14,6 +16,7 @@ from oracles import (
 from cfpilot.airframe import REGIME_UPG, REGIME_UPNG, synthesize_frame
 from cfpilot.analytics import (
     conjugate_bf_rate,
+    cross_powers,
     crosscorr_comparison,
     dft_cross_power,
     find_crossover,
@@ -121,6 +124,33 @@ def test_dft_interference_power_random_grid_vs_bruteforce():
         assert closed == pytest.approx(brute, rel=1e-9, abs=1e-9)
 
 
+def test_dft_cross_power_equals_masked_form():
+    # the sin-ratio only off the co-pilot pairs and the lattice k pilot = 0
+    # (mod tau_p) rounds as the form that evaluates it everywhere, then masks
+    for tau_p in (1, 2, 3, 7, 8, 16, 32):
+        k = np.arange(-2 * tau_p, 2 * tau_p + 1)[:, None]
+        pilot = np.arange(tau_p + 1)[None, :]  # pilot = 0 and full overlap included
+        got, want = dft_cross_power(k, tau_p, pilot), dft_cross_power_where(k, tau_p, pilot)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(dft_cross_power(3, tau_p, 5), dft_cross_power_where(3, tau_p, 5))
+
+
+@pytest.mark.parametrize("fig,desk", [("fig6", True), ("fig7", True), ("fig6", False),
+                                      ("fig7", False)])
+def test_rate_bound_equals_add_at_form(fig, desk):
+    # the real and imaginary bincounts sum each A_wu bin in link order, as
+    # np.add.at on the complex matrix does
+    cfg = figure_config(fig, desk_scale=desk, trials=2, seed=3)
+    for trial in range(2 if desk else 1):
+        for _, frame in trial_frames(cfg, cfg.sweep_values[-1], trial):
+            links = estimate_trial_links(frame)
+            args = (frame.net, frame.chan.gains, links, frame.p_ul, cfg.noise_w,
+                    cfg.antennas, 0.8)
+            got, want = conjugate_bf_rate(*args), conjugate_bf_rate_add_at(*args)
+            assert np.array_equal(got.sinr_per_ue, want.sinr_per_ue)
+            assert np.array_equal(got.se_per_ue, want.se_per_ue)
+
+
 def test_interference_profile_matches_scalar_ops():
     delays = [3, 0, 9, 40]
     net = toy_net(delays, cluster_size=4)
@@ -167,7 +197,7 @@ def test_dft_profile_is_cross_row_power(aps, ues, cluster, tau_p, tau_ex, scheme
             data = mf.data * (regime == REGIME_UPNG)
             want = gains.gain[r] * (np.abs(cross) ** 2 + data)
             want[u] = gains.gain[r, u] * data[u]
-            got = interference_profile(book, net, gains, regime, mf, cross)
+            got = interference_profile(gains, regime, mf, cross_powers(book, mf, cross))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * tau_p**2)
     rng = np.random.default_rng(1)
     chan = draw_channels(net, gains, 2, rng, 1e-3)

@@ -16,8 +16,8 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from cfpilot import cli, harness
-from cfpilot.airframe import ReceivedFrame, read_frame_dump, synthesize_frame
+from cfpilot import airframe, cli, estimator, harness
+from cfpilot.airframe import BookSetup, ReceivedFrame, read_frame_dump, synthesize_frame
 from cfpilot.analytics import find_crossover
 from cfpilot.channel import dbm_to_watts
 from cfpilot.estimator import LinkEstimates, estimate_trial_links
@@ -307,14 +307,14 @@ def test_tau_p_sweep_draws_assignment_once_per_tau_p(draws_made):
 
 
 def _kept_records(draws):
-    """The frames and link estimates reachable from ``draws`` through its data."""
+    """The frames, link estimates and book setups reachable from ``draws`` through its data."""
     seen, stack, kept = set(), [draws], []
     while stack:
         obj = stack.pop()
         if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
             continue
         seen.add(id(obj))
-        if isinstance(obj, (ReceivedFrame, LinkEstimates)):
+        if isinstance(obj, (ReceivedFrame, LinkEstimates, BookSetup)):
             kept.append(obj)
         stack += gc.get_referents(obj)
     return kept
@@ -322,19 +322,76 @@ def _kept_records(draws):
 
 def test_one_point_sweep_keeps_no_curve_record():
     # no later point reads the frames or estimates of a one-point sweep, so
-    # its draws keep the network and fading but drop each curve's record
-    cfg = small_cfg(sweep_values=(20.0,))
+    # its draws keep the network and fading but drop each curve's record;
+    # dft:upg and dft:upng share a book setup, which no later point reads
+    curves = ("dft:upg", "dft:upng", "sync")
+    cfg = small_cfg(sweep_values=(20.0,), curves=curves)
     draws = harness.TrialDraws(cfg, 0)
     run_trial(cfg, 20.0, 0, draws)
     assert "channel" in vars(draws)
     assert _kept_records(draws) == []
-    # a multi-point sweep keeps one record per curve until its last point
-    cfg = small_cfg(sweep_values=(-4.0, 20.0))
+    # a multi-point sweep keeps one record per curve until its last point,
+    # and still no book setup
+    cfg = small_cfg(sweep_values=(-4.0, 20.0), curves=curves)
     draws = harness.TrialDraws(cfg, 0)
     run_trial(cfg, -4.0, 0, draws)
-    assert len([r for r in _kept_records(draws) if isinstance(r, LinkEstimates)]) == 3
+    kept = _kept_records(draws)
+    assert len([r for r in kept if isinstance(r, LinkEstimates)]) == 3
+    assert not any(isinstance(r, BookSetup) for r in kept)
     run_trial(cfg, 20.0, 0, draws)
     assert _kept_records(draws) == []
+
+
+def _unshared(cfg, curve):
+    """``cfg`` with every curve but ``curve`` whose book could be shared swapped to
+    random:upg: no book setup is shared, and every curve keeps its stream index."""
+    return replace(cfg, curves=tuple(c if c == curve or parse_curve(c)[0] == "random"
+                                     else "random:upg" for c in cfg.curves))
+
+
+RECORD_FIELDS = ("nmse", "se", "tau_ex", "ap", "ue", "desired_power", "interference_power",
+                 "noise_power")
+
+
+@pytest.mark.parametrize("desk,curves", [
+    pytest.param(True, None, id="fig7-desk"),
+    pytest.param(False, None, id="fig7-full"),
+    # the UPNG frame makes the setup; the UPG frame must still send the pilot rows alone
+    pytest.param(True, ("dft:upng", "dft:upg", "sync"), id="upng-first-desk"),
+])
+def test_shared_book_setup_gives_unshared_records(desk, curves):
+    # dft:upg and dft:upng share one book setup per point; every curve's
+    # record is the one it gets when no other curve shares its book
+    cfg = figure_config("fig7", desk_scale=desk, trials=1, sweep_values=(20.0,),
+                        **({"curves": curves} if curves else {}))
+    shared = run_trial(cfg, 20.0, 0).curves
+    for curve in cfg.curves:
+        alone = run_trial(_unshared(cfg, curve), 20.0, 0).curves[curve]
+        for key in RECORD_FIELDS:
+            assert np.array_equal(shared[curve][key], alone[key]), (curve, key)
+
+
+def test_fig7_trial_builds_one_setup_per_book(monkeypatch):
+    # fig7's four curves read three books: dft (upg and upng), dft_ext and
+    # dft on the synchronized network; each book's pilot rows, MF windows
+    # and pilot book are built once, and the estimator builds no pilot rows
+    calls = collections.Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(harness, "make_pilot_book")
+    count(estimator, "make_mf_sequence")
+    count(airframe, "pilot_rows")
+    cfg = figure_config("fig7", desk_scale=True, trials=1, sweep_values=(20.0,))
+    run_trial(cfg, 20.0, 0)
+    assert calls == {"make_pilot_book": 3, "make_mf_sequence": 3, "pilot_rows": 3}
 
 
 def test_progress_reports_trials(capsys):
