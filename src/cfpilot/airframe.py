@@ -85,8 +85,12 @@ def pilot_rows(book, net, aps):
     """Zero-padded pilot rows of every UE at each AP in ``aps``, one array per AP.
 
     Row u at AP r is [zeros(t_ur), pilot, zeros], L + t_max_r samples long.
+    On a delay-free network every AP's entry is the same array.
     """
     t_max = int(net.t_max_r.max())
+    if t_max == 0:
+        # a delay-free network: every AP receives the pilots as they are
+        return [book.sequences.copy()] * len(aps)
     padded = np.zeros((net.n_ues, book.seq_len + 2 * t_max), dtype=complex)
     padded[:, t_max:t_max + book.seq_len] = book.sequences
     # the row at delay t is the window of the padded pilot that starts t_max - t in
@@ -117,26 +121,30 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng, setup=None):
             rows.flags.writeable = False
     elif setup.book is not book or setup.net is not net:
         raise ValueError("book setup of another pilot book or network")
-    xs, zs, signals = [], [], []
-    sigma = np.sqrt(chan.noise_w / 2.0)
+    ys, xs, zs, signals = [], [], [], []
+    sigma, scale = np.sqrt(chan.noise_w / 2.0), np.sqrt(p_ul)
     m_ant = chan.m_antennas
+    # a UE at delay t sends t_max_r - t data samples at AP r
+    n_data = net.n_ues * net.t_max_r - net.t_ur.sum(axis=1)
     for r, x in enumerate(setup.rows):
-        if regime == REGIME_UPNG:
-            data = np.arange(x.shape[1]) >= (net.t_ur[r] + book.seq_len)[:, None]
-            if data.any():
-                idx = rng.integers(0, len(DEFAULT_DATA_ALPHABET), size=int(data.sum()))
-                x = x.copy()
-                x[data] = DEFAULT_DATA_ALPHABET[idx]
+        if regime == REGIME_UPNG and n_data[r]:
+            idx = rng.integers(0, len(DEFAULT_DATA_ALPHABET), size=int(n_data[r]))
+            x = x.copy()
+            x[np.arange(x.shape[1]) >= (net.t_ur[r] + book.seq_len)[:, None]] = \
+                DEFAULT_DATA_ALPHABET[idx]
         # the real parts' draws, then the imaginary parts', in one call
         w = rng.standard_normal((2, m_ant, x.shape[1]))
         z = np.empty((m_ant, x.shape[1]), dtype=complex)
         np.multiply(w[0], sigma, out=z.real)
         np.multiply(w[1], sigma, out=z.imag)
+        signal = chan.h[r].T @ x
+        # received as ``at_power`` does, while this AP's arrays are in cache
+        ys.append(scale * signal + z)
         xs.append(x)
         zs.append(z)
-        signals.append(chan.h[r].T @ x)
-    return ReceivedFrame(y=None, x_aug=xs, noise=zs, signal=signals, p_ul=None, regime=regime,
-                         book=book, net=net, chan=chan, setup=setup).at_power(p_ul)
+        signals.append(signal)
+    return ReceivedFrame(y=ys, x_aug=xs, noise=zs, signal=signals, p_ul=p_ul, regime=regime,
+                         book=book, net=net, chan=chan, setup=setup)
 
 
 def write_frame_dump(path, y_r):

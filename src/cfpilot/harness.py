@@ -395,21 +395,31 @@ def _run_task(task):
     return run_trial(*task)
 
 
-def _one_blas_thread():
-    """Pool initializer: run numpy's bundled OpenBLAS on one thread in this worker.
-
-    Each worker's OpenBLAS would otherwise start a thread per core, and the
-    workers' threads oversubscribe the host. Does nothing without a bundled
-    OpenBLAS.
-    """
+def _openblas(name, restype, *argtypes):
+    """numpy's bundled OpenBLAS function ``openblas_<name>``, typed; None without one."""
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
         lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                setter = getattr(lib, name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}"):
+            if hasattr(lib, symbol):
+                fn = getattr(lib, symbol)
+                fn.restype, fn.argtypes = restype, list(argtypes)
+                return fn
+    return None
+
+
+def _set_blas_threads(count):
+    """Run numpy's bundled OpenBLAS on ``count`` threads in this process; return the old count.
+
+    OpenBLAS starts a thread per core, which the per-link products are too
+    small to use and pool workers oversubscribe. Without a bundled OpenBLAS
+    this does nothing and returns None.
+    """
+    get = _openblas("get_num_threads", ctypes.c_int)
+    if get is None:
+        return None
+    previous = get()
+    _openblas("set_num_threads", None, ctypes.c_int)(count)
+    return previous
 
 
 @dataclass
@@ -445,7 +455,9 @@ def run_sweep(cfg, diag=False, progress=False):
     A task is ``(cfg, value, trial, draws)``, with one ``TrialDraws`` per
     trial; serially the tasks are made lazily, so a trial's draws end with
     it. With ``workers`` > 1 one pool runs the sweep, a trial's points in
-    one task chunk, which pickles the trial's draws once.
+    one task chunk, which pickles the trial's draws once. Serially, and in
+    each pool worker, OpenBLAS runs on one thread; the caller's own count
+    is back when the sweep returns or raises.
 
     Per-link NMSE ratios are pooled over all trials of a point and reported
     as linear mean plus 10/90 percentiles in dB; the rate column is the mean
@@ -456,12 +468,18 @@ def run_sweep(cfg, diag=False, progress=False):
     tasks = ((cfg, value, trial, draws) for trial in range(cfg.trials)
              for draws in [TrialDraws(cfg, trial)] for value in cfg.sweep_values)
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_set_blas_threads,
+                                 initargs=(1,)) as pool:
             records = pool.map(_run_task, tasks, chunksize=points)
             outputs = list(_progress(records, cfg) if progress else records)
     else:
-        records = map(_run_task, tasks)
-        outputs = list(_progress(records, cfg) if progress else records)
+        previous = _set_blas_threads(1)
+        try:
+            records = map(_run_task, tasks)
+            outputs = list(_progress(records, cfg) if progress else records)
+        finally:
+            if previous is not None:
+                _set_blas_threads(previous)
     rows, diag_rows = [], []
     for point, sweep_value in enumerate(cfg.sweep_values):
         pc = point_config(cfg, sweep_value)

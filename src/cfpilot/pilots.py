@@ -29,6 +29,7 @@ index) or adds it coherently (co-pilot). At tau_ex equal to the largest
 in-cluster delay spread (``auto_min``) every served UE is covered.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,10 +162,16 @@ def make_pilot_book(scheme, tau_p, tau_ex, ue_count, rng, phase_levels=8, assign
         return PilotBook(scheme, tau_p, tau_ex, assign, sequences,
                          phase_levels=phase_levels)
 
+    return PilotBook(scheme, tau_p, tau_ex, assign, _dft_base(tau_p, length)[assign])
+
+
+@functools.lru_cache(maxsize=64)
+def _dft_base(tau_p, length):
+    """Every DFT row of ``tau_p`` points, ``length`` samples long, read-only."""
     # an extension of tau_p or more wraps through full cyclic repeats
     base = np.exp(2j * np.pi * np.outer(np.arange(tau_p), np.arange(length)) / tau_p)
-    sequences = base[assign]
-    return PilotBook(scheme, tau_p, tau_ex, assign, sequences)
+    base.flags.writeable = False
+    return base
 
 
 def window_counts(start, tau_p, t, seq_len):

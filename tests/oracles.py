@@ -15,6 +15,10 @@
   ``assign_maxmin_loop``: the per-link, per-UE and per-pair loops that the
   batched ``estimate_trial_links``, ``conjugate_bf_rate`` and
   ``assign_maxmin_distance`` replaced, kept as their references.
+* ``synthesize_frame_loop``: ``synthesize_frame`` as it was before its
+  shared pilot rows and its closed-form UPNG data count (each AP's rows
+  built UE by UE, a data mask counted for the symbol draw), kept as its
+  bit-exact reference.
 * ``dft_cross_power_where`` and ``conjugate_bf_rate_add_at``: the earlier
   forms of ``dft_cross_power`` (the sin-ratio on every entry, then masked)
   and ``conjugate_bf_rate`` (A_wu accumulated with ``np.add.at``), which
@@ -284,6 +288,34 @@ def assign_maxmin_loop(ue_positions, tau_p):
         assignment[u] = best_m
         members[best_m].append(u)
     return assignment
+
+
+def synthesize_frame_loop(book, net, chan, regime, p_ul, rng):
+    """``synthesize_frame`` one AP at a time; returns its ``y``, ``x_aug``, ``noise``
+    and ``signal`` lists."""
+    ys, xs, zs, signals = [], [], [], []
+    sigma = np.sqrt(chan.noise_w / 2.0)
+    m_ant = chan.m_antennas
+    for r in range(net.n_aps):
+        x = np.zeros((net.n_ues, book.seq_len + int(net.t_max_r[r])), dtype=complex)
+        for u, t in enumerate(net.t_ur[r]):
+            x[u, t:t + book.seq_len] = book.sequences[u]
+        if regime == REGIME_UPNG:
+            data = np.arange(x.shape[1]) >= (net.t_ur[r] + book.seq_len)[:, None]
+            if data.any():
+                idx = rng.integers(0, len(DEFAULT_DATA_ALPHABET), size=int(data.sum()))
+                x[data] = DEFAULT_DATA_ALPHABET[idx]
+        # the real parts' draws, then the imaginary parts', in one call
+        w = rng.standard_normal((2, m_ant, x.shape[1]))
+        z = np.empty((m_ant, x.shape[1]), dtype=complex)
+        np.multiply(w[0], sigma, out=z.real)
+        np.multiply(w[1], sigma, out=z.imag)
+        signal = chan.h[r].T @ x
+        ys.append(np.sqrt(p_ul) * signal + z)
+        xs.append(x)
+        zs.append(z)
+        signals.append(signal)
+    return ys, xs, zs, signals
 
 
 def dft_cross_power_where(k, tau_p, pilot):

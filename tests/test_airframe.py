@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from oracles import synthesize_frame_loop
 
 from cfpilot.airframe import (
     REGIME_UPG,
@@ -9,7 +12,8 @@ from cfpilot.airframe import (
     write_frame_dump,
 )
 from cfpilot.channel import ChannelMatrixSet, LinkGains, draw_channels, draw_link_gains
-from cfpilot.geometry import SimArea, topology_from_positions
+from cfpilot.geometry import SimArea, delay_spread_min_extension, synchronize, topology_from_positions
+from cfpilot.harness import TrialDraws, figure_config
 from cfpilot.pilots import make_pilot_book
 
 AREA = SimArea(side_m=836.660026534076, ap_count=1, ue_mean=1.0, gamma_m=20.0,
@@ -154,3 +158,69 @@ def test_frame_dump_roundtrip(tmp_path):
         path2 = tmp_path / "bad.bin"
         path2.write_bytes(b"XXXX" + raw[4:])
         read_frame_dump(path2)
+
+
+def delayed_net(t):
+    """A network of len(t) APs and len(t[0]) UEs whose sample delays are ``t``."""
+    t = np.asarray(t, dtype=np.int64)
+    rng = np.random.default_rng(0)
+    net = topology_from_positions(AREA, rng.uniform(0, 800, (t.shape[0], 2)),
+                                  rng.uniform(0, 800, (t.shape[1], 2)), cluster_size=2)
+    return replace(net, t_ur=t, t_max_r=t.max(axis=1),
+                   t_w_r=np.take_along_axis(t, net.serving, axis=1).max(axis=1))
+
+
+@pytest.mark.parametrize("curve", ["random:upg", "random:upng", "dft:upg", "dft:upng",
+                                   "dft_ext:upg", "dft_ext:upng", "sync"])
+def test_frame_matches_per_ap_loop(curve):
+    # the frame is, bit for bit, the one of the loop that built each AP's rows
+    # and counted its data mask, drawn in the same order, at the frame's
+    # power and at another
+    net, chan = TrialDraws(figure_config("fig6", desk_scale=True), 0).channel
+    scheme, regime = ("dft", REGIME_UPG) if curve == "sync" else curve.split(":")
+    if curve == "sync":
+        net = synchronize(net)
+    tau_ex = delay_spread_min_extension(net) if scheme == "dft_ext" else 0
+    book = make_pilot_book(scheme, 8, tau_ex, net.n_ues, np.random.default_rng(3))
+    rng, rng_loop = np.random.default_rng(5), np.random.default_rng(5)
+    frame = synthesize_frame(book, net, chan, regime, 0.1, rng)
+    loop = synthesize_frame_loop(book, net, chan, regime, 0.1, rng_loop)
+    assert rng.bit_generator.state == rng_loop.bit_generator.state
+    at_power = frame.at_power(2.5)
+    loop_y = synthesize_frame_loop(book, net, chan, regime, 2.5, np.random.default_rng(5))[0]
+    for got, want in zip((frame.y, frame.x_aug, frame.noise, frame.signal, at_power.y),
+                         (*loop, loop_y)):
+        assert len(got) == len(want) == net.n_aps
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_upng_data_count_matches_mask():
+    # U t_max_r - sum_u t_ur data symbols at AP r fill the mask of samples after
+    # each pilot, on random delays and at an AP whose UEs all arrive last
+    t = np.random.default_rng(7).integers(0, 12, size=(5, 9))
+    t[2] = 6
+    net = delayed_net(t)
+    book = make_pilot_book("dft", 4, 0, 9, None)
+    frame = synthesize_frame(book, net, toy_chan(net), REGIME_UPNG, 1.0, np.random.default_rng(1))
+    for r in range(5):
+        mask = np.arange(book.seq_len + t[r].max()) >= (t[r] + book.seq_len)[:, None]
+        assert np.array_equal(frame.x_aug[r] != frame.setup.rows[r], mask)
+    # APs without data draw no symbols: UPNG draws what UPG draws
+    net = delayed_net(np.repeat(t[:, :1], 9, axis=1))
+    chan = toy_chan(net)
+    states = []
+    for regime in (REGIME_UPG, REGIME_UPNG):
+        rng = np.random.default_rng(1)
+        synthesize_frame(book, net, chan, regime, 1.0, rng)
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
+
+
+def test_delay_free_book_holds_one_read_only_row_array():
+    net = synchronize(delayed_net(np.random.default_rng(8).integers(0, 12, size=(4, 6))))
+    book = make_pilot_book("dft", 4, 0, 6, None)
+    frame = synthesize_frame(book, net, toy_chan(net), REGIME_UPG, 1.0, np.random.default_rng(2))
+    rows = frame.setup.rows
+    assert len(rows) == 4 and all(x is rows[0] for x in rows + frame.x_aug)
+    assert not rows[0].flags.writeable
+    assert np.array_equal(rows[0], book.sequences)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from downlink_oracle import batch_stderr, downlink_oracle, frozen_curve
@@ -133,6 +135,18 @@ def test_dft_cross_power_equals_masked_form():
         got, want = dft_cross_power(k, tau_p, pilot), dft_cross_power_where(k, tau_p, pilot)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(dft_cross_power(3, tau_p, 5), dft_cross_power_where(3, tau_p, 5))
+
+
+@pytest.mark.parametrize("tau_p", (1, 2, 3, 7, 8, 16, 32))
+def test_dft_cross_powers_equal_dft_cross_power(tau_p):
+    # a DFT book's cross powers, read from its per-tau_p table, at every
+    # index difference |k| < tau_p and pilot count 0..tau_p a link can meet
+    book = make_pilot_book("dft", tau_p, 0, tau_p, None)  # UE u holds pilot u
+    mf = SimpleNamespace(ue=np.arange(tau_p)[:, None], pilot=np.arange(tau_p + 1)[:, None])
+    got = cross_powers(book, mf, None)
+    want = dft_cross_power(np.arange(tau_p)[:, None, None] - np.arange(tau_p), tau_p, mf.pilot)
+    assert got.shape == want.shape == (tau_p, tau_p + 1, tau_p)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("fig,desk", [("fig6", True), ("fig7", True), ("fig6", False),

@@ -59,6 +59,17 @@ def test_extended_equals_cyclic_repeat():
                                        atol=1e-12)
 
 
+def test_dft_books_copy_one_read_only_base():
+    # books of one (tau_p, length) are copies of one cached base: writing to
+    # a book changes neither the base nor a later book
+    first = make_pilot_book("dft_ext", 8, 3, 5, None)
+    first.sequences[:] = 0
+    book = make_pilot_book("dft_ext", 8, 3, 5, None)
+    assert book.sequences.flags.writeable and not np.shares_memory(book.sequences, first.sequences)
+    np.testing.assert_allclose(book.sequences, [dft_sequence(m, 8, 11) for m in range(5)],
+                               atol=1e-12)
+
+
 def test_random_book_quantized_phases():
     book = make_pilot_book("random", 16, 0, 40, np.random.default_rng(1), phase_levels=4)
     alphabet = np.array([1, 1j, -1, -1j])
