@@ -24,9 +24,7 @@ so AP r owns rows r*k ... r*k + k - 1 of every per-link array. The MF rows,
 window counts and interference profiles of all links come from one call
 each. Only the two products with AP r's frame and pilot rows run per AP, as
 stacked matrix-vector products: one GEMV per link, which rounds exactly like
-``y_r @ row``; a single ``Y_r @ MF^H`` GEMM rounds differently. On a
-delay-free network every AP has the same pilot rows and every link of a UE
-the same MF row, so the cross rows take one GEMV per UE.
+``y_r @ row``; a single ``Y_r @ MF^H`` GEMM rounds differently.
 
 Only the product with the frame depends on the transmit power. Everything
 else is the frame's power-free part, which the frames of one draw at
@@ -78,16 +76,12 @@ def _book_links(setup):
     ap = np.repeat(np.arange(n_aps), k)
     mf = make_mf_sequence(book, net, ap, net.serving.ravel())
     rows = mf.row.conj()
-    mf_rows = [rows[r * k:(r + 1) * k, :pilot_mat.shape[1], None]
-               for r, pilot_mat in enumerate(setup.rows)]
-    if net.t_max_r.any():
-        c = np.empty((ap.size, net.n_ues), dtype=complex)
-        for r, (pilot_mat, mf_r) in enumerate(zip(setup.rows, mf_rows)):
-            np.matmul(pilot_mat, mf_r, out=c[r * k:(r + 1) * k, :, None])
-    else:
-        # delay-free: every link of a UE has the same pilot rows and MF row
-        _, first, each = np.unique(mf.ue, return_index=True, return_inverse=True)
-        c = np.matmul(setup.rows[0], rows[first, :, None])[each, :, 0]
+    c = np.empty((ap.size, net.n_ues), dtype=complex)
+    mf_rows = []
+    for r, pilot_mat in enumerate(setup.rows):
+        mf_r = rows[r * k:(r + 1) * k, :pilot_mat.shape[1], None]
+        np.matmul(pilot_mat, mf_r, out=c[r * k:(r + 1) * k, :, None])
+        mf_rows.append(mf_r)
     align = np.conj(mf.align_phase)[:, None]
     return BookLinks(mf=mf, mf_rows=mf_rows, align=align, cross=align * c,
                      cross_power=analytics.cross_powers(book, mf, c))

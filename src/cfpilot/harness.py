@@ -21,7 +21,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -395,8 +395,10 @@ def _run_task(task):
     return run_trial(*task)
 
 
+@cache
 def _openblas(name, restype, *argtypes):
-    """numpy's bundled OpenBLAS function ``openblas_<name>``, typed; None without one."""
+    """numpy's bundled OpenBLAS function ``openblas_<name>``, typed and looked up once
+    per process; None without a bundled OpenBLAS."""
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
         lib = ctypes.CDLL(path)
         for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}"):
