@@ -81,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airframe import REGIME_UPG, REGIME_UPNG, pilot_rows
+from .airframe import REGIME_UPG, REGIME_UPNG, book_setup
 from .pilots import SCHEME_DFT, SCHEME_DFT_EXT, SCHEME_RANDOM, window_counts
 
 NMSE_LINEAR_FLOOR = 1e-15
@@ -118,8 +118,8 @@ def _dft_cross_table(tau_p):
 
 
 def pilot_matrix(book, net, r):
-    """Zero-padded pilot-only rows of every UE at AP r (no data tail)."""
-    return pilot_rows(book, net, [r])[0]
+    """Zero-padded pilot-only rows of every UE at AP r (no data tail), as ``BookSetup.row``."""
+    return book_setup(book, net).row(r)
 
 
 def cross_powers(book, mf, cross):
@@ -238,8 +238,8 @@ class RateReport:
 
 
 def overhead_factor(tau_c, tau_p, tau_ex):
-    """Fraction of the coherence block left after pilots, clipped to [0, 1]."""
-    return float(np.clip((tau_c - tau_p - tau_ex) / tau_c, 0.0, 1.0))
+    """Fraction of the coherence block left after pilots, clipped to [0, 1] in plain floats."""
+    return float(min(max((tau_c - tau_p - tau_ex) / tau_c, 0.0), 1.0))
 
 
 def conjugate_bf_rate(net, gains, links, p_dl, noise_w, m_antennas, overhead):

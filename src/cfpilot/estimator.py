@@ -34,12 +34,11 @@ estimates at another power.
 
 Of the power-free part, the MF rows, the cross rows and their cross powers
 (:func:`cfpilot.analytics.cross_powers`) read only the pilot book and the
-network, not the regime. They are the ``BookLinks`` of the frame's book
-setup (``cfpilot.airframe.BookSetup``), made from its pilot rows by the
-first estimate of a frame that carries the setup and read by every later
-one, so a UPG and a UPNG frame of one book build them once. Per frame only
-the data and bleed counts, the target entry, the gains and the
-interference sum are computed.
+network, not the regime. They are the ``BookLinks`` of the frame's book setup
+(``cfpilot.airframe.BookSetup``), made from its pilot rows, one AP's at a
+time, by the first estimate of a frame that carries it; a UPG and a UPNG
+frame of one book build them once. Per frame only the data and bleed counts,
+the target entry, the gains and the interference sum are computed.
 """
 
 from dataclasses import dataclass, replace
@@ -70,7 +69,7 @@ class BookLinks:
 
 
 def _book_links(setup):
-    """The ``BookLinks`` of a ``BookSetup``, from its pilot rows."""
+    """The ``BookLinks`` of a ``BookSetup``, from each AP's pilot rows in turn."""
     book, net = setup.book, setup.net
     n_aps, k = net.serving.shape
     ap = np.repeat(np.arange(n_aps), k)
@@ -78,7 +77,7 @@ def _book_links(setup):
     rows = mf.row.conj()
     c = np.empty((ap.size, net.n_ues), dtype=complex)
     mf_rows = []
-    for r, pilot_mat in enumerate(setup.rows):
+    for r, pilot_mat in enumerate(map(setup.row, range(n_aps))):
         mf_r = rows[r * k:(r + 1) * k, :pilot_mat.shape[1], None]
         np.matmul(pilot_mat, mf_r, out=c[r * k:(r + 1) * k, :, None])
         mf_rows.append(mf_r)

@@ -324,7 +324,7 @@ class TrialDraws:
         return frame
 
     def estimate(self, pc, ci):
-        """Curve ``ci``'s frame at point ``pc``, less ``y`` and ``x_aug``, and its links."""
+        """Curve ``ci``'s frame at point ``pc``, less ``y`` and ``setup``, and its links."""
         key = (pc.tau_p, _extension(pc, parse_curve(pc.curves[ci])[0]))
         kept_key, frame, links = self._curves.pop(ci, (None, None, None))
         if kept_key != key:
@@ -332,7 +332,7 @@ class TrialDraws:
         frame = self.frame(pc, ci) if frame is None else frame.at_power(dbm_to_watts(pc.p_dbm))
         links = estimate_trial_links(frame, links)
         # so no caller holds them past this curve
-        frame = replace(frame, y=None, x_aug=None, setup=None)
+        frame = replace(frame, y=None, setup=None)
         # a record is read only by a later point of the sweep
         if getattr(pc, pc.sweep_variable) != pc.sweep_values[-1]:
             self._curves[ci] = (key, frame, links)

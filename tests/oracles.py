@@ -290,16 +290,22 @@ def assign_maxmin_loop(ue_positions, tau_p):
     return assignment
 
 
+def pilot_rows_loop(book, net, r):
+    """AP r's zero-padded pilot rows (``BookSetup.row``), filled one UE at a time."""
+    x = np.zeros((net.n_ues, book.seq_len + int(net.t_max_r[r])), dtype=complex)
+    for u, t in enumerate(net.t_ur[r]):
+        x[u, t:t + book.seq_len] = book.sequences[u]
+    return x
+
+
 def synthesize_frame_loop(book, net, chan, regime, p_ul, rng):
-    """``synthesize_frame`` one AP at a time; returns its ``y``, ``x_aug``, ``noise``
-    and ``signal`` lists."""
+    """``synthesize_frame`` one AP at a time; returns its ``y``, transmitted rows,
+    ``noise`` and ``signal`` lists."""
     ys, xs, zs, signals = [], [], [], []
     sigma = np.sqrt(chan.noise_w / 2.0)
     m_ant = chan.m_antennas
     for r in range(net.n_aps):
-        x = np.zeros((net.n_ues, book.seq_len + int(net.t_max_r[r])), dtype=complex)
-        for u, t in enumerate(net.t_ur[r]):
-            x[u, t:t + book.seq_len] = book.sequences[u]
+        x = pilot_rows_loop(book, net, r)
         if regime == REGIME_UPNG:
             data = np.arange(x.shape[1]) >= (net.t_ur[r] + book.seq_len)[:, None]
             if data.any():

@@ -1,20 +1,23 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import synthesize_frame_loop
+from oracles import pilot_rows_loop, synthesize_frame_loop
 
 from cfpilot.airframe import (
     REGIME_UPG,
     REGIME_UPNG,
+    book_setup,
     read_frame_dump,
     synthesize_frame,
     write_frame_dump,
 )
+from cfpilot.analytics import pilot_matrix
 from cfpilot.channel import ChannelMatrixSet, LinkGains, draw_channels, draw_link_gains
 from cfpilot.geometry import SimArea, delay_spread_min_extension, synchronize, topology_from_positions
 from cfpilot.harness import TrialDraws, figure_config
-from cfpilot.pilots import make_pilot_book
+from cfpilot.pilots import assign_maxmin_distance, make_pilot_book
 
 AREA = SimArea(side_m=836.660026534076, ap_count=1, ue_mean=1.0, gamma_m=20.0,
                tau_smp_s=50e-9)
@@ -38,12 +41,18 @@ def toy_chan(net, m=4, noise_w=0.0, rng=None, gains=None):
     return draw_channels(net, gains, m, rng, noise_w)
 
 
+def identity_chan(net, noise_w=0.0):
+    """h[r] = I with M = U, so a frame's ``signal[r]`` is AP r's transmitted rows exactly."""
+    h = np.repeat(np.eye(net.n_ues, dtype=complex)[None], net.n_aps, axis=0)
+    return ChannelMatrixSet(h=h, gains=unit_gains(net), noise_w=noise_w)
+
+
 def test_augmented_sequence_shapes():
     net = toy_net([0, 5])
     book = make_pilot_book("dft", 8, 0, 2, np.random.default_rng(0))
-    chan = toy_chan(net)
+    chan = identity_chan(net)
     rng = np.random.default_rng(1)
-    rows = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, rng).x_aug[0]
+    rows = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, rng).signal[0]
     assert rows.shape == (2, 13)
     # t_ur = t_max -> no tail
     row_late = rows[1]
@@ -54,7 +63,7 @@ def test_augmented_sequence_shapes():
     np.testing.assert_allclose(row_early[:8], book.sequences[0], atol=1e-12)
     np.testing.assert_allclose(row_early[8:], 0)
     # UPNG tail is unit magnitude; the latest UE has none
-    rows_upng = synthesize_frame(book, net, chan, REGIME_UPNG, 1.0, rng).x_aug[0]
+    rows_upng = synthesize_frame(book, net, chan, REGIME_UPNG, 1.0, rng).signal[0]
     np.testing.assert_allclose(np.abs(rows_upng[0, 8:]), 1.0, atol=1e-12)
     np.testing.assert_allclose(rows_upng[1], row_late)
 
@@ -77,7 +86,7 @@ def test_frame_linearity():
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, np.random.default_rng(3))
     rebuilt = frame.noise[0].copy()
     for u in range(3):
-        rebuilt += np.outer(chan.h[0, u], frame.x_aug[0][u])
+        rebuilt += np.outer(chan.h[0, u], pilot_matrix(book, net, 0)[u])
     np.testing.assert_allclose(frame.y[0], rebuilt, rtol=1e-12, atol=1e-15)
 
 
@@ -175,7 +184,7 @@ def delayed_net(t):
 def test_frame_matches_per_ap_loop(curve):
     # the frame is, bit for bit, the one of the loop that built each AP's rows
     # and counted its data mask, drawn in the same order, at the frame's
-    # power and at another
+    # power and at another; through h[r] = I its signal is the loop's rows
     net, chan = TrialDraws(figure_config("fig6", desk_scale=True), 0).channel
     scheme, regime = ("dft", REGIME_UPG) if curve == "sync" else curve.split(":")
     if curve == "sync":
@@ -188,8 +197,12 @@ def test_frame_matches_per_ap_loop(curve):
     assert rng.bit_generator.state == rng_loop.bit_generator.state
     at_power = frame.at_power(2.5)
     loop_y = synthesize_frame_loop(book, net, chan, regime, 2.5, np.random.default_rng(5))[0]
-    for got, want in zip((frame.y, frame.x_aug, frame.noise, frame.signal, at_power.y),
-                         (*loop, loop_y)):
+    sent = synthesize_frame(book, net, identity_chan(net), regime, 0.1,
+                            np.random.default_rng(5)).signal
+    loop_rows = synthesize_frame_loop(book, net, identity_chan(net), regime, 0.1,
+                                      np.random.default_rng(5))[1]
+    for got, want in zip((frame.y, frame.noise, frame.signal, at_power.y, sent),
+                         (loop[0], loop[2], loop[3], loop_y, loop_rows)):
         assert len(got) == len(want) == net.n_aps
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -201,10 +214,11 @@ def test_upng_data_count_matches_mask():
     t[2] = 6
     net = delayed_net(t)
     book = make_pilot_book("dft", 4, 0, 9, None)
-    frame = synthesize_frame(book, net, toy_chan(net), REGIME_UPNG, 1.0, np.random.default_rng(1))
+    frame = synthesize_frame(book, net, identity_chan(net), REGIME_UPNG, 1.0,
+                             np.random.default_rng(1))
     for r in range(5):
         mask = np.arange(book.seq_len + t[r].max()) >= (t[r] + book.seq_len)[:, None]
-        assert np.array_equal(frame.x_aug[r] != frame.setup.rows[r], mask)
+        assert np.array_equal(frame.signal[r] != frame.setup.row(r), mask)
     # APs without data draw no symbols: UPNG draws what UPG draws
     net = delayed_net(np.repeat(t[:, :1], 9, axis=1))
     chan = toy_chan(net)
@@ -217,10 +231,71 @@ def test_upng_data_count_matches_mask():
 
 
 def test_delay_free_book_holds_one_read_only_row_array():
+    # a UPNG frame sends no data on a delay-free network, so it writes
+    # nothing into the shared rows it transmits
     net = synchronize(delayed_net(np.random.default_rng(8).integers(0, 12, size=(4, 6))))
     book = make_pilot_book("dft", 4, 0, 6, None)
-    frame = synthesize_frame(book, net, toy_chan(net), REGIME_UPG, 1.0, np.random.default_rng(2))
-    rows = frame.setup.rows
-    assert len(rows) == 4 and all(x is rows[0] for x in rows + frame.x_aug)
+    frame = synthesize_frame(book, net, identity_chan(net), REGIME_UPNG, 1.0,
+                             np.random.default_rng(2))
+    rows = [frame.setup.row(r) for r in range(4)]
+    assert all(x is rows[0] for x in rows)
     assert not rows[0].flags.writeable
     assert np.array_equal(rows[0], book.sequences)
+    assert all(np.array_equal(x, book.sequences) for x in frame.signal)
+
+
+@pytest.mark.parametrize("delay_free", [False, True])
+def test_book_setup_rows_match_zero_padded_oracle(delay_free):
+    net = delayed_net(np.random.default_rng(9).integers(0, 12, size=(5, 7)))
+    net = synchronize(net) if delay_free else net
+    book = make_pilot_book("dft_ext", 4, 3, 7, None)
+    setup = book_setup(book, net)
+    for r in range(5):
+        assert np.array_equal(setup.row(r), pilot_rows_loop(book, net, r))
+        assert np.array_equal(pilot_matrix(book, net, r), pilot_rows_loop(book, net, r))
+
+
+def test_delayed_rows_are_new_writable_arrays():
+    net = delayed_net(np.random.default_rng(10).integers(0, 12, size=(3, 6)))
+    book = make_pilot_book("dft", 4, 0, 6, None)
+    setup = book_setup(book, net)
+    for r in range(3):
+        a, b = setup.row(r), setup.row(r)
+        assert a.flags.writeable and b.flags.writeable
+        assert not np.shares_memory(a, b) and not np.shares_memory(a, setup.windows)
+        a[:] = 7.0
+        assert np.array_equal(setup.row(r), pilot_rows_loop(book, net, r))
+
+
+def test_upg_frame_after_upng_matches_fresh_setup():
+    # the UPNG data written into a gathered row does not reach a later frame
+    net, chan = TrialDraws(figure_config("fig6", desk_scale=True), 0).channel
+    book = make_pilot_book("dft", 8, 0, net.n_ues, None)
+    assert net.t_max_r.max() > 0
+    upng = synthesize_frame(book, net, chan, REGIME_UPNG, 0.1, np.random.default_rng(4))
+    after = synthesize_frame(book, net, chan, REGIME_UPG, 0.1, np.random.default_rng(6),
+                             upng.setup)
+    fresh = synthesize_frame(book, net, chan, REGIME_UPG, 0.1, np.random.default_rng(6))
+    for part in ("y", "noise", "signal"):
+        got, want = getattr(after, part), getattr(fresh, part)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), part
+
+
+def test_upng_frame_peak_memory_holds_no_rows():
+    # synthesizing a full-scale fig7 UPNG frame allocates little beyond what
+    # the frame keeps: no AP's pilot rows outlive their AP's turn, and no
+    # copy of them is kept
+    cfg = figure_config("fig7")
+    net, chan = TrialDraws(cfg, 0).channel
+    book = make_pilot_book("dft", cfg.tau_p, 0, net.n_ues, None,
+                           assignment=assign_maxmin_distance(net.ue_pos, cfg.tau_p))
+    row_bytes = 16 * net.n_ues * int((book.seq_len + net.t_max_r).sum())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        frame = synthesize_frame(book, net, chan, REGIME_UPNG, 0.1, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for part in (frame.y, frame.signal, frame.noise) for a in part)
+    assert peak <= kept + row_bytes / 4, (peak - kept, row_bytes)

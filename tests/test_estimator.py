@@ -8,7 +8,14 @@ from oracles import (
 )
 
 from cfpilot.airframe import REGIME_UPG, REGIME_UPNG, REGIMES, synthesize_frame
-from cfpilot.channel import LinkGains, draw_channels, draw_link_gains, sample_fading
+from cfpilot.analytics import pilot_matrix
+from cfpilot.channel import (
+    ChannelMatrixSet,
+    LinkGains,
+    draw_channels,
+    draw_link_gains,
+    sample_fading,
+)
 from cfpilot.estimator import estimate_trial_links
 from cfpilot.geometry import (
     SimArea,
@@ -35,15 +42,17 @@ def unit_gains(net, value=1.0):
     return LinkGains(beta=np.full_like(net.d_ru, value), psi=np.ones_like(net.d_ru))
 
 
-def mf_parts(frame, r, u):
+def mf_parts(frame, r, u, sent=None):
     """MF output of link (r, u) and its exact parts from the retained frame.
 
-    Returns (y, desired coefficient of h_ru, interference vector, filtered
-    noise); the parts recombine to y up to float reassociation.
+    ``sent`` is AP r's transmitted rows, the pilot rows unless given (a UPG
+    frame). Returns (y, desired coefficient of h_ru, interference vector,
+    filtered noise); the parts recombine to y up to float reassociation.
     """
     row = make_mf_sequence(frame.book, frame.net, r, u).row.conj()
     y = frame.y[r] @ row / np.sqrt(frame.p_ul)
-    coeffs = frame.x_aug[r] @ row
+    sent = pilot_matrix(frame.book, frame.net, r) if sent is None else sent
+    coeffs = sent @ row
     desired = complex(coeffs[u])
     coeffs[u] = 0.0
     return (y, desired, coeffs @ frame.chan.h[r],
@@ -78,11 +87,17 @@ def test_mf_reconstruction_identity():
     net = sample_topology(DESK, 4, rng)
     book = make_pilot_book("random", 16, 0, net.n_ues, rng)
     gains = unit_gains(net, 1e-9)
-    chan = draw_channels(net, gains, 4, rng, 1e-13)
+    chan = draw_channels(net, gains, net.n_ues, rng, 1e-13)
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
     frame = synthesize_frame(book, net, chan, REGIME_UPNG, 0.5, rng)
+    # the same draws through h[r] = I (M = U): its signal is the sent rows
+    eye = np.repeat(np.eye(net.n_ues, dtype=complex)[None], net.n_aps, axis=0)
+    sent = synthesize_frame(book, net, ChannelMatrixSet(eye, gains, 1e-13), REGIME_UPNG, 0.5,
+                            twin).signal
     for r in (0, 3):
         for u in net.serving[r][:2]:
-            y, desired, interference, noise = mf_parts(frame, r, int(u))
+            y, desired, interference, noise = mf_parts(frame, r, int(u), sent[r])
             rebuilt = desired * chan.h[r, int(u)] + interference + noise
             np.testing.assert_allclose(y, rebuilt, rtol=1e-10, atol=1e-20)
 

@@ -392,8 +392,8 @@ def test_shared_book_setup_gives_unshared_records(desk, curves):
 
 def test_fig7_trial_builds_one_setup_per_book(monkeypatch):
     # fig7's four curves read three books: dft (upg and upng), dft_ext and
-    # dft on the synchronized network; each book's pilot rows, MF windows
-    # and pilot book are built once, and the estimator builds no pilot rows
+    # dft on the synchronized network; each book's setup, MF windows and
+    # pilot book are built once, and the estimator builds no setup
     calls = collections.Counter()
 
     def count(module, name):
@@ -407,10 +407,10 @@ def test_fig7_trial_builds_one_setup_per_book(monkeypatch):
 
     count(harness, "make_pilot_book")
     count(estimator, "make_mf_sequence")
-    count(airframe, "pilot_rows")
+    count(airframe, "book_setup")
     cfg = figure_config("fig7", desk_scale=True, trials=1, sweep_values=(20.0,))
     run_trial(cfg, 20.0, 0)
-    assert calls == {"make_pilot_book": 3, "make_mf_sequence": 3, "pilot_rows": 3}
+    assert calls == {"make_pilot_book": 3, "make_mf_sequence": 3, "book_setup": 3}
 
 
 def test_progress_reports_trials(capsys):
