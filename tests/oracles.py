@@ -17,8 +17,11 @@
   ``assign_maxmin_distance`` replaced, kept as their references.
 * ``synthesize_frame_loop``: ``synthesize_frame`` as it was before its
   shared pilot rows and its closed-form UPNG data count (each AP's rows
-  built UE by UE, a data mask counted for the symbol draw), kept as its
-  bit-exact reference.
+  built UE by UE by ``pilot_rows_loop``, a data mask counted for the
+  symbol draw), kept as its bit-exact reference.
+* ``identity_channels``: h[r] = I with M = U, through which a frame's
+  ``signal[r]`` is AP r's transmitted rows exactly, since a frame keeps
+  no rows.
 * ``dft_cross_power_where`` and ``conjugate_bf_rate_add_at``: the earlier
   forms of ``dft_cross_power`` (the sin-ratio on every entry, then masked)
   and ``conjugate_bf_rate`` (A_wu accumulated with ``np.add.at``), which
@@ -32,7 +35,7 @@ import numpy as np
 from cfpilot import analytics
 from cfpilot.airframe import DEFAULT_DATA_ALPHABET, REGIME_UPNG, REGIMES, synthesize_frame
 from cfpilot.analytics import RateReport, cross_powers, interference_profile, pilot_matrix
-from cfpilot.channel import draw_channels, sample_fading
+from cfpilot.channel import ChannelMatrixSet, draw_channels, sample_fading
 from cfpilot.estimator import LinkEstimates, estimate_trial_links
 from cfpilot.pilots import SCHEME_DFT_EXT, SCHEME_RANDOM, dft_sequence, make_mf_sequence
 
@@ -288,6 +291,12 @@ def assign_maxmin_loop(ue_positions, tau_p):
         assignment[u] = best_m
         members[best_m].append(u)
     return assignment
+
+
+def identity_channels(net, gains, noise_w):
+    """Channels h[r] = I (M = U): a frame's ``signal[r]`` is then AP r's transmitted rows."""
+    h = np.repeat(np.eye(net.n_ues, dtype=complex)[None], net.n_aps, axis=0)
+    return ChannelMatrixSet(h=h, gains=gains, noise_w=noise_w)
 
 
 def pilot_rows_loop(book, net, r):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import pilot_rows_loop, synthesize_frame_loop
+from oracles import identity_channels, pilot_rows_loop, synthesize_frame_loop
 
 from cfpilot.airframe import (
     REGIME_UPG,
@@ -41,10 +41,8 @@ def toy_chan(net, m=4, noise_w=0.0, rng=None, gains=None):
     return draw_channels(net, gains, m, rng, noise_w)
 
 
-def identity_chan(net, noise_w=0.0):
-    """h[r] = I with M = U, so a frame's ``signal[r]`` is AP r's transmitted rows exactly."""
-    h = np.repeat(np.eye(net.n_ues, dtype=complex)[None], net.n_aps, axis=0)
-    return ChannelMatrixSet(h=h, gains=unit_gains(net), noise_w=noise_w)
+def identity_chan(net):
+    return identity_channels(net, unit_gains(net), 0.0)
 
 
 def test_augmented_sequence_shapes():

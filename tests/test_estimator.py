@@ -3,19 +3,14 @@ import pytest
 from oracles import (
     empirical_covariance_oracle,
     estimate_links_loop,
+    identity_channels,
     link_covariances,
     link_profile,
 )
 
 from cfpilot.airframe import REGIME_UPG, REGIME_UPNG, REGIMES, synthesize_frame
 from cfpilot.analytics import pilot_matrix
-from cfpilot.channel import (
-    ChannelMatrixSet,
-    LinkGains,
-    draw_channels,
-    draw_link_gains,
-    sample_fading,
-)
+from cfpilot.channel import LinkGains, draw_channels, draw_link_gains, sample_fading
 from cfpilot.estimator import estimate_trial_links
 from cfpilot.geometry import (
     SimArea,
@@ -92,8 +87,7 @@ def test_mf_reconstruction_identity():
     twin.bit_generator.state = rng.bit_generator.state
     frame = synthesize_frame(book, net, chan, REGIME_UPNG, 0.5, rng)
     # the same draws through h[r] = I (M = U): its signal is the sent rows
-    eye = np.repeat(np.eye(net.n_ues, dtype=complex)[None], net.n_aps, axis=0)
-    sent = synthesize_frame(book, net, ChannelMatrixSet(eye, gains, 1e-13), REGIME_UPNG, 0.5,
+    sent = synthesize_frame(book, net, identity_channels(net, gains, 1e-13), REGIME_UPNG, 0.5,
                             twin).signal
     for r in (0, 3):
         for u in net.serving[r][:2]:
