@@ -167,10 +167,14 @@ def write_frame_dump(path, y_r):
 
 
 def read_frame_dump(path):
+    """One AP's frame from a ``write_frame_dump`` file; ValueError if the file is malformed."""
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        magic, m, cols = struct.unpack("<4sII4x", header)
-        if magic != FRAME_MAGIC:
-            raise ValueError("not a frame dump (bad magic)")
-        data = np.frombuffer(fh.read(), dtype=np.complex64)
-    return data.reshape(m, cols)
+        raw = fh.read()
+    if len(raw) < 16:
+        raise ValueError(f"{path}: expected at least 16 header bytes, got {len(raw)}")
+    magic, m, cols = struct.unpack_from("<4sII4x", raw)
+    if magic != FRAME_MAGIC:
+        raise ValueError(f"{path}: not a frame dump (bad magic)")
+    if len(raw) != 16 + 8 * m * cols:
+        raise ValueError(f"{path}: expected {16 + 8 * m * cols} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype=np.complex64, offset=16).reshape(m, cols)

@@ -202,6 +202,10 @@ def validate_config(cfg):
         raise ConfigError("sweep.values: need at least one value")
     if not cfg.curves:
         raise ConfigError("run.curves: need at least one curve")
+    # a trial's results are keyed by curve name, so a repeat would overwrite the first
+    repeated = [c for i, c in enumerate(cfg.curves) if c in cfg.curves[:i]]
+    if repeated:
+        raise ConfigError(f"run.curves: curve {repeated[0]!r} is repeated")
     if cfg.sweep_variable in ("tau_p", "tau_ex"):
         low = int(cfg.sweep_variable == "tau_p")
         if any(v < low or not float(v).is_integer() for v in cfg.sweep_values):
@@ -339,13 +343,6 @@ class TrialDraws:
         return frame, links
 
 
-def trial_frames(cfg, sweep_value, trial):
-    """Yield (curve, ReceivedFrame) for every curve of one trial, drawn as in ``run_trial``."""
-    draws, pc = TrialDraws(cfg, trial), point_config(cfg, sweep_value)
-    for ci, curve in enumerate(cfg.curves):
-        yield curve, draws.frame(pc, ci)
-
-
 @dataclass
 class TrialRecord:
     """Per-trial results for every configured curve, keyed by curve name.
@@ -377,16 +374,8 @@ def run_trial(cfg, sweep_value, trial, draws=None):
         rate = analytics.conjugate_bf_rate(frame.net, frame.chan.gains, links,
                                            p_dl=frame.p_ul, noise_w=cfg.noise_w,
                                            m_antennas=cfg.antennas, overhead=overhead)
-        out[curve] = {
-            "nmse": links.nmse,
-            "se": rate.se_per_ue,
-            "tau_ex": book.tau_ex,
-            "ap": links.ap,
-            "ue": links.ue,
-            "desired_power": links.desired_power,
-            "interference_power": links.interference_power,
-            "noise_power": links.noise_power,
-        }
+        out[curve] = {"se": rate.se_per_ue, "tau_ex": book.tau_ex,
+                      **{name: getattr(links, name) for name in ("ap", "ue", *DIAG_COLUMNS[4:])}}
     return TrialRecord(trial=trial, sweep_value=float(sweep_value), curves=out)
 
 
@@ -624,6 +613,6 @@ def dump_frame(cfg, path, ap=0):
     """
     if not 0 <= ap < cfg.ap_count:
         raise ConfigError(f"dump-frame: AP index {ap} out of range")
-    _, frame = next(trial_frames(cfg, cfg.sweep_values[0], 0))
+    frame = TrialDraws(cfg, 0).frame(point_config(cfg, cfg.sweep_values[0]), 0)
     write_frame_dump(path, frame.y[ap])
     return frame

@@ -154,15 +154,11 @@ def make_pilot_book(scheme, tau_p, tau_ex, ue_count, rng, phase_levels=8, assign
         if assign.shape != (ue_count,):
             raise ValueError("assignment must hold one pilot index per UE")
 
-    length = tau_p + tau_ex
     if scheme == SCHEME_RANDOM:
         phases = rng.integers(0, phase_levels, size=(tau_p, tau_p))
         pool = np.exp(2j * np.pi * phases / phase_levels)
-        sequences = pool[assign]
-        return PilotBook(scheme, tau_p, tau_ex, assign, sequences,
-                         phase_levels=phase_levels)
-
-    return PilotBook(scheme, tau_p, tau_ex, assign, _dft_base(tau_p, length)[assign])
+        return PilotBook(scheme, tau_p, tau_ex, assign, pool[assign], phase_levels)
+    return PilotBook(scheme, tau_p, tau_ex, assign, _dft_base(tau_p, tau_p + tau_ex)[assign])
 
 
 @functools.lru_cache(maxsize=64)

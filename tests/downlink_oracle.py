@@ -27,11 +27,11 @@ SINR or contamination value from ``cfpilot.analytics``.
 from dataclasses import dataclass
 
 import numpy as np
+from oracles import trial_frames
 
 from cfpilot.airframe import synthesize_frame
 from cfpilot.channel import draw_channels
 from cfpilot.estimator import estimate_trial_links
-from cfpilot.harness import trial_frames
 from cfpilot.pilots import make_mf_sequence
 
 

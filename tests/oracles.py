@@ -26,6 +26,8 @@
   forms of ``dft_cross_power`` (the sin-ratio on every entry, then masked)
   and ``conjugate_bf_rate`` (A_wu accumulated with ``np.add.at``), which
   the library must match bit for bit.
+* ``trial_frames``: every curve's frame of one trial at one sweep point,
+  drawn as ``run_trial`` draws it.
 """
 
 from collections import namedtuple
@@ -37,6 +39,7 @@ from cfpilot.airframe import DEFAULT_DATA_ALPHABET, REGIME_UPNG, REGIMES, synthe
 from cfpilot.analytics import RateReport, cross_powers, interference_profile, pilot_matrix
 from cfpilot.channel import ChannelMatrixSet, draw_channels, sample_fading
 from cfpilot.estimator import LinkEstimates, estimate_trial_links
+from cfpilot.harness import TrialDraws, point_config
 from cfpilot.pilots import SCHEME_DFT_EXT, SCHEME_RANDOM, dft_sequence, make_mf_sequence
 
 CovariancePair = namedtuple("CovariancePair", ("sigma_yh", "sigma_y"))
@@ -365,3 +368,10 @@ def conjugate_bf_rate_add_at(net, gains, links, p_dl, noise_w, m_antennas, overh
     sinr[served] = p_dl * m_antennas * coherent**2 / den
     se[served] = overhead * np.log2(1.0 + sinr[served])
     return RateReport(se_per_ue=se, sinr_per_ue=sinr)
+
+
+def trial_frames(cfg, sweep_value, trial):
+    """Yield (curve, ReceivedFrame) for every curve of one trial, drawn as in ``run_trial``."""
+    draws, pc = TrialDraws(cfg, trial), point_config(cfg, sweep_value)
+    for ci, curve in enumerate(cfg.curves):
+        yield curve, draws.frame(pc, ci)

@@ -165,6 +165,12 @@ def test_frame_dump_roundtrip(tmp_path):
         path2 = tmp_path / "bad.bin"
         path2.write_bytes(b"XXXX" + raw[4:])
         read_frame_dump(path2)
+    # an empty file, a header cut short, and a body cut short or too long
+    for data, want, got in [(b"", 16, 0), (raw[:10], 16, 10), (raw[:-8], len(raw), len(raw) - 8),
+                            (raw + b"\0", len(raw), len(raw) + 1)]:
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=rf"{path.name}: expected \D*{want}\b.* {got}$"):
+            read_frame_dump(path)
 
 
 def delayed_net(t):

@@ -12,6 +12,7 @@ from oracles import (
     empirical_covariance_oracle,
     link_covariances,
     link_profile,
+    trial_frames,
     uncontaminated_links,
 )
 
@@ -30,7 +31,7 @@ from cfpilot.analytics import (
 from cfpilot.channel import LinkGains, draw_channels, sample_fading
 from cfpilot.estimator import estimate_trial_links
 from cfpilot.geometry import SimArea, topology_from_positions
-from cfpilot.harness import figure_config, run_trial, trial_frames
+from cfpilot.harness import figure_config, run_trial
 from cfpilot.pilots import make_mf_sequence, make_pilot_book, window_counts
 
 AREA = SimArea(side_m=836.660026534076, ap_count=1, ue_mean=1.0, gamma_m=20.0,

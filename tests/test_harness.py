@@ -13,6 +13,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from oracles import trial_frames
 
 from cfpilot import airframe, cli, estimator, harness
 from cfpilot.airframe import BookSetup, ReceivedFrame, read_frame_dump, synthesize_frame
@@ -36,7 +37,6 @@ from cfpilot.harness import (
     parse_curve,
     run_sweep,
     run_trial,
-    trial_frames,
     write_rows,
 )
 
@@ -632,6 +632,7 @@ INVALID_CONFIGS = _field_cases() + [
     (["chan.sigma_sh_db=nan"], "chan.sigma_sh_db"),
     (["chan.sigma_sh_db=-4"], "chan.sigma_sh_db"),
     (["run.curves=[]"], "run.curves"),  # would run every trial for a header-only file
+    (["run.curves=[dft:upg,dft:upg]"], "run.curves"),  # one row would overwrite the other
     (["run.curves=[dft_ext:upg]", "sweep.variable=tau_ex", "sweep.values=[1]",
       "pilot.tau_ex=5"], "pilot.tau_ex"),  # the sweep would replace it
 ]
