@@ -12,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
+import per_link
 import pytest
 from oracles import trial_frames
 
@@ -852,6 +853,14 @@ def test_diag_csv_matches_golden_digest(tmp_path):
     write_rows(result.diag_rows, tmp_path / "diag.csv", "csv", columns=harness.DIAG_COLUMNS)
     assert _sha256(tmp_path / "rows.csv") == GOLDEN_SHA256["sweep"]
     assert _sha256(tmp_path / "diag.csv") == _diag_sha256("diag")
+
+
+def test_per_link_reference():
+    # every link's NMSE and every UE's SE of the recorded seed-1 runs keeps
+    # the per-link rule of tests/per_link.py, under any OpenBLAS kernel
+    rows = per_link.compare(per_link.all_outputs(), per_link.load_reference())
+    broken = [row for row in rows if not row[3] <= 1]
+    assert not broken, broken
 
 
 def test_tau_p_sweep_matches_golden_digest(tmp_path):
