@@ -81,8 +81,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airframe import REGIME_UPG, REGIME_UPNG, book_setup
-from .pilots import SCHEME_DFT, SCHEME_DFT_EXT, SCHEME_RANDOM, window_counts
+from .pilots import (REGIME_UPG, REGIME_UPNG, SCHEME_DFT, SCHEME_DFT_EXT, SCHEME_RANDOM,
+                     book_setup, window_counts)
 
 NMSE_LINEAR_FLOOR = 1e-15
 

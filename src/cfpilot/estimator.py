@@ -16,29 +16,29 @@ extended scheme the known window phase (MFSequence ``align_phase``)
 de-rotates the observation first. A link's expected NMSE is
 1 - gamma / (beta psi), and its desired, interference and noise powers sum
 to M * Sigma_y. Each link's cross row pilot_mat @ conj(mf.row) is computed
-once and feeds both the covariance and the rate bound.
+once and feeds the frame, the covariance and the rate bound.
 
 Batched layout: a frame's served links are its (R, k) serving array read row
 by row, AP index ``repeat(arange(R), k)`` and UE index ``serving.ravel()``,
 so AP r owns rows r*k ... r*k + k - 1 of every per-link array. The MF rows,
 window counts and interference profiles of all links come from one call
-each. Only the two products with AP r's frame and pilot rows run per AP, as
-stacked matrix-vector products: one GEMV per link, which rounds exactly like
-``y_r @ row``; a single ``Y_r @ MF^H`` GEMM rounds differently.
+each. The frame (``cfpilot.airframe.ReceivedFrame``) is already in the MF
+domain: its per-AP signal and filtered noise give every link's observation
+as signal + noise / sqrt(p_ul), with no product over a received matrix.
 
-Only the product with the frame depends on the transmit power. Everything
-else is the frame's power-free part, which the frames of one draw at
-several powers share: ``estimate_trial_links(frame, previous)`` recomputes
-just the four power-dependent fields of ``previous``, the same draw's
-estimates at another power.
+Only that observation depends on the transmit power. Everything else is the
+frame's power-free part, which the frames of one draw at several powers
+share: ``estimate_trial_links(frame, previous)`` recomputes just the four
+power-dependent fields of ``previous``, the same draw's estimates at another
+power.
 
 Of the power-free part, the MF rows, the cross rows and their cross powers
 (:func:`cfpilot.analytics.cross_powers`) read only the pilot book and the
 network, not the regime. They are the ``BookLinks`` of the frame's book setup
-(``cfpilot.airframe.BookSetup``), made from its pilot rows, one AP's at a
-time, by the first estimate of a frame that carries it; a UPG and a UPNG
-frame of one book build them once. Per frame only the data and bleed counts,
-the target entry, the gains and the interference sum are computed.
+(``cfpilot.pilots.BookSetup``), made by :func:`book_links` from its pilot
+rows, one AP's at a time, for the first frame synthesized with it; frame
+synthesis reads the MF and cross rows too. Per frame only the data and bleed
+counts, the target entry, the gains and the interference sum are computed.
 """
 
 from dataclasses import dataclass, replace
@@ -46,29 +46,29 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytics
-from .airframe import REGIME_UPNG
-from .pilots import make_mf_sequence
+from .pilots import REGIME_UPNG, make_mf_sequence
 
 
 @dataclass
 class BookLinks:
-    """The regime-free estimator part of a book setup, in the batched layout.
+    """The regime-free matched-filter part of a book setup, in the batched layout.
 
     ``mf`` is the served links' ``MFSequence``, ``mf_rows[r]`` stacks AP
     r's conjugated MF rows as (k, cols, 1), ``align`` is the conjugated
-    window phase as a column, ``cross`` the aligned cross rows
-    align * (pilot_mat @ conj(mf.row)) and ``cross_power`` the links'
+    window phase as a column, ``c`` the cross rows pilot_mat @ conj(mf.row),
+    ``cross`` the aligned ones align * c and ``cross_power`` the links'
     regime-free interference factors.
     """
 
     mf: object
     mf_rows: list
     align: np.ndarray
+    c: np.ndarray
     cross: np.ndarray
     cross_power: np.ndarray
 
 
-def _book_links(setup):
+def book_links(setup):
     """The ``BookLinks`` of a ``BookSetup``, from each AP's pilot rows in turn."""
     book, net = setup.book, setup.net
     n_aps, k = net.serving.shape
@@ -82,7 +82,7 @@ def _book_links(setup):
         np.matmul(pilot_mat, mf_r, out=c[r * k:(r + 1) * k, :, None])
         mf_rows.append(mf_r)
     align = np.conj(mf.align_phase)[:, None]
-    return BookLinks(mf=mf, mf_rows=mf_rows, align=align, cross=align * c,
+    return BookLinks(mf=mf, mf_rows=mf_rows, align=align, c=c, cross=align * c,
                      cross_power=analytics.cross_powers(book, mf, c))
 
 
@@ -90,12 +90,10 @@ def _book_links(setup):
 class LinkSetup:
     """The power-free estimator internals of one frame that ``LinkEstimates`` does not expose.
 
-    ``mf_rows[r]`` stacks AP r's conjugated MF rows as (k, cols, 1),
     ``align`` is the conjugated window phase as a column, and the per-link
     arrays follow the batched layout above.
     """
 
-    mf_rows: list
     align: np.ndarray
     yh: np.ndarray
     signal_var: np.ndarray
@@ -131,10 +129,7 @@ class LinkEstimates:
 
 def _link_setup(frame):
     """The power-free fields of one frame's ``LinkEstimates``, with its ``LinkSetup``."""
-    net, chan, setup = frame.net, frame.chan, frame.setup
-    if setup.links is None:
-        setup.links = _book_links(setup)
-    b = setup.links
+    chan, b = frame.chan, frame.setup.links
     mf = b.mf
     ap, ue = mf.ap, mf.ue
     link = np.arange(ap.size)
@@ -159,7 +154,7 @@ def _link_setup(frame):
         gain_scale=None,
         cross=b.cross,
         bleed=bleed,
-        setup=LinkSetup(mf_rows=b.mf_rows, align=b.align, yh=pilot * g,
+        setup=LinkSetup(align=b.align, yh=pilot * g,
                         signal_var=pilot**2 * g + interference, h=h, sq_h=sq_h),
     )
 
@@ -175,11 +170,7 @@ def estimate_trial_links(frame, previous=None):
     """
     links = _link_setup(frame) if previous is None else previous
     s, net, chan = links.setup, frame.net, frame.chan
-    k = net.serving.shape[1]
-    y = np.empty((links.ap.size, chan.m_antennas), dtype=complex)
-    for r, mf_r in enumerate(s.mf_rows):
-        np.matmul(frame.y[r], mf_r, out=y[r * k:(r + 1) * k, :, None])
-    y /= np.sqrt(frame.p_ul)
+    y = np.concatenate(frame.y) + np.concatenate(frame.noise) / np.sqrt(frame.p_ul)
     noise_scale = chan.noise_w * frame.book.tau_p / frame.p_ul
     ys = s.signal_var + noise_scale
     err = s.h - (s.yh / ys)[:, None] * (s.align * y)

@@ -22,16 +22,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import cache, cached_property
+from itertools import islice
 
 import numpy as np
 
 from . import analytics, pilots
-from .airframe import REGIMES, synthesize_frame, write_frame_dump
+from .airframe import synthesize_frame, write_frame_dump
 from .channel import dbm_to_watts, draw_channels, draw_link_gains
 from .estimator import estimate_trial_links
 from .geometry import SimArea, delay_spread_min_extension, sample_topology, synchronize
-from .pilots import (ASSIGN_MAXMIN_DISTANCE, ASSIGNMENTS, SCHEMES, SCHEME_DFT, SCHEME_DFT_EXT,
-                     SCHEME_RANDOM, make_pilot_book)
+from .pilots import (ASSIGN_MAXMIN_DISTANCE, ASSIGNMENTS, REGIMES, SCHEMES, SCHEME_DFT,
+                     SCHEME_DFT_EXT, SCHEME_RANDOM, make_pilot_book)
 
 FULL_SCALE_AREA_KM2 = 0.7
 DESK_AREA_KM2 = 0.1
@@ -271,8 +272,8 @@ class TrialDraws:
     The network, gains and fading read no sweep variable, the max-min
     assignment only ``tau_p``, and a curve's frame ``tau_p`` and its
     configured extension but not the power. Until the sweep's last point,
-    a curve keeps one record of its last frame's signal and noise and its
-    ``LinkEstimates``, received and estimated again at a later power.
+    a curve keeps one record of its last frame, whose MF-domain signal and
+    noise are received again at a later power, and its ``LinkEstimates``.
     Within a point, the curves whose pilot books read no stream share one
     ``BookSetup`` per :func:`_book_key`, which is dropped once the last of
     them has drawn its frame.
@@ -328,15 +329,15 @@ class TrialDraws:
         return frame
 
     def estimate(self, pc, ci):
-        """Curve ``ci``'s frame at point ``pc``, less ``y`` and ``setup``, and its links."""
+        """Curve ``ci``'s frame at point ``pc``, less its ``setup``, and its links."""
         key = (pc.tau_p, _extension(pc, parse_curve(pc.curves[ci])[0]))
         kept_key, frame, links = self._curves.pop(ci, (None, None, None))
         if kept_key != key:
             frame = links = None  # a stale record is freed before drawing
-        frame = self.frame(pc, ci) if frame is None else frame.at_power(dbm_to_watts(pc.p_dbm))
+        frame = self.frame(pc, ci) if frame is None else replace(frame, p_ul=dbm_to_watts(pc.p_dbm))
         links = estimate_trial_links(frame, links)
-        # so no caller holds them past this curve
-        frame = replace(frame, y=None, setup=None)
+        # so no caller holds the book setup past this curve
+        frame = replace(frame, setup=None)
         # a record is read only by a later point of the sweep
         if getattr(pc, pc.sweep_variable) != pc.sweep_values[-1]:
             self._curves[ci] = (key, frame, links)
@@ -606,13 +607,15 @@ def figure_config(fig_id, desk_scale=False, **overrides):
 
 
 def dump_frame(cfg, path, ap=0):
-    """Dump AP ``ap``'s received frame of the first curve, as ``run_trial`` builds it.
+    """Dump AP ``ap``'s full received frame of the first curve, as ``run_trial`` draws it.
 
     The frame is trial 0's at the first sweep value, so its power, pilot
-    length and extension are those the sweep runs there.
+    length and extension are those the sweep runs there. AP ``ap``'s
+    received matrix is rebuilt from the frame's draws (``ReceivedFrame.replay``).
     """
     if not 0 <= ap < cfg.ap_count:
         raise ConfigError(f"dump-frame: AP index {ap} out of range")
     frame = TrialDraws(cfg, 0).frame(point_config(cfg, cfg.sweep_values[0]), 0)
-    write_frame_dump(path, frame.y[ap])
+    y, _, _ = next(islice(frame.replay(), ap, None))
+    write_frame_dump(path, y)
     return frame

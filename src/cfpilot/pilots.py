@@ -21,6 +21,10 @@ which the covariance, the estimator and the rate bound all read.
 AP and UE indices broadcast, and the estimator passes every served link of a
 frame in one call.
 
+A :class:`BookSetup` holds what every frame of one book on one network
+shares: the padded pilot window that AP r's zero-padded pilot rows are
+gathered from when read, and the matched-filter part made from those rows.
+
 :func:`window_counts` is also the one coverage rule: a UE covers an MF
 window when its pilot fills it, ``MFSequence.pilot == tau_p``. For the
 extended scheme that holds for UE u at AP r iff t_ur <= t_w_r and
@@ -33,6 +37,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SCHEME_RANDOM = "random"
 SCHEME_DFT = "dft"
@@ -42,6 +47,12 @@ SCHEMES = (SCHEME_RANDOM, SCHEME_DFT, SCHEME_DFT_EXT)
 ASSIGN_ROUND_ROBIN = "round_robin"
 ASSIGN_MAXMIN_DISTANCE = "maxmin_distance"
 ASSIGNMENTS = (ASSIGN_ROUND_ROBIN, ASSIGN_MAXMIN_DISTANCE)
+
+# UPG: a guard time separates pilots from uplink data; UPNG: none, so the data
+# of earlier-arriving UEs falls into the pilot windows of later ones
+REGIME_UPG = "upg"
+REGIME_UPNG = "upng"
+REGIMES = (REGIME_UPG, REGIME_UPNG)
 
 
 @dataclass
@@ -209,3 +220,37 @@ def make_mf_sequence(book, net, r, u):
     pilot, data = window_counts(start[..., None], tau_p, net.t_ur[r], book.seq_len)
     return MFSequence(row=row, align_phase=phase, ap=r, ue=u,
                       pilot=pilot, data=data)
+
+
+@dataclass
+class BookSetup:
+    """What the frames of one pilot book on one network share, whatever their regime and power.
+
+    ``windows`` is every UE's padded pilot window; ``index`` (UE indices, R x U
+    window starts, per-AP column counts) gathers AP r's rows from it anew at each
+    :meth:`row` call. ``links`` is the matched-filter part that frame synthesis
+    and estimation read (``cfpilot.estimator.BookLinks``), made from the rows
+    by the first frame with this setup.
+    """
+
+    book: PilotBook
+    net: object
+    windows: np.ndarray
+    index: tuple
+    links: object = None
+
+    def row(self, r):
+        """AP r's U x (L + t_max_r) pilot rows, row u [zeros(t_ur), pilot, zeros]."""
+        ue, start, cols = self.index
+        return self.windows[ue, start[r], :cols[r]]
+
+
+def book_setup(book, net):
+    """The ``BookSetup`` of ``book`` on ``net``, without its matched-filter part."""
+    t_max = int(net.t_max_r.max())
+    padded = np.zeros((net.n_ues, book.seq_len + 2 * t_max), dtype=complex)
+    padded[:, t_max:t_max + book.seq_len] = book.sequences
+    # the row at delay t is the window of the padded pilot that starts t_max - t in
+    windows = sliding_window_view(padded, book.seq_len + t_max, axis=-1)
+    cols = (book.seq_len + net.t_max_r).tolist()
+    return BookSetup(book, net, windows, (np.arange(net.n_ues), t_max - net.t_ur, cols))

@@ -27,7 +27,7 @@ SINR or contamination value from ``cfpilot.analytics``.
 from dataclasses import dataclass
 
 import numpy as np
-from oracles import trial_frames
+from oracles import full_frames, trial_frames
 
 from cfpilot.airframe import synthesize_frame
 from cfpilot.channel import draw_channels
@@ -108,6 +108,7 @@ def downlink_oracle(frozen, m_antennas, noise_w, tau_c, draws, n_batches, seed):
             chan = draw_channels(net, gains, m_antennas, fad_rng, noise_w)
             frame = synthesize_frame(book, net, chan, frozen.regime, p_ul, tx_rng)
             links = estimate_trial_links(frame)
+            received = full_frames(frame)[0]
             bmat = np.zeros((n_ue, n_ue), dtype=complex)  # [u, w] = b_uw
             i0 = 0
             for r in range(net.n_aps):
@@ -115,7 +116,7 @@ def downlink_oracle(frozen, m_antennas, noise_w, tau_c, draws, n_batches, seed):
                 sl = slice(i0, i0 + k)
                 i0 += k
                 assert (links.ap[sl] == r).all() and (links.ue[sl] == served[r]).all()
-                obs = frame.y[r] @ mf_rows[r].conj().T / np.sqrt(p_ul)  # (M, k)
+                obs = received[r] @ mf_rows[r].conj().T / np.sqrt(p_ul)  # (M, k)
                 align = np.conj(mf_phase[r])
                 h_hat = (links.gain_scale[sl] * align)[:, None] * obs.T  # (k, M)
                 h_served = chan.h[r, served[r]]

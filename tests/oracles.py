@@ -15,13 +15,14 @@
   ``assign_maxmin_loop``: the per-link, per-UE and per-pair loops that the
   batched ``estimate_trial_links``, ``conjugate_bf_rate`` and
   ``assign_maxmin_distance`` replaced, kept as their references.
-* ``synthesize_frame_loop``: ``synthesize_frame`` as it was before its
-  shared pilot rows and its closed-form UPNG data count (each AP's rows
-  built UE by UE by ``pilot_rows_loop``, a data mask counted for the
-  symbol draw), kept as its bit-exact reference.
-* ``identity_channels``: h[r] = I with M = U, through which a frame's
-  ``signal[r]`` is AP r's transmitted rows exactly, since a frame keeps
-  no rows.
+* ``synthesize_frame_loop``: every AP's full received frame Y_r, built
+  as ``synthesize_frame`` built it before its shared pilot rows, its
+  closed-form UPNG data count and its matched-filter domain (each AP's
+  rows built UE by UE by ``pilot_rows_loop``, a data mask counted for the
+  symbol draw). It is the bit-exact reference of ``ReceivedFrame.replay``
+  and, filtered link by link, the reference of the MF-domain frame.
+* ``full_frames``: a frame's replayed full received matrices, transmitted
+  rows and noise, as three per-AP lists.
 * ``dft_cross_power_where`` and ``conjugate_bf_rate_add_at``: the earlier
   forms of ``dft_cross_power`` (the sin-ratio on every entry, then masked)
   and ``conjugate_bf_rate`` (A_wu accumulated with ``np.add.at``), which
@@ -35,12 +36,13 @@ from collections import namedtuple
 import numpy as np
 
 from cfpilot import analytics
-from cfpilot.airframe import DEFAULT_DATA_ALPHABET, REGIME_UPNG, REGIMES, synthesize_frame
+from cfpilot.airframe import DEFAULT_DATA_ALPHABET, synthesize_frame
 from cfpilot.analytics import RateReport, cross_powers, interference_profile, pilot_matrix
-from cfpilot.channel import ChannelMatrixSet, draw_channels, sample_fading
+from cfpilot.channel import draw_channels, sample_fading
 from cfpilot.estimator import LinkEstimates, estimate_trial_links
 from cfpilot.harness import TrialDraws, point_config
-from cfpilot.pilots import SCHEME_DFT_EXT, SCHEME_RANDOM, dft_sequence, make_mf_sequence
+from cfpilot.pilots import (REGIME_UPNG, REGIMES, SCHEME_DFT_EXT, SCHEME_RANDOM, dft_sequence,
+                            make_mf_sequence)
 
 CovariancePair = namedtuple("CovariancePair", ("sigma_yh", "sigma_y"))
 
@@ -189,7 +191,8 @@ def empirical_covariance_oracle(book, net, gains, regime, r, u, noise_w, p_ul,
 
 
 def estimate_links_loop(frame):
-    """``estimate_trial_links`` one served link at a time, in the same order."""
+    """``estimate_trial_links`` one served link at a time, in the same order, each
+    MF output filtered from the replayed full frame Y_r."""
     book, net, chan = frame.book, frame.net, frame.chan
     p_ul, noise_w = frame.p_ul, chan.noise_w
     m_ant = chan.m_antennas
@@ -199,9 +202,8 @@ def estimate_links_loop(frame):
     sqrt_p = np.sqrt(p_ul)
     noise_scale = noise_w * book.tau_p / p_ul
     upng = frame.regime == REGIME_UPNG
-    for r in range(net.n_aps):
+    for r, (y_r, _, _) in enumerate(frame.replay()):
         pilot_mat = analytics.pilot_matrix(book, net, r)
-        y_r = frame.y[r]
         for u in net.serving[r]:
             u = int(u)
             mf = make_mf_sequence(book, net, r, u)
@@ -296,12 +298,6 @@ def assign_maxmin_loop(ue_positions, tau_p):
     return assignment
 
 
-def identity_channels(net, gains, noise_w):
-    """Channels h[r] = I (M = U): a frame's ``signal[r]`` is then AP r's transmitted rows."""
-    h = np.repeat(np.eye(net.n_ues, dtype=complex)[None], net.n_aps, axis=0)
-    return ChannelMatrixSet(h=h, gains=gains, noise_w=noise_w)
-
-
 def pilot_rows_loop(book, net, r):
     """AP r's zero-padded pilot rows (``BookSetup.row``), filled one UE at a time."""
     x = np.zeros((net.n_ues, book.seq_len + int(net.t_max_r[r])), dtype=complex)
@@ -311,8 +307,8 @@ def pilot_rows_loop(book, net, r):
 
 
 def synthesize_frame_loop(book, net, chan, regime, p_ul, rng):
-    """``synthesize_frame`` one AP at a time; returns its ``y``, transmitted rows,
-    ``noise`` and ``signal`` lists."""
+    """Every AP's full received frame, one AP at a time, drawn as ``synthesize_frame``
+    draws; returns the lists of Y_r, transmitted rows, noise and signal h_r^T x_r."""
     ys, xs, zs, signals = [], [], [], []
     sigma = np.sqrt(chan.noise_w / 2.0)
     m_ant = chan.m_antennas
@@ -368,6 +364,12 @@ def conjugate_bf_rate_add_at(net, gains, links, p_dl, noise_w, m_antennas, overh
     sinr[served] = p_dl * m_antennas * coherent**2 / den
     se[served] = overhead * np.log2(1.0 + sinr[served])
     return RateReport(se_per_ue=se, sinr_per_ue=sinr)
+
+
+def full_frames(frame):
+    """``frame``'s replayed full received matrices, transmitted rows and noise
+    (``ReceivedFrame.replay``), as three per-AP lists."""
+    return tuple(map(list, zip(*frame.replay())))
 
 
 def trial_frames(cfg, sweep_value, trial):

@@ -86,9 +86,10 @@ def load_reference():
         return {key: data[key] for key in data.files}
 
 
-def bounds(key, want):
-    """Per-entry absolute bound of the rule on the reference values ``want``."""
-    if key.endswith("/se"):
+def bound(field, want):
+    """The rule's absolute bound on a change of each reference value ``want`` of
+    ``field``, "nmse" or "se"."""
+    if field == "se":
         return SE_REL * want
     return NMSE_REL * want + CANCEL * EPS * np.sqrt(want)
 
@@ -104,14 +105,14 @@ def compare(got, want):
         if g is None or g.shape != w.shape:
             rows.append((key, np.inf, None, np.inf))
             continue
+        field = key.rsplit("/", 1)[1]
         diff = np.abs(g - w)
+        # a change of a zero reference value is infinite
         rel = np.divide(diff, w, out=np.where(diff > 0, np.inf, 0.0), where=w > 0)
-        i = int(np.argmax(rel)) if rel.size else 0
-        ratio = np.divide(diff, bounds(key, w), out=np.where(diff > 0, np.inf, 0.0),
-                          where=w > 0)
-        rows.append((key, float(rel[i]) if rel.size else 0.0,
-                     None if key.endswith("/se") or not rel.size else float(w[i]),
-                     float(ratio.max()) if ratio.size else 0.0))
+        ratio = np.divide(diff, bound(field, w), out=np.where(diff > 0, np.inf, 0.0), where=w > 0)
+        i = int(np.argmax(rel))
+        rows.append((key, float(rel[i]), float(w[i]) if field == "nmse" else None,
+                     float(ratio.max())))
     return rows
 
 

@@ -16,7 +16,7 @@ from downlink_oracle import batch_stderr, downlink_oracle, frozen_curve
 from oracles import empirical_covariance_oracle, link_covariances
 
 from cfpilot import analytics
-from cfpilot.airframe import REGIME_UPG, REGIME_UPNG, synthesize_frame
+from cfpilot.airframe import synthesize_frame
 from cfpilot.channel import LinkGains, draw_channels, draw_link_gains
 from cfpilot.estimator import estimate_trial_links
 from cfpilot.geometry import (
@@ -34,7 +34,8 @@ from cfpilot.harness import (
     run_trial,
     write_rows,
 )
-from cfpilot.pilots import dft_sequence, make_mf_sequence, make_pilot_book, window_counts
+from cfpilot.pilots import (REGIME_UPG, REGIME_UPNG, dft_sequence, make_mf_sequence,
+                            make_pilot_book, window_counts)
 
 DESK_AREA = SimArea(side_m=316.2277660168379, ap_count=10, ue_mean=14.0,
                     gamma_m=20.0, tau_smp_s=50e-9)

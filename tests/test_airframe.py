@@ -2,22 +2,24 @@ import tracemalloc
 from dataclasses import replace
 
 import numpy as np
+import per_link
 import pytest
-from oracles import identity_channels, pilot_rows_loop, synthesize_frame_loop
+from oracles import full_frames, pilot_rows_loop, synthesize_frame_loop
 
-from cfpilot.airframe import (
-    REGIME_UPG,
-    REGIME_UPNG,
-    book_setup,
-    read_frame_dump,
-    synthesize_frame,
-    write_frame_dump,
-)
+from cfpilot.airframe import read_frame_dump, synthesize_frame, write_frame_dump
 from cfpilot.analytics import pilot_matrix
-from cfpilot.channel import ChannelMatrixSet, LinkGains, draw_channels, draw_link_gains
+from cfpilot.channel import LinkGains, draw_channels
+from cfpilot.estimator import book_links
 from cfpilot.geometry import SimArea, delay_spread_min_extension, synchronize, topology_from_positions
 from cfpilot.harness import TrialDraws, figure_config
-from cfpilot.pilots import assign_maxmin_distance, make_pilot_book
+from cfpilot.pilots import (
+    REGIME_UPG,
+    REGIME_UPNG,
+    assign_maxmin_distance,
+    book_setup,
+    make_mf_sequence,
+    make_pilot_book,
+)
 
 AREA = SimArea(side_m=836.660026534076, ap_count=1, ue_mean=1.0, gamma_m=20.0,
                tau_smp_s=50e-9)
@@ -41,16 +43,12 @@ def toy_chan(net, m=4, noise_w=0.0, rng=None, gains=None):
     return draw_channels(net, gains, m, rng, noise_w)
 
 
-def identity_chan(net):
-    return identity_channels(net, unit_gains(net), 0.0)
-
-
 def test_augmented_sequence_shapes():
     net = toy_net([0, 5])
     book = make_pilot_book("dft", 8, 0, 2, np.random.default_rng(0))
-    chan = identity_chan(net)
+    chan = toy_chan(net)
     rng = np.random.default_rng(1)
-    rows = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, rng).signal[0]
+    rows = full_frames(synthesize_frame(book, net, chan, REGIME_UPG, 1.0, rng))[1][0]
     assert rows.shape == (2, 13)
     # t_ur = t_max -> no tail
     row_late = rows[1]
@@ -61,7 +59,7 @@ def test_augmented_sequence_shapes():
     np.testing.assert_allclose(row_early[:8], book.sequences[0], atol=1e-12)
     np.testing.assert_allclose(row_early[8:], 0)
     # UPNG tail is unit magnitude; the latest UE has none
-    rows_upng = synthesize_frame(book, net, chan, REGIME_UPNG, 1.0, rng).signal[0]
+    rows_upng = full_frames(synthesize_frame(book, net, chan, REGIME_UPNG, 1.0, rng))[1][0]
     np.testing.assert_allclose(np.abs(rows_upng[0, 8:]), 1.0, atol=1e-12)
     np.testing.assert_allclose(rows_upng[1], row_late)
 
@@ -72,7 +70,7 @@ def test_frame_single_ue_noiseless():
     chan = toy_chan(net, m=3, noise_w=0.0)
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 4.0, np.random.default_rng(2))
     expected = 2.0 * np.outer(chan.h[0, 0], book.sequences[0])
-    np.testing.assert_allclose(frame.y[0], expected, atol=1e-12)
+    np.testing.assert_allclose(full_frames(frame)[0][0], expected, atol=1e-12)
 
 
 def test_frame_linearity():
@@ -82,10 +80,11 @@ def test_frame_linearity():
     gains = unit_gains(net)
     chan = toy_chan(net, m=2, noise_w=1e-3, gains=gains)
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, np.random.default_rng(3))
-    rebuilt = frame.noise[0].copy()
+    ys, _, zs = full_frames(frame)
+    rebuilt = zs[0].copy()
     for u in range(3):
         rebuilt += np.outer(chan.h[0, u], pilot_matrix(book, net, 0)[u])
-    np.testing.assert_allclose(frame.y[0], rebuilt, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(ys[0], rebuilt, rtol=1e-12, atol=1e-15)
 
 
 def test_frame_noise_only_variance():
@@ -98,7 +97,7 @@ def test_frame_noise_only_variance():
     samples = []
     for _ in range(1500):
         frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, rng)
-        samples.append(frame.y[0])
+        samples.append(full_frames(frame)[0][0])
     z = np.concatenate([s.ravel() for s in samples])
     assert z.size > 100_000
     assert np.mean(np.abs(z) ** 2) == pytest.approx(noise_w, rel=0.02)
@@ -110,7 +109,7 @@ def test_disjoint_arrivals_localize_energy():
     book = make_pilot_book("dft", 8, 0, 2, np.random.default_rng(0))
     chan = toy_chan(net, m=2, noise_w=0.0)
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, np.random.default_rng(5))
-    energy = (np.abs(frame.y[0]) ** 2).sum(axis=0)
+    energy = (np.abs(full_frames(frame)[0][0]) ** 2).sum(axis=0)
     assert energy[:8].min() > 0
     np.testing.assert_allclose(energy[8:20], 0, atol=1e-20)
     assert energy[20:28].min() > 0
@@ -131,7 +130,7 @@ def test_frame_energy_accounting_upng():
     for _ in range(trials):
         chan = draw_channels(net, gains, m, rng, noise_w)
         frame = synthesize_frame(book, net, chan, REGIME_UPNG, p_ul, rng)
-        total += (np.abs(frame.y[0]) ** 2).sum()
+        total += (np.abs(full_frames(frame)[0][0]) ** 2).sum()
     cols = tau_p + int(net.t_max_r[0])
     tails = int(net.t_max_r[0]) - net.t_ur[0]
     expected = p_ul * (gains.gain[0] * m * (tau_p + tails)).sum() + m * cols * noise_w
@@ -143,7 +142,9 @@ def test_frame_dimensions_and_mismatch_guard():
     book = make_pilot_book("dft_ext", 8, 3, 2, np.random.default_rng(0))
     chan = toy_chan(net, m=2)
     frame = synthesize_frame(book, net, chan, REGIME_UPG, 1.0, np.random.default_rng(7))
-    assert frame.y[0].shape == (2, 8 + 3 + 6)
+    assert full_frames(frame)[0][0].shape == (2, 8 + 3 + 6)
+    # the MF domain keeps M outputs of each of the AP's 2 served links
+    assert frame.y[0].shape == frame.noise[0].shape == (2, 2)
     bad_book = make_pilot_book("dft", 8, 0, 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
         synthesize_frame(bad_book, net, chan, REGIME_UPG, 1.0, np.random.default_rng(8))
@@ -185,30 +186,57 @@ def delayed_net(t):
 
 @pytest.mark.parametrize("curve", ["random:upg", "random:upng", "dft:upg", "dft:upng",
                                    "dft_ext:upg", "dft_ext:upng", "sync"])
-def test_frame_matches_per_ap_loop(curve):
-    # the frame is, bit for bit, the one of the loop that built each AP's rows
-    # and counted its data mask, drawn in the same order, at the frame's
-    # power and at another; through h[r] = I its signal is the loop's rows
+def _curve_frame_inputs(curve, delay_free=False):
+    """A desk fig6 network and channels, and a book and regime for ``curve``."""
     net, chan = TrialDraws(figure_config("fig6", desk_scale=True), 0).channel
     scheme, regime = ("dft", REGIME_UPG) if curve == "sync" else curve.split(":")
-    if curve == "sync":
+    if curve == "sync" or delay_free:
         net = synchronize(net)
     tau_ex = delay_spread_min_extension(net) if scheme == "dft_ext" else 0
     book = make_pilot_book(scheme, 8, tau_ex, net.n_ues, np.random.default_rng(3))
+    return book, net, chan, regime
+
+
+CURVES = ["random:upg", "random:upng", "dft:upg", "dft:upng", "dft_ext:upg", "dft_ext:upng",
+          "sync"]
+
+
+@pytest.mark.parametrize("curve", CURVES)
+def test_frame_matches_per_ap_loop(curve):
+    # the replayed frame is, bit for bit, the one of the loop that built each
+    # AP's rows and counted its data mask, drawn in the same order, at the
+    # frame's power and at another, and it sends the loop's rows
+    book, net, chan, regime = _curve_frame_inputs(curve)
     rng, rng_loop = np.random.default_rng(5), np.random.default_rng(5)
     frame = synthesize_frame(book, net, chan, regime, 0.1, rng)
     loop = synthesize_frame_loop(book, net, chan, regime, 0.1, rng_loop)
     assert rng.bit_generator.state == rng_loop.bit_generator.state
-    at_power = frame.at_power(2.5)
+    ys, xs, zs = full_frames(frame)
+    at_power = full_frames(replace(frame, p_ul=2.5))[0]
     loop_y = synthesize_frame_loop(book, net, chan, regime, 2.5, np.random.default_rng(5))[0]
-    sent = synthesize_frame(book, net, identity_chan(net), regime, 0.1,
-                            np.random.default_rng(5)).signal
-    loop_rows = synthesize_frame_loop(book, net, identity_chan(net), regime, 0.1,
-                                      np.random.default_rng(5))[1]
-    for got, want in zip((frame.y, frame.noise, frame.signal, at_power.y, sent),
-                         (loop[0], loop[2], loop[3], loop_y, loop_rows)):
+    for got, want in zip((ys, zs, at_power, xs), (loop[0], loop[2], loop_y, loop[1])):
         assert len(got) == len(want) == net.n_aps
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("delay_free", [False, True], ids=["delayed", "delay-free"])
+@pytest.mark.parametrize("curve", ["random:upng", "dft:upg", "dft:upng", "dft_ext:upg",
+                                   "dft_ext:upng"])
+def test_mf_domain_frame_matches_filtered_loop(curve, delay_free):
+    # every served link's MF output, y + noise / sqrt(p_ul), is the loop's full
+    # frame Y_r filtered by the link's MF row, Y_r conj(mf) / sqrt(p_ul), at the
+    # frame's power and at another, to within the per-link rule's rounding term
+    book, net, chan, regime = _curve_frame_inputs(curve, delay_free)
+    assert delay_free == (net.t_max_r.max() == 0)
+    frame = synthesize_frame(book, net, chan, regime, 0.1, np.random.default_rng(5))
+    for p_ul in (0.1, 2.5):
+        loop_y = synthesize_frame_loop(book, net, chan, regime, p_ul, np.random.default_rng(5))[0]
+        for r, served in enumerate(net.serving):
+            rows = make_mf_sequence(book, net, r, served).row[:, :loop_y[r].shape[1]]
+            want = (loop_y[r] @ rows.conj().T).T / np.sqrt(p_ul)
+            got = frame.y[r] + frame.noise[r] / np.sqrt(p_ul)
+            err = np.linalg.norm(got - want, axis=-1)
+            assert np.all(err <= per_link.CANCEL * per_link.EPS * np.linalg.norm(want, axis=-1))
 
 
 def test_upng_data_count_matches_mask():
@@ -218,11 +246,11 @@ def test_upng_data_count_matches_mask():
     t[2] = 6
     net = delayed_net(t)
     book = make_pilot_book("dft", 4, 0, 9, None)
-    frame = synthesize_frame(book, net, identity_chan(net), REGIME_UPNG, 1.0,
-                             np.random.default_rng(1))
+    frame = synthesize_frame(book, net, toy_chan(net), REGIME_UPNG, 1.0, np.random.default_rng(1))
+    sent = full_frames(frame)[1]
     for r in range(5):
         mask = np.arange(book.seq_len + t[r].max()) >= (t[r] + book.seq_len)[:, None]
-        assert np.array_equal(frame.signal[r] != frame.setup.row(r), mask)
+        assert np.array_equal(sent[r] != frame.setup.row(r), mask)
     # APs without data draw no symbols: UPNG draws what UPG draws
     net = delayed_net(np.repeat(t[:, :1], 9, axis=1))
     chan = toy_chan(net)
@@ -232,20 +260,6 @@ def test_upng_data_count_matches_mask():
         synthesize_frame(book, net, chan, regime, 1.0, rng)
         states.append(rng.bit_generator.state)
     assert states[0] == states[1]
-
-
-def test_delay_free_book_holds_one_read_only_row_array():
-    # a UPNG frame sends no data on a delay-free network, so it writes
-    # nothing into the shared rows it transmits
-    net = synchronize(delayed_net(np.random.default_rng(8).integers(0, 12, size=(4, 6))))
-    book = make_pilot_book("dft", 4, 0, 6, None)
-    frame = synthesize_frame(book, net, identity_chan(net), REGIME_UPNG, 1.0,
-                             np.random.default_rng(2))
-    rows = [frame.setup.row(r) for r in range(4)]
-    assert all(x is rows[0] for x in rows)
-    assert not rows[0].flags.writeable
-    assert np.array_equal(rows[0], book.sequences)
-    assert all(np.array_equal(x, book.sequences) for x in frame.signal)
 
 
 @pytest.mark.parametrize("delay_free", [False, True])
@@ -272,34 +286,40 @@ def test_delayed_rows_are_new_writable_arrays():
 
 
 def test_upg_frame_after_upng_matches_fresh_setup():
-    # the UPNG data written into a gathered row does not reach a later frame
+    # the UPNG data written into a gathered row, by a UPNG frame's replay, and
+    # the UPNG data projections do not reach a later frame of the same setup
     net, chan = TrialDraws(figure_config("fig6", desk_scale=True), 0).channel
     book = make_pilot_book("dft", 8, 0, net.n_ues, None)
     assert net.t_max_r.max() > 0
     upng = synthesize_frame(book, net, chan, REGIME_UPNG, 0.1, np.random.default_rng(4))
+    full_frames(upng)
     after = synthesize_frame(book, net, chan, REGIME_UPG, 0.1, np.random.default_rng(6),
                              upng.setup)
     fresh = synthesize_frame(book, net, chan, REGIME_UPG, 0.1, np.random.default_rng(6))
-    for part in ("y", "noise", "signal"):
-        got, want = getattr(after, part), getattr(fresh, part)
+    parts = ("y", "noise", "replayed y", "replayed rows", "replayed noise")
+    for part, got, want in zip(parts, (after.y, after.noise, *full_frames(after)),
+                               (fresh.y, fresh.noise, *full_frames(fresh))):
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), part
 
 
 def test_upng_frame_peak_memory_holds_no_rows():
-    # synthesizing a full-scale fig7 UPNG frame allocates little beyond what
-    # the frame keeps: no AP's pilot rows outlive their AP's turn, and no
-    # copy of them is kept
+    # synthesizing a full-scale fig7 UPNG frame, on a book setup that already
+    # holds its matched-filter part, allocates little beyond what the frame
+    # keeps: no AP's pilot rows are gathered, and no copy of them is kept
     cfg = figure_config("fig7")
     net, chan = TrialDraws(cfg, 0).channel
     book = make_pilot_book("dft", cfg.tau_p, 0, net.n_ues, None,
                            assignment=assign_maxmin_distance(net.ue_pos, cfg.tau_p))
     row_bytes = 16 * net.n_ues * int((book.seq_len + net.t_max_r).sum())
+    setup = book_setup(book, net)
+    setup.links = book_links(setup)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        frame = synthesize_frame(book, net, chan, REGIME_UPNG, 0.1, np.random.default_rng(1))
+        frame = synthesize_frame(book, net, chan, REGIME_UPNG, 0.1, np.random.default_rng(1),
+                                 setup)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for part in (frame.y, frame.signal, frame.noise) for a in part)
+    kept = sum(a.nbytes for part in (frame.y, frame.noise) for a in part)
     assert peak <= kept + row_bytes / 4, (peak - kept, row_bytes)

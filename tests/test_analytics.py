@@ -16,7 +16,7 @@ from oracles import (
     uncontaminated_links,
 )
 
-from cfpilot.airframe import REGIME_UPG, REGIME_UPNG, synthesize_frame
+from cfpilot.airframe import synthesize_frame
 from cfpilot.analytics import (
     conjugate_bf_rate,
     cross_powers,
@@ -32,7 +32,8 @@ from cfpilot.channel import LinkGains, draw_channels, sample_fading
 from cfpilot.estimator import estimate_trial_links
 from cfpilot.geometry import SimArea, topology_from_positions
 from cfpilot.harness import figure_config, run_trial
-from cfpilot.pilots import make_mf_sequence, make_pilot_book, window_counts
+from cfpilot.pilots import (REGIME_UPG, REGIME_UPNG, make_mf_sequence, make_pilot_book,
+                            window_counts)
 
 AREA = SimArea(side_m=836.660026534076, ap_count=1, ue_mean=1.0, gamma_m=20.0,
                tau_smp_s=50e-9)

@@ -1,15 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
+import per_link
 import pytest
 from oracles import (
     empirical_covariance_oracle,
     estimate_links_loop,
-    identity_channels,
+    full_frames,
     link_covariances,
     link_profile,
 )
 
-from cfpilot.airframe import REGIME_UPG, REGIME_UPNG, REGIMES, synthesize_frame
-from cfpilot.analytics import pilot_matrix
+from cfpilot.airframe import synthesize_frame
 from cfpilot.channel import LinkGains, draw_channels, draw_link_gains, sample_fading
 from cfpilot.estimator import estimate_trial_links
 from cfpilot.geometry import (
@@ -19,7 +21,7 @@ from cfpilot.geometry import (
     synchronize,
     topology_from_positions,
 )
-from cfpilot.pilots import make_mf_sequence, make_pilot_book
+from cfpilot.pilots import REGIME_UPG, REGIME_UPNG, REGIMES, make_mf_sequence, make_pilot_book
 
 AREA = SimArea(side_m=836.660026534076, ap_count=1, ue_mean=1.0, gamma_m=20.0,
                tau_smp_s=50e-9)
@@ -37,21 +39,20 @@ def unit_gains(net, value=1.0):
     return LinkGains(beta=np.full_like(net.d_ru, value), psi=np.ones_like(net.d_ru))
 
 
-def mf_parts(frame, r, u, sent=None):
-    """MF output of link (r, u) and its exact parts from the retained frame.
+def mf_parts(frame, r, u):
+    """MF output of link (r, u) and its exact parts from the replayed full frame.
 
-    ``sent`` is AP r's transmitted rows, the pilot rows unless given (a UPG
-    frame). Returns (y, desired coefficient of h_ru, interference vector,
-    filtered noise); the parts recombine to y up to float reassociation.
+    Returns (y, desired coefficient of h_ru, interference vector, filtered
+    noise); the parts recombine to y up to float reassociation.
     """
+    ys, sent, noise = full_frames(frame)
     row = make_mf_sequence(frame.book, frame.net, r, u).row.conj()
-    y = frame.y[r] @ row / np.sqrt(frame.p_ul)
-    sent = pilot_matrix(frame.book, frame.net, r) if sent is None else sent
-    coeffs = sent @ row
+    y = ys[r] @ row / np.sqrt(frame.p_ul)
+    coeffs = sent[r] @ row
     desired = complex(coeffs[u])
     coeffs[u] = 0.0
     return (y, desired, coeffs @ frame.chan.h[r],
-            frame.noise[r] @ row / np.sqrt(frame.p_ul))
+            noise[r] @ row / np.sqrt(frame.p_ul))
 
 
 def test_mf_noiseless_single_ue_matched():
@@ -83,15 +84,10 @@ def test_mf_reconstruction_identity():
     book = make_pilot_book("random", 16, 0, net.n_ues, rng)
     gains = unit_gains(net, 1e-9)
     chan = draw_channels(net, gains, net.n_ues, rng, 1e-13)
-    twin = np.random.default_rng()
-    twin.bit_generator.state = rng.bit_generator.state
     frame = synthesize_frame(book, net, chan, REGIME_UPNG, 0.5, rng)
-    # the same draws through h[r] = I (M = U): its signal is the sent rows
-    sent = synthesize_frame(book, net, identity_channels(net, gains, 1e-13), REGIME_UPNG, 0.5,
-                            twin).signal
     for r in (0, 3):
         for u in net.serving[r][:2]:
-            y, desired, interference, noise = mf_parts(frame, r, int(u), sent[r])
+            y, desired, interference, noise = mf_parts(frame, r, int(u))
             rebuilt = desired * chan.h[r, int(u)] + interference + noise
             np.testing.assert_allclose(y, rebuilt, rtol=1e-10, atol=1e-20)
 
@@ -358,7 +354,8 @@ LINK_FIELDS = ("ap", "ue", "nmse", "gamma", "desired_power", "interference_power
     ("dft_ext", "below"), ("dft_ext", "at"), ("dft_ext", "above")])
 def test_batched_estimator_equals_link_loop(scheme, extension, regime):
     # the batched pass computes every field with the loop's arithmetic, also
-    # when it reuses the same draw's estimates at another power
+    # when it reuses the same draw's estimates at another power; the loop
+    # filters the replayed full frames, so NMSE agrees under the per-link rule
     rng = np.random.default_rng(11)
     for _ in range(4):
         net = sample_topology(DESK, 4, rng)
@@ -372,10 +369,16 @@ def test_batched_estimator_equals_link_loop(scheme, extension, regime):
         book = make_pilot_book("dft" if scheme == "sync" else scheme, 8, tau_ex, net.n_ues, rng)
         frame = synthesize_frame(book, net, chan, regime, 1e-3, rng)
         got, want = estimate_trial_links(frame), estimate_links_loop(frame)
-        for name in LINK_FIELDS:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        at_p2 = frame.at_power(0.1)
-        again = estimate_trial_links(at_p2, previous=got)
-        want = estimate_links_loop(at_p2)
-        for name in LINK_FIELDS:
-            assert np.array_equal(getattr(again, name), getattr(want, name)), name
+        _assert_links_equal(got, want)
+        at_p2 = replace(frame, p_ul=0.1)
+        _assert_links_equal(estimate_trial_links(at_p2, previous=got), estimate_links_loop(at_p2))
+
+
+def _assert_links_equal(got, want):
+    """Every field of ``got`` equals ``want``'s, NMSE under the per-link rule."""
+    for name in LINK_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if name == "nmse":
+            assert np.all(np.abs(a - b) <= per_link.bound("nmse", b)), name
+        else:
+            assert np.array_equal(a, b), name
