@@ -308,8 +308,8 @@ def pilot_rows_loop(book, net, r):
 
 def synthesize_frame_loop(book, net, chan, regime, p_ul, rng):
     """Every AP's full received frame, one AP at a time, drawn as ``synthesize_frame``
-    draws; returns the lists of Y_r, transmitted rows, noise and signal h_r^T x_r."""
-    ys, xs, zs, signals = [], [], [], []
+    draws; returns the lists of Y_r, transmitted rows and noise."""
+    ys, xs, zs = [], [], []
     sigma = np.sqrt(chan.noise_w / 2.0)
     m_ant = chan.m_antennas
     for r in range(net.n_aps):
@@ -324,12 +324,10 @@ def synthesize_frame_loop(book, net, chan, regime, p_ul, rng):
         z = np.empty((m_ant, x.shape[1]), dtype=complex)
         np.multiply(w[0], sigma, out=z.real)
         np.multiply(w[1], sigma, out=z.imag)
-        signal = chan.h[r].T @ x
-        ys.append(np.sqrt(p_ul) * signal + z)
+        ys.append(np.sqrt(p_ul) * (chan.h[r].T @ x) + z)
         xs.append(x)
         zs.append(z)
-        signals.append(signal)
-    return ys, xs, zs, signals
+    return ys, xs, zs
 
 
 def dft_cross_power_where(k, tau_p, pilot):

@@ -197,11 +197,8 @@ def _curve_frame_inputs(curve, delay_free=False):
     return book, net, chan, regime
 
 
-CURVES = ["random:upg", "random:upng", "dft:upg", "dft:upng", "dft_ext:upg", "dft_ext:upng",
-          "sync"]
-
-
-@pytest.mark.parametrize("curve", CURVES)
+@pytest.mark.parametrize("curve", ["random:upg", "random:upng", "dft:upg", "dft:upng",
+                                   "dft_ext:upg", "dft_ext:upng", "sync"])
 def test_frame_matches_per_ap_loop(curve):
     # the replayed frame is, bit for bit, the one of the loop that built each
     # AP's rows and counted its data mask, drawn in the same order, at the
@@ -211,10 +208,9 @@ def test_frame_matches_per_ap_loop(curve):
     frame = synthesize_frame(book, net, chan, regime, 0.1, rng)
     loop = synthesize_frame_loop(book, net, chan, regime, 0.1, rng_loop)
     assert rng.bit_generator.state == rng_loop.bit_generator.state
-    ys, xs, zs = full_frames(frame)
     at_power = full_frames(replace(frame, p_ul=2.5))[0]
     loop_y = synthesize_frame_loop(book, net, chan, regime, 2.5, np.random.default_rng(5))[0]
-    for got, want in zip((ys, zs, at_power, xs), (loop[0], loop[2], loop_y, loop[1])):
+    for got, want in zip((*full_frames(frame), at_power), (*loop, loop_y)):
         assert len(got) == len(want) == net.n_aps
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
