@@ -42,25 +42,29 @@ FRAME_MAGIC = b"ACFE"
 
 
 def _ap_draws(book, net, chan, regime, rng):
-    """Yield each AP's draws from ``rng``, in AP order: its UPNG data symbols in
-    row-major order of the data samples (None when it sends none), then its noise
-    Z_r, i.i.d. CN(0, noise_w). Frame synthesis and replay both draw through here.
+    """Yield each AP's draws from ``rng``, in AP order: its UPNG data, then its noise.
+
+    The data are the U x t_max_r samples after the first L of the transmitted
+    rows, UE u's symbols in its last t_max_r - t_ur of them and zeros before
+    (None under UPG or when no UE sends any). The noise Z_r is i.i.d.
+    CN(0, noise_w). Frame synthesis and replay both draw through here.
     """
     sigma = np.sqrt(chan.noise_w / 2.0)
     m_ant = chan.m_antennas
     # a UE at delay t sends t_max_r - t data samples at AP r: none on a delay-free network
     n_data = (net.n_ues * net.t_max_r - net.t_ur.sum(axis=1)) * (regime == REGIME_UPNG)
     for r in range(net.n_aps):
-        sym = None
+        data = None
         if n_data[r]:
             idx = rng.integers(0, len(DEFAULT_DATA_ALPHABET), size=int(n_data[r]))
-            sym = DEFAULT_DATA_ALPHABET[idx]
+            data = np.zeros((net.n_ues, int(net.t_max_r[r])), dtype=complex)
+            data[np.arange(data.shape[1]) >= net.t_ur[r][:, None]] = DEFAULT_DATA_ALPHABET[idx]
         # the real parts' draws, then the imaginary parts', in one call
         w = rng.standard_normal((2, m_ant, book.seq_len + int(net.t_max_r[r])))
         z = np.empty(w.shape[1:], dtype=complex)
         np.multiply(w[0], sigma, out=z.real)
         np.multiply(w[1], sigma, out=z.imag)
-        yield sym, z
+        yield data, z
 
 
 @dataclass
@@ -96,10 +100,10 @@ class ReceivedFrame:
         setup = book_setup(book, net) if self.setup is None else self.setup
         scale = np.sqrt(self.p_ul)
         draws = _ap_draws(book, net, chan, self.regime, np.random.Generator(bit_generator))
-        for r, (sym, z) in enumerate(draws):
+        for r, (data, z) in enumerate(draws):
             x = setup.row(r)
-            if sym is not None:
-                x[np.arange(x.shape[1]) >= (net.t_ur[r] + book.seq_len)[:, None]] = sym
+            if data is not None:
+                x[:, book.seq_len:] += data
             yield scale * (chan.h[r].T @ x) + z, x, z
 
 
@@ -132,13 +136,10 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng, setup=None):
     if regime == REGIME_UPNG:
         sent = sent.copy()
     noise = np.empty((n_aps, k, chan.m_antennas), dtype=complex)
-    for r, (sym, z) in enumerate(_ap_draws(book, net, chan, regime, rng)):
+    for r, (data, z) in enumerate(_ap_draws(book, net, chan, regime, rng)):
         mf_r = links.mf_rows[r]
         np.matmul(z, mf_r, out=noise[r, :, :, None])
-        if sym is not None:
-            # the data samples, columns L ... L + t_max_r - 1 of the rows
-            data = np.zeros((net.n_ues, int(net.t_max_r[r])), dtype=complex)
-            data[np.arange(data.shape[1]) >= net.t_ur[r][:, None]] = sym
+        if data is not None:
             sent[r] += mf_r[:, book.seq_len:, 0] @ data.T
     return ReceivedFrame(y=list(np.matmul(sent, chan.h)), noise=list(noise), p_ul=p_ul,
                          regime=regime, book=book, net=net, chan=chan, stream=stream,
