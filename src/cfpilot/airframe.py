@@ -14,12 +14,17 @@ which equals
 
     y = h_r^T (x_r mf) + Z_r mf / sqrt(p_ul).
 
-So a frame is built in that form and never as Y_r. Under UPG, x_r mf is the
-link's cross row, which the book setup's matched-filter part holds
-(``cfpilot.estimator.BookLinks``); under UPNG the projection of the data
-symbols onto the window is added to it. Per AP, a frame keeps the k served
-links' power-free signal h_r^T (x_r mf) and filtered noise Z_r mf, two k x M
-arrays, and is received at another power by setting ``p_ul``.
+So a frame is built in that form and never as Y_r. AP r's links' MF rows
+are zero outside its span [lo_r, hi_r), the union of their windows
+(``cfpilot.estimator.BookLinks``), and every product reads only those
+columns. Under UPG, x_r mf is the link's cross row, which the book setup's
+matched-filter part holds; under UPNG the projection of the data symbols
+that reach the span is added to it, built from the drawn indices of those
+symbols alone. The filtered noise is one real product per AP, the noise
+draws' span columns times the real and imaginary parts of the MF rows,
+combined into complex values once per frame. Per AP, a frame keeps the k
+served links' power-free signal h_r^T (x_r mf) and filtered noise Z_r mf,
+two k x M arrays, and is received at another power by setting ``p_ul``.
 
 The random draws are those of the full frame, in the same order: per AP, the
 data symbols, then the noise's real parts, then its imaginary parts
@@ -44,27 +49,20 @@ FRAME_MAGIC = b"ACFE"
 def _ap_draws(book, net, chan, regime, rng):
     """Yield each AP's draws from ``rng``, in AP order: its UPNG data, then its noise.
 
-    The data are the U x t_max_r samples after the first L of the transmitted
-    rows, UE u's symbols in its last t_max_r - t_ur of them and zeros before
-    (None under UPG or when no UE sends any). The noise Z_r is i.i.d.
-    CN(0, noise_w). Frame synthesis and replay both draw through here.
+    The data are the indices into ``DEFAULT_DATA_ALPHABET`` of the symbols
+    that UE u sends in the last t_max_r - t_ur of the U x t_max_r samples
+    after the first L of the transmitted rows, UE by UE (None under UPG or
+    when no UE sends any). The noise is the (2M, L + t_max_r) standard
+    normals whose first M rows, times sqrt(noise_w / 2), are the real parts
+    of Z_r and the last M its imaginary parts. Frame synthesis and replay
+    both draw through here.
     """
-    sigma = np.sqrt(chan.noise_w / 2.0)
     m_ant = chan.m_antennas
     # a UE at delay t sends t_max_r - t data samples at AP r: none on a delay-free network
     n_data = (net.n_ues * net.t_max_r - net.t_ur.sum(axis=1)) * (regime == REGIME_UPNG)
-    for r in range(net.n_aps):
-        data = None
-        if n_data[r]:
-            idx = rng.integers(0, len(DEFAULT_DATA_ALPHABET), size=int(n_data[r]))
-            data = np.zeros((net.n_ues, int(net.t_max_r[r])), dtype=complex)
-            data[np.arange(data.shape[1]) >= net.t_ur[r][:, None]] = DEFAULT_DATA_ALPHABET[idx]
-        # the real parts' draws, then the imaginary parts', in one call
-        w = rng.standard_normal((2, m_ant, book.seq_len + int(net.t_max_r[r])))
-        z = np.empty(w.shape[1:], dtype=complex)
-        np.multiply(w[0], sigma, out=z.real)
-        np.multiply(w[1], sigma, out=z.imag)
-        yield data, z
+    for n, cols in zip(n_data.tolist(), (book.seq_len + net.t_max_r).tolist()):
+        idx = rng.integers(0, len(DEFAULT_DATA_ALPHABET), size=n) if n else None
+        yield idx, rng.standard_normal((2 * m_ant, cols))
 
 
 @dataclass
@@ -98,13 +96,48 @@ class ReceivedFrame:
         bit_generator.state = self.stream
         book, net, chan = self.book, self.net, self.chan
         setup = book_setup(book, net) if self.setup is None else self.setup
-        scale = np.sqrt(self.p_ul)
+        scale, sigma, m_ant = np.sqrt(self.p_ul), np.sqrt(chan.noise_w / 2.0), chan.m_antennas
         draws = _ap_draws(book, net, chan, self.regime, np.random.Generator(bit_generator))
-        for r, (data, z) in enumerate(draws):
+        for r, (idx, w) in enumerate(draws):
             x = setup.row(r)
-            if data is not None:
-                x[:, book.seq_len:] += data
+            if idx is not None:
+                sends = np.arange(net.t_max_r[r]) >= net.t_ur[r][:, None]
+                x[:, book.seq_len:][sends] = DEFAULT_DATA_ALPHABET[idx]
+            z = np.empty((m_ant, w.shape[1]), dtype=complex)
+            np.multiply(w[:m_ant], sigma, out=z.real)
+            np.multiply(w[m_ant:], sigma, out=z.imag)
             yield scale * (chan.h[r].T @ x) + z, x, z
+
+
+def _span_data(book, net, links):
+    """The UPNG data samples that reach the APs' spans, as (bounds, at, rows, ap, ue, starts).
+
+    UE u sends its data in columns [L + t_ur, L + t_max_r) of AP r's frame, so
+    the samples that reach the span [lo_r, hi_r) are those columns from
+    max(L + t_ur, lo_r) to hi_r, often none. Samples are listed AP by AP, UE
+    by UE and column by column. AP r's run from ``bounds[r]`` to
+    ``bounds[r + 1]`` of ``at`` holds their positions among the AP's drawn
+    symbol indices. ``rows`` holds, per sample, the AP's k links' conjugated
+    MF rows at its column, and the samples of each (AP, UE) pair in ``ap``,
+    ``ue`` start at ``starts``.
+    """
+    seq_len, t = book.seq_len, net.t_ur
+    lo, hi = np.array(links.span).T
+    # data columns, counted from L, of each UE's first sample in the span and their count
+    first = np.maximum(t, (lo - seq_len)[:, None])
+    count = np.maximum((hi - seq_len)[:, None] - first, 0)
+    ap, ue = np.nonzero(count)
+    n = count[ap, ue]
+    starts = np.cumsum(n) - n
+    col = np.arange(n.sum()) + np.repeat(first[ap, ue] - starts, n)
+    # UE u's symbol indices follow those of the UEs before it, t_max_r - t_ur each,
+    # and its index at data column c is the (c - t_ur)-th of them
+    sent = net.t_max_r[:, None] - t
+    at = col + np.repeat((np.cumsum(sent, axis=1) - sent - t)[ap, ue], n)
+    by_ap = links.rows.reshape(links.rows.shape[0], net.n_aps, -1)
+    rows = by_ap[col + seq_len, np.repeat(ap, n)].conj()
+    bounds = [0, *np.cumsum(count.sum(axis=1)).tolist()]
+    return bounds, at, rows, ap, ue, starts
 
 
 def synthesize_frame(book, net, chan, regime, p_ul, rng, setup=None):
@@ -131,16 +164,34 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng, setup=None):
         setup.links = book_links(setup)
     links, stream = setup.links, rng.bit_generator.state
     n_aps, k = net.serving.shape
+    m_ant = chan.m_antennas
     # AP r's links' rows x_r mf, (k, U): the cross rows, plus their data under UPNG
     sent = links.c.reshape(n_aps, k, net.n_ues)
     if regime == REGIME_UPNG:
+        if links.data is None:
+            links.data = _span_data(book, net, links)
+        bounds, at, rows, ap, ue, starts = links.data
+    # per AP, the noise draws times the MF rows' real and imaginary parts, and the
+    # indices of the data symbols that reach the span
+    parts = np.empty((n_aps, 2 * m_ant, 2 * k))
+    codes = []
+    for r, (idx, w) in enumerate(_ap_draws(book, net, chan, regime, rng)):
+        lo, hi = links.span[r]
+        np.matmul(w[:, lo:hi], links.basis[r], out=parts[r])
+        if idx is not None:
+            codes.append(idx[at[bounds[r]:bounds[r + 1]]])
+    if regime == REGIME_UPNG and at.size:
+        symbols = DEFAULT_DATA_ALPHABET[np.concatenate(codes)]
         sent = sent.copy()
-    noise = np.empty((n_aps, k, chan.m_antennas), dtype=complex)
-    for r, (data, z) in enumerate(_ap_draws(book, net, chan, regime, rng)):
-        mf_r = links.mf_rows[r]
-        np.matmul(z, mf_r, out=noise[r, :, :, None])
-        if data is not None:
-            sent[r] += mf_r[:, book.seq_len:, 0] @ data.T
+        sent[ap, :, ue] += np.add.reduceat(rows * symbols[:, None], starts, axis=0)
+    # Z_r conj(mf) with Z_r = sigma (w_re + j w_im) and mf = a + j b:
+    # sigma (w_re a + w_im b) + j sigma (w_im a - w_re b)
+    parts = parts.reshape(n_aps, 2, m_ant, k, 2)
+    noise = np.empty((n_aps, k, m_ant), dtype=complex)
+    noise_t = noise.transpose(0, 2, 1)
+    np.add(parts[:, 0, :, :, 0], parts[:, 1, :, :, 1], out=noise_t.real)
+    np.subtract(parts[:, 1, :, :, 0], parts[:, 0, :, :, 1], out=noise_t.imag)
+    noise *= np.sqrt(chan.noise_w / 2.0)
     return ReceivedFrame(y=list(np.matmul(sent, chan.h)), noise=list(noise), p_ul=p_ul,
                          regime=regime, book=book, net=net, chan=chan, stream=stream,
                          setup=setup)

@@ -35,10 +35,13 @@ power.
 Of the power-free part, the MF rows, the cross rows and their cross powers
 (:func:`cfpilot.analytics.cross_powers`) read only the pilot book and the
 network, not the regime. They are the ``BookLinks`` of the frame's book setup
-(``cfpilot.pilots.BookSetup``), made by :func:`book_links` from its pilot
-rows, one AP's at a time, for the first frame synthesized with it; frame
-synthesis reads the MF and cross rows too. Per frame only the data and bleed
-counts, the target entry, the gains and the interference sum are computed.
+(``cfpilot.pilots.BookSetup``), made by :func:`book_links` for the first
+frame synthesized with it. Each AP's links' MF rows are zero outside one
+column span, the union of their windows (``MFSequence.start`` to its
+start + tau_p), so AP r's cross rows are its pilot rows' span columns times
+the rows' span columns, and frame synthesis reads the rows over the span
+only. Per frame only the data and bleed counts, the target entry, the gains
+and the interference sum are computed.
 """
 
 from dataclasses import dataclass, replace
@@ -53,37 +56,53 @@ from .pilots import REGIME_UPNG, make_mf_sequence
 class BookLinks:
     """The regime-free matched-filter part of a book setup, in the batched layout.
 
-    ``mf`` is the served links' ``MFSequence``, ``mf_rows[r]`` stacks AP
-    r's conjugated MF rows as (k, cols, 1), ``align`` is the conjugated
-    window phase as a column, ``c`` the cross rows pilot_mat @ conj(mf.row),
-    ``cross`` the aligned ones align * c and ``cross_power`` the links'
-    regime-free interference factors.
+    ``mf`` is the served links' ``MFSequence`` without its rows; ``rows``
+    holds them transposed, one column per link, and ``basis[r]`` is AP r's
+    k columns over its span as a real (hi_r - lo_r) x 2k view, each link's
+    real part then its imaginary part. ``span[r]`` is AP r's column span
+    (lo_r, hi_r), the union of its links' MF windows: the rows are zero
+    outside it, so every product over AP r's frame columns reads only these.
+    ``align`` is the conjugated window phase as a column, ``c`` the cross
+    rows pilot_mat @ conj(mf.row), ``cross`` the aligned ones align * c and
+    ``cross_power`` the links' regime-free interference factors. ``data``
+    is left to frame synthesis, which keeps there where the UPNG data that
+    reach the spans sit.
     """
 
     mf: object
-    mf_rows: list
+    span: list
+    rows: np.ndarray
+    basis: list
     align: np.ndarray
     c: np.ndarray
     cross: np.ndarray
     cross_power: np.ndarray
+    data: object = None
 
 
 def book_links(setup):
-    """The ``BookLinks`` of a ``BookSetup``, from each AP's pilot rows in turn."""
+    """The ``BookLinks`` of a ``BookSetup``, from each AP's pilot rows over its span in turn."""
     book, net = setup.book, setup.net
     n_aps, k = net.serving.shape
     ap = np.repeat(np.arange(n_aps), k)
     mf = make_mf_sequence(book, net, ap, net.serving.ravel())
+    start = mf.start.reshape(n_aps, k)
+    span = list(zip(start.min(axis=1).tolist(), (start.max(axis=1) + book.tau_p).tolist()))
     rows = mf.row.conj()
     c = np.empty((ap.size, net.n_ues), dtype=complex)
-    mf_rows = []
-    for r, pilot_mat in enumerate(map(setup.row, range(n_aps))):
-        mf_r = rows[r * k:(r + 1) * k, :pilot_mat.shape[1], None]
-        np.matmul(pilot_mat, mf_r, out=c[r * k:(r + 1) * k, :, None])
-        mf_rows.append(mf_r)
+    for r, (lo, hi) in enumerate(span):
+        links = slice(r * k, (r + 1) * k)
+        np.matmul(setup.row(r, lo, hi), rows[links, lo:hi, None], out=c[links, :, None])
+    # freed before the kept transposed copy is made: three row arrays at once
+    # would raise a full-scale run's peak memory
+    del rows
+    rows = mf.row.T.copy()
+    mf = replace(mf, row=None)
+    parts = rows.view(float)
+    basis = [parts[lo:hi, 2 * r * k:2 * (r + 1) * k] for r, (lo, hi) in enumerate(span)]
     align = np.conj(mf.align_phase)[:, None]
-    return BookLinks(mf=mf, mf_rows=mf_rows, align=align, c=c, cross=align * c,
-                     cross_power=analytics.cross_powers(book, mf, c))
+    return BookLinks(mf=mf, span=span, rows=rows, basis=basis, align=align, c=c,
+                     cross=align * c, cross_power=analytics.cross_powers(book, mf, c))
 
 
 @dataclass

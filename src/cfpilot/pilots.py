@@ -82,12 +82,15 @@ class MFSequence:
     known rotation of the pilot fragment inside the MF window relative to
     the base sequence (unity for random/dft; for the extended scheme
     exp(j 2 pi m (t_w - t_u) / tau_p)). The estimator de-rotates the MF
-    output by its conjugate before applying the LMMSE gain. ``pilot`` and
-    ``data`` count, per UE at the link's AP (last axis), the window samples
-    that carry its pilot and the ones after its pilot, where UPNG data is sent.
+    output by its conjugate before applying the LMMSE gain. ``start`` is
+    the window's first sample, so the row is nonzero only on
+    [start, start + tau_p). ``pilot`` and ``data`` count, per UE at the
+    link's AP (last axis), the window samples that carry its pilot and the
+    ones after its pilot, where UPNG data is sent.
     """
 
     row: np.ndarray
+    start: np.ndarray
     align_phase: np.ndarray
     ap: np.ndarray
     ue: np.ndarray
@@ -218,7 +221,7 @@ def make_mf_sequence(book, net, r, u):
     row = np.zeros(u.shape + (book.seq_len + int(net.t_max_r[r].max()),), dtype=complex)
     np.put_along_axis(row, start[..., None] + np.arange(tau_p), seq, axis=-1)
     pilot, data = window_counts(start[..., None], tau_p, net.t_ur[r], book.seq_len)
-    return MFSequence(row=row, align_phase=phase, ap=r, ue=u,
+    return MFSequence(row=row, start=start, align_phase=phase, ap=r, ue=u,
                       pilot=pilot, data=data)
 
 
@@ -239,10 +242,11 @@ class BookSetup:
     index: tuple
     links: object = None
 
-    def row(self, r):
-        """AP r's U x (L + t_max_r) pilot rows, row u [zeros(t_ur), pilot, zeros]."""
+    def row(self, r, lo=0, hi=None):
+        """AP r's U x (L + t_max_r) pilot rows, row u [zeros(t_ur), pilot, zeros],
+        or only their columns [lo, hi)."""
         ue, start, cols = self.index
-        return self.windows[ue, start[r], :cols[r]]
+        return self.windows[ue, start[r], lo:cols[r] if hi is None else hi]
 
 
 def book_setup(book, net):

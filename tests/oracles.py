@@ -14,7 +14,9 @@
 * ``estimate_links_loop``, ``conjugate_bf_rate_loop`` and
   ``assign_maxmin_loop``: the per-link, per-UE and per-pair loops that the
   batched ``estimate_trial_links``, ``conjugate_bf_rate`` and
-  ``assign_maxmin_distance`` replaced, kept as their references.
+  ``assign_maxmin_distance`` replaced, kept as their references. The loop's
+  cross row sums over the columns where any of the AP's served MF rows is
+  nonzero, as the batched one does.
 * ``synthesize_frame_loop``: every AP's full received frame Y_r, built
   as ``synthesize_frame`` built it before its shared pilot rows, its
   closed-form UPNG data count and its matched-filter domain (each AP's
@@ -204,12 +206,15 @@ def estimate_links_loop(frame):
     upng = frame.regime == REGIME_UPNG
     for r, (y_r, _, _) in enumerate(frame.replay()):
         pilot_mat = analytics.pilot_matrix(book, net, r)
+        # the AP's span: the columns where any of its served links' MF rows is nonzero
+        cols = np.flatnonzero(make_mf_sequence(book, net, r, net.serving[r]).row.any(axis=0))
+        span = slice(cols[0], cols[-1] + 1)
         for u in net.serving[r]:
             u = int(u)
             mf = make_mf_sequence(book, net, r, u)
             row = mf.row.conj()
             y = y_r @ row / sqrt_p
-            c = pilot_mat @ row
+            c = pilot_mat[:, span] @ row[span]
             prof = analytics.interference_profile(chan.gains, frame.regime, mf,
                                                   analytics.cross_powers(book, mf, c))
             g = chan.gains.gain[r, u]

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import per_link
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import full_frames, pilot_rows_loop, synthesize_frame_loop
 
 from cfpilot.airframe import read_frame_dump, synthesize_frame, write_frame_dump
@@ -215,16 +217,52 @@ def test_frame_matches_per_ap_loop(curve):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
-@pytest.mark.parametrize("delay_free", [False, True], ids=["delayed", "delay-free"])
-@pytest.mark.parametrize("curve", ["random:upng", "dft:upg", "dft:upng", "dft_ext:upg",
-                                   "dft_ext:upng"])
-def test_mf_domain_frame_matches_filtered_loop(curve, delay_free):
+def _span_edge_inputs(network):
+    """A 3-AP, 6-UE network at one of two span edges, its channels, and a UPNG book.
+
+    ``late-span``: AP 0's served windows start after the pilot ends
+    (lo_0 > L), so the data that reach its span start at an offset.
+    ``no-data-reach``: an extended-DFT book at auto_min on a network where
+    every AP serves a UE at delay 0, so no AP's span reaches past the pilot
+    and no data reach any window.
+    """
+    serving = delayed_net(np.zeros((3, 6), dtype=np.int64)).serving
+    t = np.random.default_rng(4).integers(1, 12, size=(3, 6))
+    if network == "late-span":
+        t[0, serving[0]] = (11, 13)
+        scheme = "dft"
+    else:
+        np.put_along_axis(t, serving, [[0, 5], [0, 3], [0, 7]], axis=1)
+        scheme = "dft_ext"
+    net = delayed_net(t)
+    tau_ex = delay_spread_min_extension(net) if scheme == "dft_ext" else 0
+    book = make_pilot_book(scheme, 8, tau_ex, net.n_ues, None)
+    return book, net, toy_chan(net, noise_w=1e-3), REGIME_UPNG
+
+
+@pytest.mark.parametrize("curve,network", [
+    *(pytest.param(curve, network, id=f"{curve}-{network}")
+      for curve in ("dft:upg", "dft:upng", "dft_ext:upg", "dft_ext:upng", "random:upng")
+      for network in ("delay-free", "delayed")),
+    pytest.param("dft:upng", "late-span", id="dft:upng-late-span"),
+    pytest.param("dft_ext:upng", "no-data-reach", id="dft_ext:upng-no-data-reach")])
+def test_mf_domain_frame_matches_filtered_loop(curve, network):
     # every served link's MF output, y + noise / sqrt(p_ul), is the loop's full
     # frame Y_r filtered by the link's MF row, Y_r conj(mf) / sqrt(p_ul), at the
     # frame's power and at another, to within the per-link rule's rounding term
-    book, net, chan, regime = _curve_frame_inputs(curve, delay_free)
-    assert delay_free == (net.t_max_r.max() == 0)
+    if network in ("delayed", "delay-free"):
+        book, net, chan, regime = _curve_frame_inputs(curve, network == "delay-free")
+        assert (network == "delay-free") == (net.t_max_r.max() == 0)
+    else:
+        book, net, chan, regime = _span_edge_inputs(network)
     frame = synthesize_frame(book, net, chan, regime, 0.1, np.random.default_rng(5))
+    lo, hi = np.array(frame.setup.links.span).T
+    # a UE's data start at L + t_ur; the span's data columns start at max(lo_r, L)
+    reached = np.maximum(book.seq_len + net.t_ur, lo[:, None]) < hi[:, None]
+    if network == "late-span":
+        assert lo[0] > book.seq_len and reached[0].any()
+    if network == "no-data-reach":
+        assert net.t_max_r.max() > 0 and not reached.any()
     for p_ul in (0.1, 2.5):
         loop_y = synthesize_frame_loop(book, net, chan, regime, p_ul, np.random.default_rng(5))[0]
         for r, served in enumerate(net.serving):
@@ -233,6 +271,27 @@ def test_mf_domain_frame_matches_filtered_loop(curve, delay_free):
             got = frame.y[r] + frame.noise[r] / np.sqrt(p_ul)
             err = np.linalg.norm(got - want, axis=-1)
             assert np.all(err <= per_link.CANCEL * per_link.EPS * np.linalg.norm(want, axis=-1))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_span_holds_every_served_window(data):
+    # every nonzero entry of a served link's MF row lies in its AP's span
+    # [lo_r, hi_r), and 0 <= lo_r < hi_r <= L + t_max_r
+    n_aps, n_ues = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 7))
+    t = np.array(data.draw(st.lists(st.integers(0, 12), min_size=n_aps * n_ues,
+                                    max_size=n_aps * n_ues))).reshape(n_aps, n_ues)
+    net = delayed_net(t)
+    scheme = data.draw(st.sampled_from(["random", "dft", "dft_ext"]))
+    tau_p = data.draw(st.integers(1, 8))
+    tau_ex = data.draw(st.integers(0, 6)) if scheme == "dft_ext" else 0
+    book = make_pilot_book(scheme, tau_p, tau_ex, n_ues, np.random.default_rng(0))
+    links = book_links(book_setup(book, net))
+    assert len(links.span) == n_aps
+    for r, (lo, hi) in enumerate(links.span):
+        assert 0 <= lo < hi <= book.seq_len + net.t_max_r[r]
+        cols = np.flatnonzero(make_mf_sequence(book, net, r, net.serving[r]).row.any(axis=0))
+        assert lo <= cols.min() and cols.max() < hi
 
 
 def test_upng_data_count_matches_mask():

@@ -8,6 +8,7 @@ import multiprocessing
 import subprocess
 import sys
 import types
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 
@@ -361,6 +362,33 @@ def test_one_point_sweep_keeps_no_curve_record():
     assert not any(isinstance(r, BookSetup) for r in kept)
     run_trial(cfg, 20.0, 0, draws)
     assert _kept_records(draws) == []
+
+
+def test_no_reference_cycle_keeps_a_book_alive(monkeypatch):
+    # with the cyclic collector off, reference counting alone frees every
+    # curve's book setup and its matched-filter part once run_trial at the
+    # sweep's last point returns: nothing the draws or the record keep points
+    # to them, and no cycle holds them
+    refs = []
+
+    def spy(*args, **kwargs):
+        frame = synthesize_frame(*args, **kwargs)
+        refs.append((weakref.ref(frame.setup), weakref.ref(frame.setup.links)))
+        return frame
+
+    monkeypatch.setattr(harness, "synthesize_frame", spy)
+    cfg = small_cfg(sweep_values=(-4.0, 20.0),
+                    curves=("random:upng", "dft:upg", "dft:upng", "dft_ext:upng", "sync"))
+    draws = harness.TrialDraws(cfg, 0)
+    gc.collect()
+    gc.disable()
+    try:
+        for value in cfg.sweep_values:
+            record = run_trial(cfg, value, 0, draws)
+        assert len(refs) == 5 and record.curves
+        assert all(ref() is None for pair in refs for ref in pair)
+    finally:
+        gc.enable()
 
 
 def _unshared(cfg, curve):
