@@ -49,13 +49,11 @@ FRAME_MAGIC = b"ACFE"
 def _ap_draws(book, net, chan, regime, rng):
     """Yield each AP's draws from ``rng``, in AP order: its UPNG data, then its noise.
 
-    The data are the indices into ``DEFAULT_DATA_ALPHABET`` of the symbols
-    that UE u sends in the last t_max_r - t_ur of the U x t_max_r samples
-    after the first L of the transmitted rows, UE by UE (None under UPG or
-    when no UE sends any). The noise is the (2M, L + t_max_r) standard
-    normals whose first M rows, times sqrt(noise_w / 2), are the real parts
-    of Z_r and the last M its imaginary parts. Frame synthesis and replay
-    both draw through here.
+    The data are the ``DEFAULT_DATA_ALPHABET`` indices of the symbols UE by
+    UE, UE u's filling its last t_max_r - t_ur samples after the first L
+    (None under UPG or when no UE sends any). The noise is (2M, L + t_max_r)
+    standard normals, Z_r's real parts then its imaginary parts over
+    sqrt(noise_w / 2). Frame synthesis and replay both draw through here.
     """
     m_ant = chan.m_antennas
     # a UE at delay t sends t_max_r - t data samples at AP r: none on a delay-free network
@@ -103,23 +101,18 @@ class ReceivedFrame:
             if idx is not None:
                 sends = np.arange(net.t_max_r[r]) >= net.t_ur[r][:, None]
                 x[:, book.seq_len:][sends] = DEFAULT_DATA_ALPHABET[idx]
-            z = np.empty((m_ant, w.shape[1]), dtype=complex)
-            np.multiply(w[:m_ant], sigma, out=z.real)
-            np.multiply(w[m_ant:], sigma, out=z.imag)
+            z = sigma * (w[:m_ant] + 1j * w[m_ant:])
             yield scale * (chan.h[r].T @ x) + z, x, z
 
 
 def _span_data(book, net, links):
-    """The UPNG data samples that reach the APs' spans, as (bounds, at, rows, ap, ue, starts).
+    """The UPNG data samples in the APs' spans, as (bounds, at, rows, ap, ue, starts).
 
-    UE u sends its data in columns [L + t_ur, L + t_max_r) of AP r's frame, so
-    the samples that reach the span [lo_r, hi_r) are those columns from
-    max(L + t_ur, lo_r) to hi_r, often none. Samples are listed AP by AP, UE
-    by UE and column by column. AP r's run from ``bounds[r]`` to
-    ``bounds[r + 1]`` of ``at`` holds their positions among the AP's drawn
-    symbol indices. ``rows`` holds, per sample, the AP's k links' conjugated
-    MF rows at its column, and the samples of each (AP, UE) pair in ``ap``,
-    ``ue`` start at ``starts``.
+    UE u's data fill columns [L + t_ur, L + t_max_r) of AP r's frame, and few
+    of them lie in [lo_r, hi_r). Listed AP by AP, UE by UE, column by column:
+    ``at[bounds[r]:bounds[r + 1]]`` are AP r's samples' positions among its
+    drawn symbols, ``rows`` each sample's k conjugated MF row entries, and
+    each (``ap``, ``ue``) pair's samples start at ``starts``.
     """
     seq_len, t = book.seq_len, net.t_ur
     lo, hi = np.array(links.span).T
@@ -172,7 +165,7 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng, setup=None):
             links.data = _span_data(book, net, links)
         bounds, at, rows, ap, ue, starts = links.data
     # per AP, the noise draws times the MF rows' real and imaginary parts, and the
-    # indices of the data symbols that reach the span
+    # indices of the symbols in the span
     parts = np.empty((n_aps, 2 * m_ant, 2 * k))
     codes = []
     for r, (idx, w) in enumerate(_ap_draws(book, net, chan, regime, rng)):

@@ -36,12 +36,10 @@ Of the power-free part, the MF rows, the cross rows and their cross powers
 (:func:`cfpilot.analytics.cross_powers`) read only the pilot book and the
 network, not the regime. They are the ``BookLinks`` of the frame's book setup
 (``cfpilot.pilots.BookSetup``), made by :func:`book_links` for the first
-frame synthesized with it. Each AP's links' MF rows are zero outside one
-column span, the union of their windows (``MFSequence.start`` to its
-start + tau_p), so AP r's cross rows are its pilot rows' span columns times
-the rows' span columns, and frame synthesis reads the rows over the span
-only. Per frame only the data and bleed counts, the target entry, the gains
-and the interference sum are computed.
+frame synthesized with it. An AP's links' MF rows are zero outside one
+column span, the union of their windows, and the cross rows and frame
+synthesis read only its columns. Per frame only the data and bleed counts,
+the target entry, the gains and the interference sum are computed.
 """
 
 from dataclasses import dataclass, replace
@@ -56,17 +54,16 @@ from .pilots import REGIME_UPNG, make_mf_sequence
 class BookLinks:
     """The regime-free matched-filter part of a book setup, in the batched layout.
 
-    ``mf`` is the served links' ``MFSequence`` without its rows; ``rows``
-    holds them transposed, one column per link, and ``basis[r]`` is AP r's
-    k columns over its span as a real (hi_r - lo_r) x 2k view, each link's
-    real part then its imaginary part. ``span[r]`` is AP r's column span
-    (lo_r, hi_r), the union of its links' MF windows: the rows are zero
-    outside it, so every product over AP r's frame columns reads only these.
-    ``align`` is the conjugated window phase as a column, ``c`` the cross
-    rows pilot_mat @ conj(mf.row), ``cross`` the aligned ones align * c and
-    ``cross_power`` the links' regime-free interference factors. ``data``
-    is left to frame synthesis, which keeps there where the UPNG data that
-    reach the spans sit.
+    ``span[r]`` is AP r's column span (lo_r, hi_r), the union of its links'
+    MF windows [start, start + tau_p); their rows are zero outside it.
+    ``mf`` is the served links' ``MFSequence`` without its rows, which
+    ``rows`` holds transposed, one column per link; ``basis[r]`` views AP
+    r's k columns over its span as a real (hi_r - lo_r) x 2k matrix, each
+    link's real part then its imaginary part. ``align`` is the conjugated
+    window phase as a column, ``c`` the cross rows pilot_mat @ conj(mf.row),
+    ``cross`` the aligned ones align * c and ``cross_power`` the links'
+    regime-free interference factors. ``data`` is where frame synthesis
+    keeps the layout of the UPNG data samples inside the spans.
     """
 
     mf: object
