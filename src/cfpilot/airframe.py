@@ -128,7 +128,7 @@ def _span_data(book, net, links):
     sent = net.t_max_r[:, None] - t
     at = col + np.repeat((np.cumsum(sent, axis=1) - sent - t)[ap, ue], n)
     by_ap = links.rows.reshape(links.rows.shape[0], net.n_aps, -1)
-    rows = by_ap[col + seq_len, np.repeat(ap, n)].conj()
+    rows = by_ap[col + np.repeat(seq_len - lo[ap], n), np.repeat(ap, n)].conj()
     bounds = [0, *np.cumsum(count.sum(axis=1)).tolist()]
     return bounds, at, rows, ap, ue, starts
 

@@ -235,6 +235,31 @@ def find_crossover(rows):
 class RateReport:
     se_per_ue: np.ndarray
     sinr_per_ue: np.ndarray
+    operands: object = None  # the RateOperands the call read, for a later power
+
+
+@dataclass
+class RateOperands:
+    """The power-free operands of :func:`conjugate_bf_rate` on one curve draw.
+
+    ``keep`` marks the links with gamma > 0 they were built for and ``flat``
+    each kept link's A_wu bin indices w * U + u, raveled. ``cross_re`` and
+    ``cross_im`` are the real and imaginary parts of the kept links'
+    conjugated cross rows conj(c_rw,u), contiguous, and ``gain`` their APs'
+    gain rows. ``bleed`` and ``gain_sq`` are the kept links' data counts and
+    squared gain rows, None when no data bleed into any window. ``served``
+    masks the served UEs and ``gain_sum`` is their summed gains.
+    """
+
+    keep: np.ndarray
+    flat: np.ndarray
+    cross_re: np.ndarray
+    cross_im: np.ndarray
+    gain: np.ndarray
+    bleed: np.ndarray
+    gain_sq: np.ndarray
+    served: np.ndarray
+    gain_sum: np.ndarray
 
 
 def overhead_factor(tau_c, tau_p, tau_ex):
@@ -242,43 +267,70 @@ def overhead_factor(tau_c, tau_p, tau_ex):
     return float(min(max((tau_c - tau_p - tau_ex) / tau_c, 0.0), 1.0))
 
 
-def conjugate_bf_rate(net, gains, links, p_dl, noise_w, m_antennas, overhead):
+def rate_operands(net, gains, links, keep):
+    """The :class:`RateOperands` of ``links`` (a ``LinkEstimates``) over its ``keep`` links."""
+    n_ue = net.n_ues
+    ap, w, cross, counts = ((links.ap, links.ue, links.cross, links.bleed) if keep.all() else
+                            (links.ap[keep], links.ue[keep], links.cross[keep], links.bleed[keep]))
+    gain = gains.gain[ap]
+    bleed = gain_sq = None  # no data bleeds into a window under a guard time
+    if links.bleed.any():
+        # as floats, the type every product with the counts casts them to
+        bleed, gain_sq = counts.astype(float), gain**2
+    served = np.zeros(n_ue, dtype=bool)
+    served[net.serving] = True
+    return RateOperands(keep=keep, flat=(w[:, None] * n_ue + np.arange(n_ue)).ravel(),
+                        cross_re=np.ascontiguousarray(cross.real),
+                        cross_im=np.negative(cross.imag), gain=gain, bleed=bleed,
+                        gain_sq=gain_sq, served=served,
+                        gain_sum=gains.gain.sum(axis=0)[served])
+
+
+def conjugate_bf_rate(net, gains, links, p_dl, noise_w, m_antennas, overhead, operands=None):
     """Per-UE downlink spectral efficiency under the pinned hardening bound.
 
     ``links`` is the trial's ``LinkEstimates``: its (R, U) ``gamma`` (zero
     off the served pairs) and, per served link, the LMMSE gain
     ``gain_scale``, the aligned cross row ``cross`` (c_rw,u) and the data
-    counts ``bleed`` (n_rw(u)) of the contamination term.
+    counts ``bleed`` (n_rw(u)) of the contamination term. ``operands`` is
+    the ``RateReport.operands`` of an earlier call on the same curve draw
+    at another power; they are built when not given, or when another set
+    of links has gamma > 0.
     """
     n_ue = net.n_ues
     gamma = links.gamma
     cluster_len = float(net.serving.shape[1])  # k_r, the same at every AP
-    keep = gamma[links.ap, links.ue] > 0
-    ap, w = links.ap[keep], links.ue[keep]
-    eta = 1.0 / (m_antennas * gamma[ap, w] * cluster_len)
+    link_gamma = gamma[links.ap, links.ue]
+    keep = link_gamma > 0
+    op = operands
+    if op is None or not np.array_equal(keep, op.keep):
+        op = rate_operands(net, gains, links, keep)
+    eta = 1.0 / (m_antennas * link_gamma[keep] * cluster_len)
     scale = links.gain_scale[keep]
-    gain = gains.gain[ap]
-    terms = (np.sqrt(eta) * scale)[:, None] * np.conj(links.cross[keep]) * gain
+    # Re and Im of (s conj(c)) g for real s and g, without the complex products;
     # every [w, u] bin sums its links in link order, as np.add.at does
-    flat = (w[:, None] * n_ue + np.arange(n_ue)).ravel()
+    s = (np.sqrt(eta) * scale)[:, None]
+    part = np.multiply(s, op.cross_re)
+    part *= op.gain
     amat = np.empty((n_ue, n_ue), dtype=complex)  # [w, u]
-    amat.real = np.bincount(flat, terms.real.ravel(), n_ue * n_ue).reshape(n_ue, n_ue)
-    amat.imag = np.bincount(flat, terms.imag.ravel(), n_ue * n_ue).reshape(n_ue, n_ue)
-    bterm = 0.0  # no data bleeds into a window under a guard time
-    if links.bleed.any():
-        bterm = ((eta * scale**2)[:, None] * links.bleed[keep] * gain**2).sum(axis=0)
+    amat.real = np.bincount(op.flat, part.ravel(), n_ue * n_ue).reshape(n_ue, n_ue)
+    np.multiply(s, op.cross_im, out=part)
+    part *= op.gain
+    amat.imag = np.bincount(op.flat, part.ravel(), n_ue * n_ue).reshape(n_ue, n_ue)
+    bterm = 0.0
+    if op.bleed is not None:
+        bterm = ((eta * scale**2)[:, None] * op.bleed * op.gain_sq).sum(axis=0)
     np.fill_diagonal(amat, 0.0)
     contamination = (np.abs(amat) ** 2).sum(axis=0) + bterm
-    served = np.zeros(n_ue, dtype=bool)
-    served[net.serving] = True
+    served = op.served
     coherent = np.sqrt(gamma / cluster_len).sum(axis=0)[served]
-    den = (p_dl * gains.gain.sum(axis=0)[served] + noise_w
+    den = (p_dl * op.gain_sum + noise_w
            + p_dl * m_antennas**2 * contamination[served])
     sinr = np.zeros(n_ue)
     se = np.zeros(n_ue)
     sinr[served] = p_dl * m_antennas * coherent**2 / den
     se[served] = overhead * np.log2(1.0 + sinr[served])
-    return RateReport(se_per_ue=se, sinr_per_ue=sinr)
+    return RateReport(se_per_ue=se, sinr_per_ue=sinr, operands=op)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytics
-from .pilots import REGIME_UPNG, make_mf_sequence
+from .pilots import REGIME_UPNG, make_mf_sequence, mf_start
 
 
 @dataclass
@@ -57,9 +57,11 @@ class BookLinks:
     ``span[r]`` is AP r's column span (lo_r, hi_r), the union of its links'
     MF windows [start, start + tau_p); their rows are zero outside it.
     ``mf`` is the served links' ``MFSequence`` without its rows, which
-    ``rows`` holds transposed, one column per link; ``basis[r]`` views AP
-    r's k columns over its span as a real (hi_r - lo_r) x 2k matrix, each
-    link's real part then its imaginary part. ``align`` is the conjugated
+    ``rows`` holds transposed, one column per link, over the spans: row j
+    holds frame column lo_r + j of AP r's links, for j below the widest
+    span's width. ``basis[r]`` views AP r's k columns over its span as a
+    real (hi_r - lo_r) x 2k matrix, each link's real part then its
+    imaginary part. ``align`` is the conjugated
     window phase as a column, ``c`` the cross rows pilot_mat @ conj(mf.row),
     ``cross`` the aligned ones align * c and ``cross_power`` the links'
     regime-free interference factors. ``data`` is where frame synthesis
@@ -81,22 +83,24 @@ def book_links(setup):
     """The ``BookLinks`` of a ``BookSetup``, from each AP's pilot rows over its span in turn."""
     book, net = setup.book, setup.net
     n_aps, k = net.serving.shape
-    ap = np.repeat(np.arange(n_aps), k)
-    mf = make_mf_sequence(book, net, ap, net.serving.ravel())
-    start = mf.start.reshape(n_aps, k)
-    span = list(zip(start.min(axis=1).tolist(), (start.max(axis=1) + book.tau_p).tolist()))
+    ap, ue = np.repeat(np.arange(n_aps), k), net.serving.ravel()
+    start = mf_start(book, net, ap, ue).reshape(n_aps, k)
+    lo, hi = start.min(axis=1), start.max(axis=1) + book.tau_p
+    span = list(zip(lo.tolist(), hi.tolist()))
+    # each link's row over its AP's span, padded to the widest span
+    mf = make_mf_sequence(book, net, ap, ue, np.repeat(lo, k), int((hi - lo).max()))
     rows = mf.row.conj()
     c = np.empty((ap.size, net.n_ues), dtype=complex)
-    for r, (lo, hi) in enumerate(span):
+    for r, (a, b) in enumerate(span):
         links = slice(r * k, (r + 1) * k)
-        np.matmul(setup.row(r, lo, hi), rows[links, lo:hi, None], out=c[links, :, None])
+        np.matmul(setup.row(r, a, b), rows[links, :b - a, None], out=c[links, :, None])
     # freed before the kept transposed copy is made: three row arrays at once
     # would raise a full-scale run's peak memory
     del rows
     rows = mf.row.T.copy()
     mf = replace(mf, row=None)
     parts = rows.view(float)
-    basis = [parts[lo:hi, 2 * r * k:2 * (r + 1) * k] for r, (lo, hi) in enumerate(span)]
+    basis = [parts[:b - a, 2 * r * k:2 * (r + 1) * k] for r, (a, b) in enumerate(span)]
     align = np.conj(mf.align_phase)[:, None]
     return BookLinks(mf=mf, span=span, rows=rows, basis=basis, align=align, c=c,
                      cross=align * c, cross_power=analytics.cross_powers(book, mf, c))
@@ -106,8 +110,9 @@ def book_links(setup):
 class LinkSetup:
     """The power-free estimator internals of one frame that ``LinkEstimates`` does not expose.
 
-    ``align`` is the conjugated window phase as a column, and the per-link
-    arrays follow the batched layout above.
+    ``align`` is the conjugated window phase as a column, ``signal`` and
+    ``noise`` the frame's per-AP MF signals and filtered noise stacked
+    (links x M), and the per-link arrays follow the batched layout above.
     """
 
     align: np.ndarray
@@ -115,6 +120,8 @@ class LinkSetup:
     signal_var: np.ndarray
     h: np.ndarray
     sq_h: np.ndarray
+    signal: np.ndarray
+    noise: np.ndarray
 
 
 @dataclass
@@ -170,8 +177,9 @@ def _link_setup(frame):
         gain_scale=None,
         cross=b.cross,
         bleed=bleed,
-        setup=LinkSetup(align=b.align, yh=pilot * g,
-                        signal_var=pilot**2 * g + interference, h=h, sq_h=sq_h),
+        setup=LinkSetup(align=b.align, yh=pilot * g, signal_var=pilot**2 * g + interference,
+                        h=h, sq_h=sq_h, signal=np.concatenate(frame.y),
+                        noise=np.concatenate(frame.noise)),
     )
 
 
@@ -182,16 +190,18 @@ def estimate_trial_links(frame, previous=None):
     gamma = Sigma_yh^2 / Sigma_y laid out as an (R, U) array, and
     the expected MF power breakdown used by the diagnostic dump.
     ``previous`` is the estimates of the same draw at another power, whose
-    power-free fields are reused; they are computed here when not given.
+    power-free fields, the frame's signal and noise among them, are reused;
+    they are computed here when not given.
     """
     links = _link_setup(frame) if previous is None else previous
     s, net, chan = links.setup, frame.net, frame.chan
-    y = np.concatenate(frame.y) + np.concatenate(frame.noise) / np.sqrt(frame.p_ul)
+    y = s.signal + s.noise / np.sqrt(frame.p_ul)
     noise_scale = chan.noise_w * frame.book.tau_p / frame.p_ul
     ys = s.signal_var + noise_scale
-    err = s.h - (s.yh / ys)[:, None] * (s.align * y)
+    gain_scale = s.yh / ys
+    err = s.h - gain_scale[:, None] * (s.align * y)
     sq_err = np.matmul(err.conj()[:, None, :], err[:, :, None])[:, 0, 0].real
     gamma = np.zeros((net.n_aps, net.n_ues))
     gamma[links.ap, links.ue] = s.yh * s.yh / ys
-    return replace(links, nmse=sq_err / s.sq_h, gamma=gamma, gain_scale=s.yh / ys,
+    return replace(links, nmse=sq_err / s.sq_h, gamma=gamma, gain_scale=gain_scale,
                    noise_power=np.full(links.ap.size, chan.m_antennas * noise_scale))

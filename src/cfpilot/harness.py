@@ -272,8 +272,9 @@ class TrialDraws:
     The network, gains and fading read no sweep variable, the max-min
     assignment only ``tau_p``, and a curve's frame ``tau_p`` and its
     configured extension but not the power. Until the sweep's last point,
-    a curve keeps one record of its last frame, whose MF-domain signal and
-    noise are received again at a later power, and its ``LinkEstimates``.
+    a curve keeps one record of its last frame, its ``LinkEstimates``, whose
+    setup holds the frame's MF-domain signal and noise that a later power
+    receives again, and the rate bound's power-free ``RateOperands``.
     Within a point, the curves whose pilot books read no stream share one
     ``BookSetup`` per :func:`_book_key`, which is dropped once the last of
     them has drawn its frame.
@@ -283,7 +284,8 @@ class TrialDraws:
         self.cfg, self.trial = cfg, trial
         self._maxmin = {}  # tau_p -> max-min pilot assignment
         self._books = {}  # book key -> BookSetup, for a later curve of the point
-        self._curves = {}  # curve index -> ((tau_p, extension), power-free frame, LinkEstimates)
+        # curve index -> ((tau_p, extension), power-free frame, LinkEstimates, RateOperands)
+        self._curves = {}
 
     @cached_property
     def channel(self):
@@ -329,19 +331,37 @@ class TrialDraws:
         return frame
 
     def estimate(self, pc, ci):
-        """Curve ``ci``'s frame at point ``pc``, less its ``setup``, and its links."""
+        """Curve ``ci``'s frame at point ``pc``, less its ``setup``, its links and its
+        rate bound.
+
+        A later point of the same draw reuses the curve's record: its frame,
+        received at the new power, its links' power-free fields and the rate
+        bound's power-free operands.
+        """
         key = (pc.tau_p, _extension(pc, parse_curve(pc.curves[ci])[0]))
-        kept_key, frame, links = self._curves.pop(ci, (None, None, None))
+        kept_key, frame, links, operands = self._curves.pop(ci, (None,) * 4)
         if kept_key != key:
-            frame = links = None  # a stale record is freed before drawing
-        frame = self.frame(pc, ci) if frame is None else replace(frame, p_ul=dbm_to_watts(pc.p_dbm))
-        links = estimate_trial_links(frame, links)
-        # so no caller holds the book setup past this curve
-        frame = replace(frame, setup=None)
-        # a record is read only by a later point of the sweep
+            frame = links = operands = None  # a stale record is freed before drawing
+        if frame is None:
+            frame = self.frame(pc, ci)
+            links = estimate_trial_links(frame)
+            # so no caller holds the book setup past this curve
+            frame = replace(frame, setup=None)
+        else:
+            frame = replace(frame, p_ul=dbm_to_watts(pc.p_dbm))
+            links = estimate_trial_links(frame, links)
+        book = frame.book
+        overhead = analytics.overhead_factor(pc.tau_c, book.tau_p, book.tau_ex)
+        rate = analytics.conjugate_bf_rate(frame.net, frame.chan.gains, links,
+                                           p_dl=frame.p_ul, noise_w=pc.noise_w,
+                                           m_antennas=pc.antennas, overhead=overhead,
+                                           operands=operands)
+        # a record is read only by a later point of the sweep, and no caller holds
+        # the operands past this curve
         if getattr(pc, pc.sweep_variable) != pc.sweep_values[-1]:
-            self._curves[ci] = (key, frame, links)
-        return frame, links
+            self._curves[ci] = (key, frame, links, rate.operands)
+        rate.operands = None
+        return frame, links, rate
 
 
 @dataclass
@@ -369,13 +389,8 @@ def run_trial(cfg, sweep_value, trial, draws=None):
         draws = TrialDraws(cfg, trial)
     out = {}
     for ci, curve in enumerate(cfg.curves):
-        frame, links = draws.estimate(pc, ci)
-        book = frame.book
-        overhead = analytics.overhead_factor(cfg.tau_c, book.tau_p, book.tau_ex)
-        rate = analytics.conjugate_bf_rate(frame.net, frame.chan.gains, links,
-                                           p_dl=frame.p_ul, noise_w=cfg.noise_w,
-                                           m_antennas=cfg.antennas, overhead=overhead)
-        out[curve] = {"se": rate.se_per_ue, "tau_ex": book.tau_ex,
+        frame, links, rate = draws.estimate(pc, ci)
+        out[curve] = {"se": rate.se_per_ue, "tau_ex": frame.book.tau_ex,
                       **{name: getattr(links, name) for name in ("ap", "ue", *DIAG_COLUMNS[4:])}}
     return TrialRecord(trial=trial, sweep_value=float(sweep_value), curves=out)
 

@@ -83,8 +83,8 @@ class MFSequence:
     the base sequence (unity for random/dft; for the extended scheme
     exp(j 2 pi m (t_w - t_u) / tau_p)). The estimator de-rotates the MF
     output by its conjugate before applying the LMMSE gain. ``start`` is
-    the window's first sample, so the row is nonzero only on
-    [start, start + tau_p). ``pilot`` and ``data`` count, per UE at the
+    the window's first frame sample, so the row is nonzero only on the
+    frame samples [start, start + tau_p). ``pilot`` and ``data`` count, per UE at the
     link's AP (last axis), the window samples that carry its pilot and the
     ones after its pilot, where UPNG data is sent.
     """
@@ -196,30 +196,38 @@ def window_counts(start, tau_p, t, seq_len):
     return before[1] - before[0], tau_p - before[1]
 
 
-def make_mf_sequence(book, net, r, u):
+def mf_start(book, net, r, u):
+    """First frame sample of the MF windows of the links (``r``, ``u``): the UE's
+    delay, or under the extended scheme the AP's window start t_w_r."""
+    return net.t_w_r[r] if book.scheme == SCHEME_DFT_EXT else net.t_ur[r, u]
+
+
+def make_mf_sequence(book, net, r, u, lo=0, width=None):
     """Zero-padded MF rows of the links (``r``, ``u``); the indices broadcast.
 
-    A row is tau_p + tau_ex + t_max samples long, t_max the largest over the
-    links' APs, so each one is as long as its AP's frame or longer, by
-    trailing zeros.
+    A row holds the frame samples [lo, lo + width) of its link's AP, ``lo``
+    broadcasting with the links. By default a row is tau_p + tau_ex + t_max
+    samples from the frame's start, t_max the largest over the links' APs,
+    so each one is as long as its AP's frame or longer, by trailing zeros.
     """
     r, u = np.broadcast_arrays(np.asarray(r), np.asarray(u))
     tau_p = book.tau_p
     t = net.t_ur[r, u]
+    start = mf_start(book, net, r, u)
     if book.scheme == SCHEME_DFT_EXT:
         if not (net.serving[r] == u[..., None]).any(axis=-1).all():
             raise ValueError("extended-DFT MF windows are defined for served UEs only")
-        start = net.t_w_r[r]
         m = book.assignment[u]
         seq = dft_sequence(m[..., None], tau_p)
         # the angle in real arithmetic: a complex division rounds differently
         phase = np.exp(1j * (2 * np.pi * m * (start - t) / tau_p))
     else:
-        start = t
         seq = book.sequences[u, :tau_p]
         phase = np.ones(u.shape, dtype=complex)
-    row = np.zeros(u.shape + (book.seq_len + int(net.t_max_r[r].max()),), dtype=complex)
-    np.put_along_axis(row, start[..., None] + np.arange(tau_p), seq, axis=-1)
+    if width is None:
+        width = book.seq_len + int(net.t_max_r[r].max())
+    row = np.zeros(u.shape + (width,), dtype=complex)
+    np.put_along_axis(row, (start - lo)[..., None] + np.arange(tau_p), seq, axis=-1)
     pilot, data = window_counts(start[..., None], tau_p, net.t_ur[r], book.seq_len)
     return MFSequence(row=row, start=start, align_phase=phase, ap=r, ue=u,
                       pilot=pilot, data=data)

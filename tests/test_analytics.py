@@ -1,3 +1,4 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -476,3 +477,45 @@ def test_batched_rate_bound_matches_loop(fig, desk):
                                        rtol=RATE_LOOP_RTOL, atol=0)
             np.testing.assert_allclose(got.se_per_ue, want.se_per_ue,
                                        rtol=RATE_LOOP_RTOL, atol=0)
+
+
+def _dropped_link_case(case):
+    """``(args, links)`` of the rate bound with one served link's gamma at 0: the
+    uncontaminated golden links, or a desk fig6 frame's links (contamination and
+    UPNG bleed)."""
+    if case == "uncontaminated":
+        net, gains, gamma, _ = golden_rate_setup()
+        links = uncontaminated_links(net, gamma)
+        p_dl, noise_w, m_ant = 0.1, 1e-14, 8
+    else:
+        cfg = figure_config("fig6", desk_scale=True, trials=1, seed=3)
+        frame = dict(trial_frames(cfg, cfg.sweep_values[-1], 0))["dft:upng"]
+        links = estimate_trial_links(frame)
+        net, gains, p_dl, noise_w, m_ant = (frame.net, frame.chan.gains, frame.p_ul,
+                                            cfg.noise_w, cfg.antennas)
+        assert links.bleed.any() and np.abs(links.cross).any()
+    gamma = links.gamma.copy()
+    gamma[links.ap[1], links.ue[1]] = 0.0
+    dropped = replace(links, gamma=gamma)
+    return (net, gains, dropped, p_dl, noise_w, m_ant, 0.84), links
+
+
+@pytest.mark.parametrize("case", ["uncontaminated", "fig6-desk-dft:upng"])
+def test_rate_bound_drops_a_link_without_estimate(case):
+    # a served link whose gamma is 0 leaves the contamination sums: the bound
+    # equals the loop, the add.at form bit for bit, and operands built with
+    # every link kept are rebuilt for the links that are
+    args, links = _dropped_link_case(case)
+    got = conjugate_bf_rate(*args)
+    assert got.operands.keep.sum() == links.ap.size - 1
+    want = conjugate_bf_rate_add_at(*args)
+    assert np.array_equal(got.sinr_per_ue, want.sinr_per_ue)
+    assert np.array_equal(got.se_per_ue, want.se_per_ue)
+    loop = conjugate_bf_rate_loop(*args)
+    np.testing.assert_allclose(got.sinr_per_ue, loop.sinr_per_ue, rtol=RATE_LOOP_RTOL, atol=0)
+    np.testing.assert_allclose(got.se_per_ue, loop.se_per_ue, rtol=RATE_LOOP_RTOL, atol=0)
+    every = conjugate_bf_rate(*args[:2], links, *args[3:]).operands
+    assert every.keep.all()
+    again = conjugate_bf_rate(*args, operands=every)
+    assert np.array_equal(again.sinr_per_ue, got.sinr_per_ue)
+    assert np.array_equal(again.se_per_ue, got.se_per_ue)

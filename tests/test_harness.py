@@ -17,7 +17,7 @@ import per_link
 import pytest
 from oracles import full_frames, trial_frames
 
-from cfpilot import airframe, cli, estimator, harness
+from cfpilot import airframe, analytics, cli, estimator, harness
 from cfpilot.airframe import ReceivedFrame, read_frame_dump, synthesize_frame
 from cfpilot.analytics import find_crossover
 from cfpilot.channel import dbm_to_watts
@@ -441,6 +441,58 @@ def test_fig7_trial_builds_one_setup_per_book(monkeypatch):
     cfg = figure_config("fig7", desk_scale=True, trials=1, sweep_values=(20.0,))
     run_trial(cfg, 20.0, 0)
     assert calls == {"make_pilot_book": 3, "make_mf_sequence": 3, "book_setup": 3}
+
+
+@pytest.mark.parametrize("powers", [(-12.0, 20.0), (20.0, -36.0)], ids=["up", "down"])
+@pytest.mark.parametrize("fig", ["fig6", "fig7", "fig9"])
+def test_later_power_equals_fresh_evaluation(fig, powers):
+    # a second power reached through a curve's record (its frame, its links'
+    # power-free fields and the rate bound's operands) gives the bits of the
+    # same draw evaluated at that power alone
+    cfg = figure_config(fig, desk_scale=True, trials=2, seed=3, sweep_values=powers)
+    first, later = (harness.point_config(cfg, value) for value in powers)
+    for trial in range(cfg.trials):
+        swept, fresh = harness.TrialDraws(cfg, trial), harness.TrialDraws(cfg, trial)
+        for ci in range(len(cfg.curves)):
+            swept.estimate(first, ci)
+        for ci, curve in enumerate(cfg.curves):
+            _, got, got_rate = swept.estimate(later, ci)
+            _, want, want_rate = fresh.estimate(later, ci)
+            assert np.array_equal(got_rate.se_per_ue, want_rate.se_per_ue), curve
+            assert np.array_equal(got_rate.sinr_per_ue, want_rate.sinr_per_ue), curve
+            for f in fields(LinkEstimates):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if f.name == "setup":
+                    for g in fields(a):
+                        assert np.array_equal(getattr(a, g.name), getattr(b, g.name)), \
+                            (curve, g.name)
+                else:
+                    assert np.array_equal(a, b), (curve, f.name)
+
+
+@pytest.mark.parametrize("fig,values,builds", [
+    ("fig6", (-12.0, 4.0, 20.0), 5),  # five curves, each drawn once per trial
+    ("fig8", (0, 3, 6), 4),  # dft_ext redrawn at each tau_ex, sync drawn once
+])
+def test_later_powers_build_power_free_operands_once(monkeypatch, fig, values, builds):
+    # the estimator's power-free part and the rate bound's operands are built
+    # once per curve draw, not at every sweep point
+    calls = collections.Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(estimator, "_link_setup")
+    count(analytics, "rate_operands")
+    cfg = figure_config(fig, desk_scale=True, trials=2, seed=3, sweep_values=values)
+    run_sweep(cfg)
+    assert calls == {"_link_setup": 2 * builds, "rate_operands": 2 * builds}
 
 
 def test_progress_reports_trials(capsys):
