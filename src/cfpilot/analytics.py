@@ -31,6 +31,20 @@ serving-order) order: each A_wu bin sums with ``np.bincount`` and B_wu as a
 sum over the link axis, both in that order, and each UE's coherent gain
 sums its serving APs in index order.
 
+Power-free operands: of the bound's inputs only gamma, the LMMSE gains and
+p_dl read the transmit power. :func:`rate_operands` builds everything else
+once per curve draw, as a :class:`RateOperands`: the conjugated cross rows
+of the links with gamma > 0, as contiguous real and negated imaginary
+parts; their APs' gain rows; the A_wu bin index w U + u; under UPNG the
+data counts n_rw(u) and squared gain rows; the served mask and the served
+UEs' summed gains. A call returns the operands it read
+(``RateReport.operands``), and a call at another power of the same draw
+takes them back and computes only eta, the per-link factor
+s = sqrt(eta_rw) g_rw, the two bincounts, B_wu and the SINR. For real s
+and real gains b = beta_ru psi_ru, Re((s conj c) b) = (s Re c) b and
+Im((s conj c) b) = (s (-Im c)) b hold exactly, so the bincounts sum the
+bits the complex products gave.
+
 Rate bound (pinned design): downlink conjugate beamforming with channel
 hardening, equal power fractions across each AP's served UEs and full per-AP
 power. With gamma_ru the per-antenna mean square of the LMMSE channel

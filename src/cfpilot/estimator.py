@@ -30,16 +30,18 @@ Only that observation depends on the transmit power. Everything else is the
 frame's power-free part, which the frames of one draw at several powers
 share: ``estimate_trial_links(frame, previous)`` recomputes just the four
 power-dependent fields of ``previous``, the same draw's estimates at another
-power.
+power, from the frame's signal and noise that ``previous`` holds stacked
+over the links (``LinkSetup.signal`` and ``.noise``).
 
 Of the power-free part, the MF rows, the cross rows and their cross powers
 (:func:`cfpilot.analytics.cross_powers`) read only the pilot book and the
 network, not the regime. They are the ``BookLinks`` of the frame's book setup
 (``cfpilot.pilots.BookSetup``), made by :func:`book_links` for the first
 frame synthesized with it. An AP's links' MF rows are zero outside one
-column span, the union of their windows, and the cross rows and frame
-synthesis read only its columns. Per frame only the data and bleed counts,
-the target entry, the gains and the interference sum are computed.
+column span, the union of their windows; they are built over that span
+only, and the cross rows and frame synthesis read only its columns. Per
+frame only the data and bleed counts, the target entry, the gains and the
+interference sum are computed.
 """
 
 from dataclasses import dataclass, replace

@@ -84,9 +84,9 @@ class MFSequence:
     exp(j 2 pi m (t_w - t_u) / tau_p)). The estimator de-rotates the MF
     output by its conjugate before applying the LMMSE gain. ``start`` is
     the window's first frame sample, so the row is nonzero only on the
-    frame samples [start, start + tau_p). ``pilot`` and ``data`` count, per UE at the
-    link's AP (last axis), the window samples that carry its pilot and the
-    ones after its pilot, where UPNG data is sent.
+    frame samples [start, start + tau_p). ``pilot`` and ``data`` count, per
+    UE at the link's AP (last axis), the window samples that carry its
+    pilot and the ones after its pilot, where UPNG data is sent.
     """
 
     row: np.ndarray

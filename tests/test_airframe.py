@@ -277,7 +277,8 @@ def test_mf_domain_frame_matches_filtered_loop(curve, network):
 @given(st.data())
 def test_span_holds_every_served_window(data):
     # every nonzero entry of a served link's MF row lies in its AP's span
-    # [lo_r, hi_r), and 0 <= lo_r < hi_r <= L + t_max_r
+    # [lo_r, hi_r), and 0 <= lo_r < hi_r <= L + t_max_r; the book's rows hold
+    # each link's row over its AP's span, and zeros up to the widest span
     n_aps, n_ues = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 7))
     t = np.array(data.draw(st.lists(st.integers(0, 12), min_size=n_aps * n_ues,
                                     max_size=n_aps * n_ues))).reshape(n_aps, n_ues)
@@ -288,10 +289,15 @@ def test_span_holds_every_served_window(data):
     book = make_pilot_book(scheme, tau_p, tau_ex, n_ues, np.random.default_rng(0))
     links = book_links(book_setup(book, net))
     assert len(links.span) == n_aps
+    k = net.serving.shape[1]
     for r, (lo, hi) in enumerate(links.span):
         assert 0 <= lo < hi <= book.seq_len + net.t_max_r[r]
-        cols = np.flatnonzero(make_mf_sequence(book, net, r, net.serving[r]).row.any(axis=0))
+        row = make_mf_sequence(book, net, r, net.serving[r]).row
+        cols = np.flatnonzero(row.any(axis=0))
         assert lo <= cols.min() and cols.max() < hi
+        kept = links.rows[:, r * k:(r + 1) * k].T
+        assert np.array_equal(kept[:, :hi - lo], row[:, lo:hi])
+        assert not kept[:, hi - lo:].any()
 
 
 def test_upng_data_count_matches_mask():
