@@ -63,11 +63,11 @@ class BookLinks:
     holds frame column lo_r + j of AP r's links, for j below the widest
     span's width. ``basis[r]`` views AP r's k columns over its span as a
     real (hi_r - lo_r) x 2k matrix, each link's real part then its
-    imaginary part. ``align`` is the conjugated
-    window phase as a column, ``c`` the cross rows pilot_mat @ conj(mf.row),
-    ``cross`` the aligned ones align * c and ``cross_power`` the links'
-    regime-free interference factors. ``data`` is where frame synthesis
-    keeps the layout of the UPNG data samples inside the spans.
+    imaginary part. ``align`` is the conjugated window phase as a column,
+    ``c`` the cross rows pilot_mat @ conj(mf.row), ``cross`` the aligned
+    ones align * c and ``cross_power`` the links' regime-free interference
+    factors. ``data`` is where frame synthesis keeps the layout of the UPNG
+    data samples inside the spans.
     """
 
     mf: object
