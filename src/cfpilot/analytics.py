@@ -26,24 +26,32 @@ any number of links (leading axes) and returns one row over all UEs per
 link. It reads no regime, so the estimator computes it once per pilot book
 and network; :func:`interference_profile` adds one regime's data samples
 and the gains to it, for every served link of a frame in one call.
-:func:`conjugate_bf_rate` reads the links in the estimator's (AP,
-serving-order) order: each A_wu bin sums with ``np.bincount`` and B_wu as a
-sum over the link axis, both in that order, and each UE's coherent gain
+:func:`conjugate_bf_rate` reads the links in the estimator's (curve block,
+AP, serving-order) order: each curve's block serves the same links, and
+one call evaluates every block. Each A_wu bin sums its links in link order,
+B_wu sums over a block's links in link order, and each UE's coherent gain
 sums its serving APs in index order.
 
 Power-free operands: of the bound's inputs only gamma, the LMMSE gains and
 p_dl read the transmit power. :func:`rate_operands` builds everything else
-once per curve draw, as a :class:`RateOperands`: the conjugated cross rows
-of the links with gamma > 0, as contiguous real and negated imaginary
-parts; their APs' gain rows; the A_wu bin index w U + u; under UPNG the
-data counts n_rw(u) and squared gain rows; the served mask and the served
-UEs' summed gains. A call returns the operands it read
-(``RateReport.operands``), and a call at another power of the same draw
-takes them back and computes only eta, the per-link factor
-s = sqrt(eta_rw) g_rw, the two bincounts, B_wu and the SINR. For real s
-and real gains b = beta_ru psi_ru, Re((s conj c) b) = (s Re c) b and
-Im((s conj c) b) = (s (-Im c)) b hold exactly, so the bincounts sum the
-bits the complex products gave.
+once per point that draws a curve, as a :class:`RateOperands`: one block's
+links in rank order (below), their APs' gain rows, which all blocks share,
+under UPNG the data counts n_rw(u) and squared gain rows of the blocks with
+data in a window, the served mask and the served UEs' summed gains. Each
+block's cross rows are read in place, so the curves of one book share
+them. A call at another power of the same draws takes the operands through
+``operands`` and computes only eta, the per-link factor s = sqrt(eta_rw)
+g_rw, the A_wu sums, B_wu and the SINR. For real s and real gains b =
+beta_ru psi_ru, Re((s conj c) b) = (s Re c) b and Im((s conj c) b) =
+(s Im c)(-b) hold exactly, so the sums add the bits the complex products
+gave. The A_wu sums add each rank's rows to the first rows: a link's rank
+is its place among the links with its target w, in link order, and with
+the groups from the largest, the groups that have a rank-j link are a
+prefix of the rank-0 rows. So every A_wu bin sums its links in link order,
+as ``np.add.at`` and ``np.bincount`` do; ``np.add.reduceat`` would not (it
+adds each group's first row to a pairwise sum of the others). A link with
+gamma = 0 has no estimate: its weights are exact zeros, which leave every
+sum's bits as they are.
 
 Rate bound (pinned design): downlink conjugate beamforming with channel
 hardening, equal power fractions across each AP's served UEs and full per-AP
@@ -58,6 +66,8 @@ k_r = |U_r|,
     A_wu   = sum_{r in R_w} sqrt(eta_rw) g_rw conj(c_rw,u) beta_ru psi_ru
     B_wu   = sum_{r in R_w} eta_rw g_rw^2 n_rw(u) (beta_ru psi_ru)^2
     SE_u   = overhead * log2(1 + SINR_u),  overhead = (tau_c-tau_p-tau_ex)/tau_c
+
+Each curve has its own overhead, since tau_ex is per curve.
 
 The first denominator term is the exact beamforming-uncertainty-plus-
 fluctuation variance of all AP transmissions at UE u (the per-AP power
@@ -249,27 +259,38 @@ def find_crossover(rows):
 class RateReport:
     se_per_ue: np.ndarray
     sinr_per_ue: np.ndarray
-    operands: object = None  # the RateOperands the call read, for a later power
 
 
 @dataclass
 class RateOperands:
-    """The power-free operands of :func:`conjugate_bf_rate` on one curve draw.
+    """The power-free operands of :func:`conjugate_bf_rate` on one trial's curve blocks.
 
-    ``keep`` marks the links with gamma > 0 they were built for and ``flat``
-    each kept link's A_wu bin indices w * U + u, raveled. ``cross_re`` and
-    ``cross_im`` are the real and imaginary parts of the kept links'
-    conjugated cross rows conj(c_rw,u), contiguous, and ``gain`` their APs'
-    gain rows. ``bleed`` and ``gain_sq`` are the kept links' data counts and
-    squared gain rows, None when no data bleed into any window. ``served``
+    ``ap`` and ``w`` are one block's links (AP, target UE), which every
+    block repeats, and ``cross`` is each block's cross rows c_rw,u in link
+    order; curves of one book share them. The A_wu terms are laid out by
+    rank: a link's rank is its place among its group's links (the links
+    with its target w, in link order), and the groups run from the largest.
+    Row i holds block link ``link[i]``; the rows of rank j start at row
+    ``slabs[j - 1]`` (rank 0 at row 0), one per group with more than j
+    links, so ``slabs[0]`` counts the groups. ``gain`` holds those rows'
+    gain rows with every entry twice, the second negated (links x 2U).
+    ``diag`` is the flat index of each group's own entry A_ww in the summed
+    (blocks x groups x U) terms, and ``by_w`` lists the groups in the order
+    of w. ``bleed`` holds the data counts of the blocks ``bleed_curves``,
+    those with data in a window (blocks x links x U, None when there are
+    none), in link order, and ``gain_sq`` the squared gain rows. ``served``
     masks the served UEs and ``gain_sum`` is their summed gains.
     """
 
-    keep: np.ndarray
-    flat: np.ndarray
-    cross_re: np.ndarray
-    cross_im: np.ndarray
+    ap: np.ndarray
+    w: np.ndarray
+    cross: tuple
+    link: np.ndarray
+    slabs: list
     gain: np.ndarray
+    diag: np.ndarray
+    by_w: np.ndarray
+    bleed_curves: np.ndarray
     bleed: np.ndarray
     gain_sq: np.ndarray
     served: np.ndarray
@@ -281,70 +302,103 @@ def overhead_factor(tau_c, tau_p, tau_ex):
     return float(min(max((tau_c - tau_p - tau_ex) / tau_c, 0.0), 1.0))
 
 
-def rate_operands(net, gains, links, keep):
-    """The :class:`RateOperands` of ``links`` (a ``LinkEstimates``) over its ``keep`` links."""
-    n_ue = net.n_ues
-    ap, w, cross, counts = ((links.ap, links.ue, links.cross, links.bleed) if keep.all() else
-                            (links.ap[keep], links.ue[keep], links.cross[keep], links.bleed[keep]))
-    gain = gains.gain[ap]
+def rate_operands(net, gains, *blocks):
+    """The :class:`RateOperands` of the curve blocks ``blocks``, each a ``LinkEstimates``
+    of one curve's links."""
+    n_ue, n = net.n_ues, net.serving.size
+    ap, w = blocks[0].ap, blocks[0].ue
+    # one block's links grouped by target UE, in link order within a group
+    grouped = np.argsort(w, kind="stable")
+    first = np.flatnonzero(np.diff(w[grouped], prepend=-1))
+    size = np.diff(first, append=n)
+    place = np.empty(first.size, dtype=int)  # a group's place, from the largest
+    place[np.argsort(-size, kind="stable")] = np.arange(first.size)
+    group = np.repeat(np.arange(first.size), size)
+    rank = np.arange(n) - first[group]
+    link = grouped[np.lexsort((place[group], rank))]
+    target = np.empty(first.size, dtype=int)
+    target[place] = w[grouped[first]]
+    diag = (np.arange(len(blocks) * first.size).reshape(len(blocks), -1) * n_ue + target).ravel()
+    # every gain twice, the second negated: Im((s conj c) b) = (s Im c)(-b) exactly.
+    # take's "clip" mode writes to ``out`` unbuffered; every index is in range
+    gain = np.empty((n, 2 * n_ue))
+    np.take(gains.gain, ap[link], axis=0, out=gain[:, ::2], mode="clip")
+    np.negative(gain[:, ::2], out=gain[:, 1::2])
+    bleed_curves = np.array([c for c, block in enumerate(blocks) if block.bleed.any()], dtype=int)
     bleed = gain_sq = None  # no data bleeds into a window under a guard time
-    if links.bleed.any():
+    if bleed_curves.size:
         # as floats, the type every product with the counts casts them to
-        bleed, gain_sq = counts.astype(float), gain**2
+        bleed = np.array([blocks[c].bleed for c in bleed_curves], dtype=float)
+        gain_sq = gains.gain[ap]
+        np.square(gain_sq, out=gain_sq)
     served = np.zeros(n_ue, dtype=bool)
     served[net.serving] = True
-    return RateOperands(keep=keep, flat=(w[:, None] * n_ue + np.arange(n_ue)).ravel(),
-                        cross_re=np.ascontiguousarray(cross.real),
-                        cross_im=np.negative(cross.imag), gain=gain, bleed=bleed,
-                        gain_sq=gain_sq, served=served,
+    return RateOperands(ap=ap, w=w, link=link, slabs=np.cumsum(np.bincount(rank)).tolist(),
+                        cross=tuple(np.asarray(block.cross, dtype=complex) for block in blocks),
+                        gain=gain, diag=diag, by_w=place, bleed_curves=bleed_curves,
+                        bleed=bleed, gain_sq=gain_sq, served=served,
                         gain_sum=gains.gain.sum(axis=0)[served])
 
 
 def conjugate_bf_rate(net, gains, links, p_dl, noise_w, m_antennas, overhead, operands=None):
     """Per-UE downlink spectral efficiency under the pinned hardening bound.
 
-    ``links`` is the trial's ``LinkEstimates``: its (R, U) ``gamma`` (zero
-    off the served pairs) and, per served link, the LMMSE gain
-    ``gain_scale``, the aligned cross row ``cross`` (c_rw,u) and the data
-    counts ``bleed`` (n_rw(u)) of the contamination term. ``operands`` is
-    the ``RateReport.operands`` of an earlier call on the same curve draw
-    at another power; they are built when not given, or when another set
-    of links has gamma > 0.
+    ``links`` is the trial's ``LinkEstimates``, of one curve or of several
+    stacked curve blocks: its ``gamma`` (zero off the served pairs) and, per
+    served link, the LMMSE gain ``gain_scale``, the aligned cross row
+    ``cross`` (c_rw,u) and the data counts ``bleed`` (n_rw(u)) of the
+    contamination term. ``overhead`` is one factor, or one per block.
+    ``operands`` is the :func:`rate_operands` of the same links' power-free
+    fields, as ``rate_operands(net, gains, *blocks)`` of the curves' one-curve
+    ``LinkEstimates``; for one curve they are built here when not given.
+    The SE and SINR are (U,) for one curve and (curves, U) for several.
     """
+    op = rate_operands(net, gains, links) if operands is None else operands
     n_ue = net.n_ues
-    gamma = links.gamma
+    gamma = links.gamma.reshape(-1, *links.gamma.shape[-2:])  # (curves, R, U)
     cluster_len = float(net.serving.shape[1])  # k_r, the same at every AP
-    link_gamma = gamma[links.ap, links.ue]
+    link_gamma = gamma[:, op.ap, op.w]
     keep = link_gamma > 0
-    op = operands
-    if op is None or not np.array_equal(keep, op.keep):
-        op = rate_operands(net, gains, links, keep)
-    eta = 1.0 / (m_antennas * link_gamma[keep] * cluster_len)
-    scale = links.gain_scale[keep]
+    # a link without an estimate gets eta = 0, so s = 0 and it adds exact zeros
+    eta = np.divide(1.0, m_antennas * link_gamma * cluster_len,
+                    out=np.zeros_like(link_gamma), where=keep)
+    scale = links.gain_scale.reshape(link_gamma.shape)
+    s = np.sqrt(eta) * scale
     # Re and Im of (s conj(c)) g for real s and g, without the complex products;
-    # every [w, u] bin sums its links in link order, as np.add.at does
-    s = (np.sqrt(eta) * scale)[:, None]
-    part = np.multiply(s, op.cross_re)
-    part *= op.gain
-    amat = np.empty((n_ue, n_ue), dtype=complex)  # [w, u]
-    amat.real = np.bincount(op.flat, part.ravel(), n_ue * n_ue).reshape(n_ue, n_ue)
-    np.multiply(s, op.cross_im, out=part)
-    part *= op.gain
-    amat.imag = np.bincount(op.flat, part.ravel(), n_ue * n_ue).reshape(n_ue, n_ue)
-    bterm = 0.0
+    # each rank's rows add to the first rows, so every [w, u] bin sums its
+    # links in link order, as np.add.at does
+    s_rows = s[:, op.link, None]
+    part = np.empty((op.link.size, 2 * n_ue))
+    terms = np.empty((len(op.cross), op.slabs[0], n_ue))  # |A_wu| [block, w, u], largest first
+    for c, cross in enumerate(op.cross):
+        np.take(cross, op.link, axis=0, out=part.view(complex), mode="clip")
+        part *= s_rows[c]
+        part *= op.gain
+        for lo, hi in zip(op.slabs, op.slabs[1:]):
+            part[:hi - lo] += part[lo:hi]
+        np.abs(part[:op.slabs[0]].view(complex), out=terms[c])
+    # freed before the sums' operands are made, which keeps a full-scale
+    # trial's heap from growing
+    del part
+    terms.ravel()[op.diag] = 0.0
+    np.square(terms, out=terms)
+    contamination = terms[:, op.by_w].sum(axis=1)
     if op.bleed is not None:
-        bterm = ((eta * scale**2)[:, None] * op.bleed * op.gain_sq).sum(axis=0)
-    np.fill_diagonal(amat, 0.0)
-    contamination = (np.abs(amat) ** 2).sum(axis=0) + bterm
+        bterm = (eta * scale**2)[op.bleed_curves, :, None] * op.bleed
+        bterm *= op.gain_sq
+        contamination[op.bleed_curves] += bterm.sum(axis=1)
     served = op.served
-    coherent = np.sqrt(gamma / cluster_len).sum(axis=0)[served]
+    coherent = gamma / cluster_len
+    np.sqrt(coherent, out=coherent)
+    coherent = coherent.sum(axis=1)[:, served]
     den = (p_dl * op.gain_sum + noise_w
-           + p_dl * m_antennas**2 * contamination[served])
-    sinr = np.zeros(n_ue)
-    se = np.zeros(n_ue)
-    sinr[served] = p_dl * m_antennas * coherent**2 / den
-    se[served] = overhead * np.log2(1.0 + sinr[served])
-    return RateReport(se_per_ue=se, sinr_per_ue=sinr, operands=op)
+           + p_dl * m_antennas**2 * contamination[:, served])
+    sinr = np.zeros((gamma.shape[0], n_ue))
+    se = np.zeros_like(sinr)
+    sinr[:, served] = p_dl * m_antennas * coherent**2 / den
+    se[:, served] = np.reshape(overhead, (-1, 1)) * np.log2(1.0 + sinr[:, served])
+    shape = links.gamma.shape[:-2] + (n_ue,)
+    return RateReport(se_per_ue=se.reshape(shape), sinr_per_ue=sinr.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +418,5 @@ def nmse_aggregate(values):
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise ValueError("nmse_aggregate needs at least one value")
-    return {
-        "mean_db": _to_db(vals.mean()),
-        "p10_db": _to_db(np.percentile(vals, 10)),
-        "p90_db": _to_db(np.percentile(vals, 90)),
-    }
+    p10, p90 = np.percentile(vals, (10, 90))
+    return {"mean_db": _to_db(vals.mean()), "p10_db": _to_db(p10), "p90_db": _to_db(p90)}

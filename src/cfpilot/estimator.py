@@ -26,12 +26,21 @@ each. The frame (``cfpilot.airframe.ReceivedFrame``) is already in the MF
 domain: its per-AP signal and filtered noise give every link's observation
 as signal + noise / sqrt(p_ul), with no product over a received matrix.
 
-Only that observation depends on the transmit power. Everything else is the
-frame's power-free part, which the frames of one draw at several powers
-share: ``estimate_trial_links(frame, previous)`` recomputes just the four
-power-dependent fields of ``previous``, the same draw's estimates at another
-power, from the frame's signal and noise that ``previous`` holds stacked
-over the links (``LinkSetup.signal`` and ``.noise``).
+Curve blocks: the frames of a sweep point's curves share the network's
+serving array, so :func:`estimate_trial_links` stacks them along the link
+axis, frame c's links in block c (rows c*R*k ... (c+1)*R*k - 1 of every
+per-link array), and runs the power-dependent part once over all blocks.
+Every operation is per link, so a block's results do not depend on the
+other blocks. One frame is the one-block case.
+
+Only the observation depends on the transmit power. Everything else is a
+frame's power-free part (:func:`link_setup`), which the frames of one
+draw at several powers share: ``estimate_trial_links(*frames,
+previous=...)`` recomputes just the four power-dependent fields of
+``previous``, the same draws' estimates at another power or their
+:func:`stack_links`, from the signal and noise that ``previous`` holds
+stacked over the links (``LinkSetup.signal`` and ``.noise``). When one
+curve of a sweep is drawn again, only its block is set up again.
 
 Of the power-free part, the MF rows, the cross rows and their cross powers
 (:func:`cfpilot.analytics.cross_powers`) read only the pilot book and the
@@ -44,7 +53,7 @@ frame only the data and bleed counts, the target entry, the gains and the
 interference sum are computed.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -65,9 +74,10 @@ class BookLinks:
     real (hi_r - lo_r) x 2k matrix, each link's real part then its
     imaginary part. ``align`` is the conjugated window phase as a column,
     ``c`` the cross rows pilot_mat @ conj(mf.row), ``cross`` the aligned
-    ones align * c and ``cross_power`` the links' regime-free interference
-    factors. ``data`` is where frame synthesis keeps the layout of the UPNG
-    data samples inside the spans.
+    ones align * c (``c`` itself where every phase is exactly 1, as for
+    random and DFT books) and ``cross_power`` the links' regime-free
+    interference factors. ``data`` is where frame synthesis keeps the
+    layout of the UPNG data samples inside the spans.
     """
 
     mf: object
@@ -104,16 +114,18 @@ def book_links(setup):
     parts = rows.view(float)
     basis = [parts[:b - a, 2 * r * k:2 * (r + 1) * k] for r, (a, b) in enumerate(span)]
     align = np.conj(mf.align_phase)[:, None]
+    # (a + bi)(1 - 0i) is a + bi up to the signs of zeros, which no reader sees
+    cross = c if (mf.align_phase == 1).all() else align * c
     return BookLinks(mf=mf, span=span, rows=rows, basis=basis, align=align, c=c,
-                     cross=align * c, cross_power=analytics.cross_powers(book, mf, c))
+                     cross=cross, cross_power=analytics.cross_powers(book, mf, c))
 
 
 @dataclass
 class LinkSetup:
-    """The power-free estimator internals of one frame that ``LinkEstimates`` does not expose.
+    """The power-free estimator internals of ``LinkEstimates`` that it does not expose.
 
     ``align`` is the conjugated window phase as a column, ``signal`` and
-    ``noise`` the frame's per-AP MF signals and filtered noise stacked
+    ``noise`` the frames' per-AP MF signals and filtered noise stacked
     (links x M), and the per-link arrays follow the batched layout above.
     """
 
@@ -128,15 +140,18 @@ class LinkSetup:
 
 @dataclass
 class LinkEstimates:
-    """Per served-link results of one trial, in (AP, UE) iteration order.
+    """Per served-link results of one trial's frames, in (curve block, AP, UE) order.
 
     ``gain_scale`` holds the scalar LMMSE gain Sigma_yh / Sigma_y per link,
     ``cross`` the aligned deterministic pilot-part MF cross coefficients of
     every UE inside that link's estimate (n_links, U), and ``bleed`` the
-    count of every other UE's data samples inside that link's MF window
-    (zero under a guard time); all three feed the downlink rate bound's
-    contamination term. ``nmse``, ``gamma``, ``noise_power`` and
-    ``gain_scale`` read the transmit power; the rest, with ``setup``, do not.
+    count of every other UE's data samples inside that link's MF window (a
+    read-only array of zeros under a guard time); all three feed the
+    downlink rate bound's contamination term. A stack of several frames
+    leaves ``cross`` and ``bleed`` None (:func:`stack_links`). ``gamma`` is
+    (R, U) for one frame and (curves, R, U) for several. ``nmse``,
+    ``gamma``, ``noise_power`` and ``gain_scale`` read the transmit power;
+    the rest, with ``setup``, do not.
     """
 
     ap: np.ndarray
@@ -152,7 +167,7 @@ class LinkEstimates:
     setup: LinkSetup = None
 
 
-def _link_setup(frame):
+def link_setup(frame):
     """The power-free fields of one frame's ``LinkEstimates``, with its ``LinkSetup``."""
     chan, b = frame.chan, frame.setup.links
     mf = b.mf
@@ -163,8 +178,11 @@ def _link_setup(frame):
     pilot = mf.pilot[link, ue]
     interference = prof.sum(axis=-1)
     h = chan.h[ap, ue]
-    bleed = mf.data * (frame.regime == REGIME_UPNG)
-    bleed[link, ue] = 0
+    # no data samples fall into a window under a guard time
+    bleed = np.broadcast_to(np.zeros((), mf.data.dtype), mf.data.shape)
+    if frame.regime == REGIME_UPNG:
+        bleed = mf.data.copy()
+        bleed[link, ue] = 0
     m_ant = chan.m_antennas
     # a stacked vdot: a sum of squares rounds differently
     sq_h = np.matmul(h.conj()[:, None, :], h[:, :, None])[:, 0, 0].real
@@ -185,25 +203,57 @@ def _link_setup(frame):
     )
 
 
-def estimate_trial_links(frame, previous=None):
-    """Run MF + LMMSE over every served (AP, UE) pair of one frame.
+def stack_links(blocks):
+    """One-frame power-free ``LinkEstimates`` (:func:`link_setup`) stacked along the link axis.
 
-    Returns per-link realized NMSE, the per-antenna estimate quality
-    gamma = Sigma_yh^2 / Sigma_y laid out as an (R, U) array, and
-    the expected MF power breakdown used by the diagnostic dump.
-    ``previous`` is the estimates of the same draw at another power, whose
-    power-free fields, the frame's signal and noise among them, are reused;
-    they are computed here when not given.
+    A stack of several blocks leaves ``cross`` and ``bleed`` None: the rate
+    bound reads them from the blocks (``cfpilot.analytics.rate_operands``).
     """
-    links = _link_setup(frame) if previous is None else previous
-    s, net, chan = links.setup, frame.net, frame.chan
-    y = s.signal + s.noise / np.sqrt(frame.p_ul)
-    noise_scale = chan.noise_w * frame.book.tau_p / frame.p_ul
+    if len(blocks) == 1:
+        return blocks[0]
+
+    def stacked(parts, name):
+        return np.concatenate([getattr(part, name) for part in parts])
+
+    setups = [block.setup for block in blocks]
+    return LinkEstimates(
+        ap=stacked(blocks, "ap"), ue=stacked(blocks, "ue"), nmse=None, gamma=None,
+        desired_power=stacked(blocks, "desired_power"),
+        interference_power=stacked(blocks, "interference_power"), noise_power=None,
+        gain_scale=None, cross=None, bleed=None,
+        setup=LinkSetup(**{f.name: stacked(setups, f.name) for f in fields(LinkSetup)}))
+
+
+def estimate_trial_links(*frames, previous=None, p_ul=None):
+    """Run MF + LMMSE over every served (AP, UE) pair of each frame.
+
+    The frames are one trial's curves at one sweep point: one network
+    serving array, pilot length and channel draw. Returns per-link realized
+    NMSE, the per-antenna estimate quality gamma = Sigma_yh^2 / Sigma_y laid
+    out as an (R, U) array per frame, and the expected MF power breakdown
+    used by the diagnostic dump. ``p_ul`` is the transmit power, by default
+    the frames' own. ``previous`` is the frames' power-free fields, the
+    frames' signal and noise among them: their :func:`stack_links`, or
+    their estimates at another power. They are computed here when not
+    given.
+    """
+    links = stack_links([link_setup(f) for f in frames]) if previous is None else previous
+    s, first = links.setup, frames[0]
+    net, chan = first.net, first.chan
+    p_ul = first.p_ul if p_ul is None else p_ul
+    # in place: the observation, aligned and scaled, is h's estimate
+    h_hat = s.noise / np.sqrt(p_ul)
+    h_hat += s.signal
+    h_hat *= s.align
+    noise_scale = chan.noise_w * first.book.tau_p / p_ul
     ys = s.signal_var + noise_scale
     gain_scale = s.yh / ys
-    err = s.h - gain_scale[:, None] * (s.align * y)
+    h_hat *= gain_scale[:, None]
+    err = s.h - h_hat
     sq_err = np.matmul(err.conj()[:, None, :], err[:, :, None])[:, 0, 0].real
-    gamma = np.zeros((net.n_aps, net.n_ues))
-    gamma[links.ap, links.ue] = s.yh * s.yh / ys
-    return replace(links, nmse=sq_err / s.sq_h, gamma=gamma, gain_scale=gain_scale,
+    gamma = np.zeros((len(frames), net.n_aps, net.n_ues))
+    n = net.serving.size
+    gamma[:, links.ap[:n], links.ue[:n]] = (s.yh * s.yh / ys).reshape(len(frames), n)
+    return replace(links, nmse=sq_err / s.sq_h, gamma=gamma[0] if len(frames) == 1 else gamma,
+                   gain_scale=gain_scale,
                    noise_power=np.full(links.ap.size, chan.m_antennas * noise_scale))

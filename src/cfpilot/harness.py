@@ -6,7 +6,9 @@ gains and fading of a trial are shared by all compared curves (paired
 comparison), while transmit-side randomness (random pilot phases, UPNG data,
 noise) comes from a per-curve stream. A trial's sweep points share every draw
 that does not read the swept value: one ``TrialDraws`` per trial travels with
-that trial's tasks and keeps, per curve, only what a later point can read.
+that trial's tasks and keeps only what a later point can read. A point
+estimates all its curves in one pass and evaluates their rate bound in one
+more.
 Results are therefore byte-identical for a given (config, seed) no matter how
 many workers run them.
 """
@@ -29,7 +31,7 @@ import numpy as np
 from . import analytics, pilots
 from .airframe import synthesize_frame, write_frame_dump
 from .channel import dbm_to_watts, draw_channels, draw_link_gains
-from .estimator import estimate_trial_links
+from .estimator import estimate_trial_links, link_setup, stack_links
 from .geometry import SimArea, delay_spread_min_extension, sample_topology, synchronize
 from .pilots import (ASSIGN_MAXMIN_DISTANCE, ASSIGNMENTS, REGIMES, SCHEMES, SCHEME_DFT,
                      SCHEME_DFT_EXT, SCHEME_RANDOM, make_pilot_book)
@@ -272,20 +274,24 @@ class TrialDraws:
     The network, gains and fading read no sweep variable, the max-min
     assignment only ``tau_p``, and a curve's frame ``tau_p`` and its
     configured extension but not the power. Until the sweep's last point,
-    a curve keeps one record of its last frame, its ``LinkEstimates``, whose
-    setup holds the frame's MF-domain signal and noise that a later power
+    the draws keep one record of the last point: each curve's frame and
+    power-free ``LinkEstimates`` block, the blocks stacked, whose setup
+    holds the frames' MF-domain signal and noise that a later power
     receives again, and the rate bound's power-free ``RateOperands``.
-    Within a point, the curves whose pilot books read no stream share one
-    ``BookSetup`` per :func:`_book_key`, which is dropped once the last of
-    them has drawn its frame.
+    Within a point, the curves
+    whose pilot books read no stream share one ``BookSetup`` per
+    :func:`_book_key`, which is dropped once the last of them has drawn its
+    frame.
     """
 
     def __init__(self, cfg, trial):
         self.cfg, self.trial = cfg, trial
         self._maxmin = {}  # tau_p -> max-min pilot assignment
         self._books = {}  # book key -> BookSetup, for a later curve of the point
-        # curve index -> ((tau_p, extension), power-free frame, LinkEstimates, RateOperands)
-        self._curves = {}
+        # (per-curve (tau_p, extension) keys, frames and LinkEstimates blocks, the
+        # stacked LinkEstimates, RateOperands, per-curve overhead factors) of the
+        # last point
+        self._record = None
 
     @cached_property
     def channel(self):
@@ -330,38 +336,45 @@ class TrialDraws:
             self._books[key] = frame.setup
         return frame
 
-    def estimate(self, pc, ci):
-        """Curve ``ci``'s frame at point ``pc``, less its ``setup``, its links and its
-        rate bound.
+    def point(self, pc):
+        """Every curve's frame at point ``pc``, less its ``setup``, with the curves'
+        stacked links and their rate bound.
 
-        A later point of the same draw reuses the curve's record: its frame,
-        received at the new power, its links' power-free fields and the rate
-        bound's power-free operands.
+        A later point of the same draws reuses the record: the frames of the
+        curves whose (``tau_p``, extension) key is unchanged, received at the
+        new power, their links' power-free fields and the rate bound's
+        power-free operands. Only the other curves are drawn and set up
+        again, each right after its frame is drawn.
         """
-        key = (pc.tau_p, _extension(pc, parse_curve(pc.curves[ci])[0]))
-        kept_key, frame, links, operands = self._curves.pop(ci, (None,) * 4)
-        if kept_key != key:
-            frame = links = operands = None  # a stale record is freed before drawing
-        if frame is None:
-            frame = self.frame(pc, ci)
-            links = estimate_trial_links(frame)
-            # so no caller holds the book setup past this curve
-            frame = replace(frame, setup=None)
-        else:
-            frame = replace(frame, p_ul=dbm_to_watts(pc.p_dbm))
-            links = estimate_trial_links(frame, links)
-        book = frame.book
-        overhead = analytics.overhead_factor(pc.tau_c, book.tau_p, book.tau_ex)
-        rate = analytics.conjugate_bf_rate(frame.net, frame.chan.gains, links,
-                                           p_dl=frame.p_ul, noise_w=pc.noise_w,
-                                           m_antennas=pc.antennas, overhead=overhead,
-                                           operands=operands)
-        # a record is read only by a later point of the sweep, and no caller holds
-        # the operands past this curve
-        if getattr(pc, pc.sweep_variable) != pc.sweep_values[-1]:
-            self._curves[ci] = (key, frame, links, rate.operands)
-        rate.operands = None
-        return frame, links, rate
+        curves = len(pc.curves)
+        keys = [(pc.tau_p, _extension(pc, parse_curve(curve)[0])) for curve in pc.curves]
+        kept_keys, frames, blocks, links, operands, overhead = self._record or ((None,) * 6)
+        self._record = None
+        if keys != kept_keys:
+            links = operands = None  # rebuilt below; freed before drawing
+            frames, blocks = list(frames or [None] * curves), list(blocks or [None] * curves)
+            for ci, key in enumerate(keys):
+                if not kept_keys or kept_keys[ci] != key:
+                    frame = self.frame(pc, ci)
+                    blocks[ci] = link_setup(frame)
+                    # so nothing holds the book setup past this curve
+                    frames[ci] = frame = replace(frame, setup=None)
+            links = stack_links(blocks)
+            operands = analytics.rate_operands(frames[0].net, frames[0].chan.gains, *blocks)
+            overhead = np.array([analytics.overhead_factor(pc.tau_c, f.book.tau_p, f.book.tau_ex)
+                                 for f in frames])
+        # a record is read only by a later point of the sweep; without one the
+        # blocks are freed before the power-dependent pass
+        later = getattr(pc, pc.sweep_variable) != pc.sweep_values[-1]
+        blocks = blocks if later else None
+        p_ul = dbm_to_watts(pc.p_dbm)
+        links = estimate_trial_links(*frames, previous=links, p_ul=p_ul)
+        rate = analytics.conjugate_bf_rate(frames[0].net, frames[0].chan.gains, links, p_dl=p_ul,
+                                           noise_w=pc.noise_w, m_antennas=pc.antennas,
+                                           overhead=overhead, operands=operands)
+        if later:
+            self._record = (keys, frames, blocks, links, operands, overhead)
+        return frames, links, rate
 
 
 @dataclass
@@ -387,11 +400,15 @@ def run_trial(cfg, sweep_value, trial, draws=None):
     pc = point_config(cfg, sweep_value)
     if draws is None:
         draws = TrialDraws(cfg, trial)
+    frames, links, rate = draws.point(pc)
+    se = rate.se_per_ue.reshape(len(frames), -1)
+    n = links.ap.size // len(frames)
     out = {}
     for ci, curve in enumerate(cfg.curves):
-        frame, links, rate = draws.estimate(pc, ci)
-        out[curve] = {"se": rate.se_per_ue, "tau_ex": frame.book.tau_ex,
-                      **{name: getattr(links, name) for name in ("ap", "ue", *DIAG_COLUMNS[4:])}}
+        block = slice(ci * n, (ci + 1) * n)
+        out[curve] = {"se": se[ci], "tau_ex": frames[ci].book.tau_ex,
+                      **{name: getattr(links, name)[block]
+                         for name in ("ap", "ue", *DIAG_COLUMNS[4:])}}
     return TrialRecord(trial=trial, sweep_value=float(sweep_value), curves=out)
 
 

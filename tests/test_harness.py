@@ -352,13 +352,13 @@ def test_one_point_sweep_keeps_no_curve_record():
     run_trial(cfg, 20.0, 0, draws)
     assert "channel" in vars(draws)
     assert _kept_records(draws) == []
-    # a multi-point sweep keeps one record per curve until its last point,
-    # and still no book setup
+    # a multi-point sweep keeps one record until its last point: each curve's
+    # power-free links and their stack, and still no book setup
     cfg = small_cfg(sweep_values=(-4.0, 20.0), curves=curves)
     draws = harness.TrialDraws(cfg, 0)
     run_trial(cfg, -4.0, 0, draws)
     kept = _kept_records(draws)
-    assert len([r for r in kept if isinstance(r, LinkEstimates)]) == 3
+    assert len([r for r in kept if isinstance(r, LinkEstimates)]) == len(curves) + 1
     assert not any(isinstance(r, BookSetup) for r in kept)
     run_trial(cfg, 20.0, 0, draws)
     assert _kept_records(draws) == []
@@ -446,37 +446,37 @@ def test_fig7_trial_builds_one_setup_per_book(monkeypatch):
 @pytest.mark.parametrize("powers", [(-12.0, 20.0), (20.0, -36.0)], ids=["up", "down"])
 @pytest.mark.parametrize("fig", ["fig6", "fig7", "fig9"])
 def test_later_power_equals_fresh_evaluation(fig, powers):
-    # a second power reached through a curve's record (its frame, its links'
-    # power-free fields and the rate bound's operands) gives the bits of the
-    # same draw evaluated at that power alone
+    # a second power reached through the trial's record (its frames, its
+    # links' power-free fields and the rate bound's operands) gives the bits
+    # of the same draws evaluated at that power alone
     cfg = figure_config(fig, desk_scale=True, trials=2, seed=3, sweep_values=powers)
     first, later = (harness.point_config(cfg, value) for value in powers)
     for trial in range(cfg.trials):
         swept, fresh = harness.TrialDraws(cfg, trial), harness.TrialDraws(cfg, trial)
-        for ci in range(len(cfg.curves)):
-            swept.estimate(first, ci)
-        for ci, curve in enumerate(cfg.curves):
-            _, got, got_rate = swept.estimate(later, ci)
-            _, want, want_rate = fresh.estimate(later, ci)
-            assert np.array_equal(got_rate.se_per_ue, want_rate.se_per_ue), curve
-            assert np.array_equal(got_rate.sinr_per_ue, want_rate.sinr_per_ue), curve
-            for f in fields(LinkEstimates):
-                a, b = getattr(got, f.name), getattr(want, f.name)
-                if f.name == "setup":
-                    for g in fields(a):
-                        assert np.array_equal(getattr(a, g.name), getattr(b, g.name)), \
-                            (curve, g.name)
-                else:
-                    assert np.array_equal(a, b), (curve, f.name)
+        swept.point(first)
+        _, got, got_rate = swept.point(later)
+        _, want, want_rate = fresh.point(later)
+        assert np.array_equal(got_rate.se_per_ue, want_rate.se_per_ue), fig
+        assert np.array_equal(got_rate.sinr_per_ue, want_rate.sinr_per_ue), fig
+        for f in fields(LinkEstimates):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "setup":
+                for g in fields(a):
+                    assert np.array_equal(getattr(a, g.name), getattr(b, g.name)), g.name
+            else:
+                assert np.array_equal(a, b), f.name
 
 
-@pytest.mark.parametrize("fig,values,builds", [
-    ("fig6", (-12.0, 4.0, 20.0), 5),  # five curves, each drawn once per trial
-    ("fig8", (0, 3, 6), 4),  # dft_ext redrawn at each tau_ex, sync drawn once
+@pytest.mark.parametrize("fig,values,builds,stacks", [
+    # five curves, each drawn once per trial
+    pytest.param("fig6", (-12.0, 4.0, 20.0), 5, 1, id="fig6-values0-5"),
+    # dft_ext redrawn at each tau_ex, sync drawn once
+    pytest.param("fig8", (0, 3, 6), 4, 3, id="fig8-values1-4"),
 ])
-def test_later_powers_build_power_free_operands_once(monkeypatch, fig, values, builds):
-    # the estimator's power-free part and the rate bound's operands are built
-    # once per curve draw, not at every sweep point
+def test_later_powers_build_power_free_operands_once(monkeypatch, fig, values, builds, stacks):
+    # the estimator's power-free part is built once per curve draw and the
+    # rate bound's operands once per point that draws a curve, not at every
+    # sweep point
     calls = collections.Counter()
 
     def count(module, name):
@@ -488,11 +488,60 @@ def test_later_powers_build_power_free_operands_once(monkeypatch, fig, values, b
 
         monkeypatch.setattr(module, name, counted)
 
-    count(estimator, "_link_setup")
+    count(harness, "link_setup")
     count(analytics, "rate_operands")
     cfg = figure_config(fig, desk_scale=True, trials=2, seed=3, sweep_values=values)
     run_sweep(cfg)
-    assert calls == {"_link_setup": 2 * builds, "rate_operands": 2 * builds}
+    assert calls == {"link_setup": 2 * builds, "rate_operands": 2 * stacks}
+
+
+def _curve_records(cfg, trial):
+    """``{(sweep value, curve): record}`` of one trial's sweep, as ``run_sweep`` runs it."""
+    draws = harness.TrialDraws(cfg, trial)
+    return {(value, curve): rec for value in cfg.sweep_values
+            for curve, rec in run_trial(cfg, value, trial, draws).curves.items()}
+
+
+def _one_block_record(cfg, value, trial, ci):
+    """Curve ``ci``'s record at ``value``, from its frame alone: one estimator block and
+    one rate-bound block."""
+    frame = harness.TrialDraws(cfg, trial).frame(harness.point_config(cfg, value), ci)
+    links = estimate_trial_links(frame)
+    overhead = analytics.overhead_factor(cfg.tau_c, frame.book.tau_p, frame.book.tau_ex)
+    rate = analytics.conjugate_bf_rate(frame.net, frame.chan.gains, links, frame.p_ul,
+                                       cfg.noise_w, cfg.antennas, overhead)
+    return {"se": rate.se_per_ue, "tau_ex": frame.book.tau_ex,
+            **{key: getattr(links, key) for key in RECORD_FIELDS if key not in ("se", "tau_ex")}}
+
+
+@pytest.mark.parametrize("fig,overrides,fewer", [
+    # fig7's curves against its first two; the same indices keep the same streams
+    pytest.param("fig7", {"sweep_values": (-12.0, 20.0)}, ("dft:upg", "dft:upng"),
+                 id="fig7-desk"),
+    pytest.param("fig8", {"tau_p": 8, "sweep_values": (0, 3)}, ("dft_ext:upg",),
+                 id="fig8-desk-tau_p8"),
+])
+def test_curve_records_do_not_depend_on_other_curves(fig, overrides, fewer):
+    # a curve's record is the same bits whether its point evaluates it stacked
+    # with other curves, with fewer curves, or alone as one block, at a first
+    # point and through the trial's record at a later one
+    cfg = figure_config(fig, desk_scale=True, trials=3, seed=3, **overrides)
+    alone = replace(cfg, curves=fewer)
+    dropped = 0
+    for trial in range(cfg.trials):
+        stacked, single = _curve_records(cfg, trial), _curve_records(alone, trial)
+        for (value, curve), rec in stacked.items():
+            want = [_one_block_record(cfg, value, trial, cfg.curves.index(curve))]
+            want += [single[value, curve]] if curve in fewer else []
+            for other in want:
+                for key in RECORD_FIELDS:
+                    assert np.array_equal(rec[key], other[key]), (trial, value, curve, key)
+        if fig == "fig8":
+            # links with gamma = 0 carry no estimate and drop out of the rate bound
+            _, links, _ = harness.TrialDraws(cfg, trial).point(harness.point_config(cfg, 0))
+            n = links.ap.size // links.gamma.shape[0]
+            dropped += int((links.gamma[:, links.ap[:n], links.ue[:n]] == 0).sum())
+    assert fig != "fig8" or dropped > 0
 
 
 def test_progress_reports_trials(capsys):
@@ -615,9 +664,9 @@ def test_dump_frame_is_run_trial_frame(tmp_path, monkeypatch, variable, value):
                     sweep_variable=variable, sweep_values=(value, value + 1))
     built = []
 
-    def capture(frame, setup=None):
-        built.append(frame)
-        return estimate_trial_links(frame, setup)
+    def capture(*frames, **kwargs):
+        built.append(frames[0])
+        return estimate_trial_links(*frames, **kwargs)
 
     monkeypatch.setattr(harness, "estimate_trial_links", capture)
     run_trial(cfg, value, 0)
