@@ -14,17 +14,11 @@ which equals
 
     y = h_r^T (x_r mf) + Z_r mf / sqrt(p_ul).
 
-So a frame is built in that form and never as Y_r. AP r's links' MF rows
-are zero outside its span [lo_r, hi_r), the union of their windows
-(``cfpilot.estimator.BookLinks``), and every product reads only those
-columns. Under UPG, x_r mf is the link's cross row, which the book setup's
-matched-filter part holds; under UPNG the projection of the data symbols
-that reach the span is added to it, built from the drawn indices of those
-symbols alone. The filtered noise is one real product per AP, the noise
-draws' span columns times the real and imaginary parts of the MF rows,
-combined into complex values once per frame. Per AP, a frame keeps the k
-served links' power-free signal h_r^T (x_r mf) and filtered noise Z_r mf,
-two k x M arrays, and is received at another power by setting ``p_ul``.
+So a frame is built in that form and never as Y_r (:class:`ReceivedFrame`),
+over each AP's span of the book setup's matched-filter rows
+(``cfpilot.estimator.BookLinks``). Under UPG, x_r mf is the link's cross
+row; under UPNG the projection of the data symbols that reach the span is
+added to it.
 
 The random draws are those of the full frame, in the same order: per AP, the
 data symbols, then the noise's real parts, then its imaginary parts
@@ -161,9 +155,7 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng, setup=None):
     # AP r's links' rows x_r mf, (k, U): the cross rows, plus their data under UPNG
     sent = links.c.reshape(n_aps, k, net.n_ues)
     if regime == REGIME_UPNG:
-        if links.data is None:
-            links.data = _span_data(book, net, links)
-        bounds, at, rows, ap, ue, starts = links.data
+        bounds, at, rows, ap, ue, starts = _span_data(book, net, links)
     # per AP, the noise draws times the MF rows' real and imaginary parts, and the
     # indices of the symbols in the span
     parts = np.empty((n_aps, 2 * m_ant, 2 * k))

@@ -21,38 +21,6 @@ every random/DFT link and every covered extended link. Its own data samples
 (nonzero only on an uncovered extended link under UPNG) count as
 interference.
 
-Batched layout: :func:`cross_powers` takes the MF windows and cross rows of
-any number of links (leading axes) and returns one row over all UEs per
-link. It reads no regime, so the estimator computes it once per pilot book
-and network; :func:`interference_profile` adds one regime's data samples
-and the gains to it, for every served link of a frame in one call.
-:func:`conjugate_bf_rate` reads the links in the estimator's (curve block,
-AP, serving-order) order: each curve's block serves the same links, and
-one call evaluates every block. Each A_wu bin sums its links in link order,
-B_wu sums over a block's links in link order, and each UE's coherent gain
-sums its serving APs in index order.
-
-Power-free operands: of the bound's inputs only gamma, the LMMSE gains and
-p_dl read the transmit power. :func:`rate_operands` builds everything else
-once per point that draws a curve, as a :class:`RateOperands`: one block's
-links in rank order (below), their APs' gain rows, which all blocks share,
-under UPNG the data counts n_rw(u) and squared gain rows of the blocks with
-data in a window, the served mask and the served UEs' summed gains. Each
-block's cross rows are read in place, so the curves of one book share
-them. A call at another power of the same draws takes the operands through
-``operands`` and computes only eta, the per-link factor s = sqrt(eta_rw)
-g_rw, the A_wu sums, B_wu and the SINR. For real s and real gains b =
-beta_ru psi_ru, Re((s conj c) b) = (s Re c) b and Im((s conj c) b) =
-(s Im c)(-b) hold exactly, so the sums add the bits the complex products
-gave. The A_wu sums add each rank's rows to the first rows: a link's rank
-is its place among the links with its target w, in link order, and with
-the groups from the largest, the groups that have a rank-j link are a
-prefix of the rank-0 rows. So every A_wu bin sums its links in link order,
-as ``np.add.at`` and ``np.bincount`` do; ``np.add.reduceat`` would not (it
-adds each group's first row to a pairwise sum of the others). A link with
-gamma = 0 has no estimate: its weights are exact zeros, which leave every
-sum's bits as they are.
-
 Rate bound (pinned design): downlink conjugate beamforming with channel
 hardening, equal power fractions across each AP's served UEs and full per-AP
 power. With gamma_ru the per-antenna mean square of the LMMSE channel
@@ -86,18 +54,8 @@ An independent downlink Monte-Carlo (``tests/downlink_oracle.py``) measures
 E[b_uu], Var[b_uu] and sum_w E|b_uw|^2 of the effective beamforming gains
 b_uw on the real estimates of a frozen network and checks this closed form
 per UE for plain DFT, extended DFT and the synchronous baseline. Acceptance
-criterion 9 checks the full-scale extended-vs-plain rate gain against it.
-
-The abstract's +40% rate gain is not reproduced under this bound: the
-500-trial full-scale acceptance fixture at 20 dBm gives +13.2%
-(0.168 b/s/Hz). The paper gives no rate expression, downlink power or tau_c
-behind its figure. Here the gain comes from the contamination term alone.
-Estimate quality barely moves the rate: the mean gamma/(beta psi) over
-served links is 0.88 for plain DFT and 0.98 for extended DFT, and the
-extension costs training overhead, so with the contamination inputs dropped
-extended DFT falls ~2% below plain. The gain stays at +13-13.5% at every
-fig9 power from -36 to 20 dBm and reaches only ~+20% with no overhead
-charged (40 trials per point).
+criterion 9 checks the full-scale extended-vs-plain rate gain against it;
+README states the measured gain.
 """
 
 import functools
@@ -109,6 +67,7 @@ from .pilots import (REGIME_UPG, REGIME_UPNG, SCHEME_DFT, SCHEME_DFT_EXT, SCHEME
                      book_setup, window_counts)
 
 NMSE_LINEAR_FLOOR = 1e-15
+_PHASE_LEVELS = 8  # of the random pilots in the cross-correlation comparison
 
 
 def dft_cross_power(k, tau_p, pilot):
@@ -187,14 +146,15 @@ def interference_profile(gains, regime, mf, cross_power):
 # Cross-correlation comparison (random vs DFT pilots at a fixed delay)
 # ---------------------------------------------------------------------------
 
-def _random_cross_mc(tau_p, delay, pilot, data, trials, rng, phase_levels):
+def _random_cross_mc(tau_p, delay, pilot, data, trials, rng):
     """Monte-Carlo mean squared MF cross-correlation for random pilots.
 
     The MF target arrives ``delay`` samples after the interferer, whose
     ``pilot`` samples and ``data`` symbols fall inside the target's window.
     """
-    tgt = np.exp(2j * np.pi * rng.integers(0, phase_levels, (trials, tau_p)) / phase_levels)
-    other = np.exp(2j * np.pi * rng.integers(0, phase_levels, (trials, tau_p)) / phase_levels)
+    levels = _PHASE_LEVELS
+    tgt = np.exp(2j * np.pi * rng.integers(0, levels, (trials, tau_p)) / levels)
+    other = np.exp(2j * np.pi * rng.integers(0, levels, (trials, tau_p)) / levels)
     c = np.zeros(trials, dtype=complex)
     if pilot > 0:
         c += (other[:, delay:delay + pilot] * tgt[:, :pilot].conj()).sum(axis=1)
@@ -216,7 +176,7 @@ def _dft_cross_closed(tau_p, pilot, data, pair_mode):
 
 
 def crosscorr_comparison(tau_p_values, delay, rng, trials=2000,
-                         pair_mode="adjacent", regime=REGIME_UPG, phase_levels=8):
+                         pair_mode="adjacent", regime=REGIME_UPG):
     """Mean squared MF cross-correlation versus pilot length at a fixed delay.
 
     Random pilots are measured by Monte-Carlo (with the exact expectation,
@@ -231,8 +191,7 @@ def crosscorr_comparison(tau_p_values, delay, rng, trials=2000,
         data = data if regime == REGIME_UPNG else 0
         rows.append({
             "tau_p": tau_p,
-            "random_mc": _random_cross_mc(tau_p, delay, pilot, data, trials, rng,
-                                          phase_levels),
+            "random_mc": _random_cross_mc(tau_p, delay, pilot, data, trials, rng),
             "random_expected": float(pilot + data),
             "dft_closed": _dft_cross_closed(tau_p, pilot, data, pair_mode),
             "delay": delay,
@@ -263,38 +222,51 @@ class RateReport:
 
 @dataclass
 class RateOperands:
-    """The power-free operands of :func:`conjugate_bf_rate` on one trial's curve blocks.
+    """The power-free operands of :func:`conjugate_bf_rate` on one trial's ``LinkEstimates``.
 
-    ``ap`` and ``w`` are one block's links (AP, target UE), which every
-    block repeats, and ``cross`` is each block's cross rows c_rw,u in link
-    order; curves of one book share them. The A_wu terms are laid out by
-    rank: a link's rank is its place among its group's links (the links
-    with its target w, in link order), and the groups run from the largest.
-    Row i holds block link ``link[i]``; the rows of rank j start at row
-    ``slabs[j - 1]`` (rank 0 at row 0), one per group with more than j
-    links, so ``slabs[0]`` counts the groups. ``gain`` holds those rows'
-    gain rows with every entry twice, the second negated (links x 2U).
-    ``diag`` is the flat index of each group's own entry A_ww in the summed
-    (blocks x groups x U) terms, and ``by_w`` lists the groups in the order
-    of w. ``bleed`` holds the data counts of the blocks ``bleed_curves``,
-    those with data in a window (blocks x links x U, None when there are
-    none), in link order, and ``gain_sq`` the squared gain rows. ``served``
-    masks the served UEs and ``gain_sum`` is their summed gains.
+    Of the bound's inputs only gamma, the LMMSE gains and p_dl read the
+    transmit power, so a sweep builds these once per point that draws a
+    curve and a later power of the same draws reuses them. The links'
+    cross rows and data counts are read from the ``LinkEstimates`` itself.
+
+    ``ap`` and ``w`` are one curve block's links (AP, target UE), which
+    every block repeats. The A_wu terms are laid out by rank: a link's rank
+    is its place among its group's links (the links with its target w, in
+    link order), and the groups run from the largest. Row i holds block
+    link ``link[i]``; the rows of rank j start at row ``slabs[j - 1]``
+    (rank 0 at row 0), one per group with more than j links, so
+    ``slabs[0]`` counts the groups, and the groups that have a rank-j link
+    are a prefix of the rank-0 rows. So adding each rank's rows onto the
+    first rows sums every A_wu bin in link order, as ``np.add.at`` does
+    (``np.add.reduceat`` would not: it adds each group's first row to a
+    pairwise sum of the others). ``gain`` holds those rows' gain rows
+    b = beta_ru psi_ru with every entry twice, the second negated
+    (links x 2U): for real s, Re((s conj c) b) = (s Re c) b and
+    Im((s conj c) b) = (s Im c)(-b) hold exactly, so real products give
+    the bits of the complex ones. ``diag`` is the flat index of each
+    group's own entry A_ww in the summed (blocks x groups x U) terms, and
+    ``by_w`` lists the groups in the order of w. ``bleed_curves`` are the
+    blocks with data in a window and ``gain_sq`` the squared gain rows
+    (None when no block has any); B_wu sums a block's links in link order.
+    ``served`` masks the served UEs and ``gain_sum`` is their summed gains.
     """
 
     ap: np.ndarray
     w: np.ndarray
-    cross: tuple
     link: np.ndarray
     slabs: list
     gain: np.ndarray
     diag: np.ndarray
     by_w: np.ndarray
     bleed_curves: np.ndarray
-    bleed: np.ndarray
     gain_sq: np.ndarray
     served: np.ndarray
     gain_sum: np.ndarray
+
+
+def _blocks(field):
+    """A ``LinkEstimates`` ``cross`` or ``bleed`` field as a tuple of curve blocks."""
+    return field if isinstance(field, tuple) else (field,)
 
 
 def overhead_factor(tau_c, tau_p, tau_ex):
@@ -302,11 +274,10 @@ def overhead_factor(tau_c, tau_p, tau_ex):
     return float(min(max((tau_c - tau_p - tau_ex) / tau_c, 0.0), 1.0))
 
 
-def rate_operands(net, gains, *blocks):
-    """The :class:`RateOperands` of the curve blocks ``blocks``, each a ``LinkEstimates``
-    of one curve's links."""
+def rate_operands(net, gains, links):
+    """The :class:`RateOperands` of ``links``, a ``LinkEstimates`` of one curve or a stack."""
     n_ue, n = net.n_ues, net.serving.size
-    ap, w = blocks[0].ap, blocks[0].ue
+    ap, w = links.ap[:n], links.ue[:n]
     # one block's links grouped by target UE, in link order within a group
     grouped = np.argsort(w, kind="stable")
     first = np.flatnonzero(np.diff(w[grouped], prepend=-1))
@@ -318,26 +289,22 @@ def rate_operands(net, gains, *blocks):
     link = grouped[np.lexsort((place[group], rank))]
     target = np.empty(first.size, dtype=int)
     target[place] = w[grouped[first]]
-    diag = (np.arange(len(blocks) * first.size).reshape(len(blocks), -1) * n_ue + target).ravel()
-    # every gain twice, the second negated: Im((s conj c) b) = (s Im c)(-b) exactly.
+    blocks = links.ap.size // n
+    diag = (np.arange(blocks * first.size).reshape(blocks, -1) * n_ue + target).ravel()
     # take's "clip" mode writes to ``out`` unbuffered; every index is in range
     gain = np.empty((n, 2 * n_ue))
     np.take(gains.gain, ap[link], axis=0, out=gain[:, ::2], mode="clip")
     np.negative(gain[:, ::2], out=gain[:, 1::2])
-    bleed_curves = np.array([c for c, block in enumerate(blocks) if block.bleed.any()], dtype=int)
-    bleed = gain_sq = None  # no data bleeds into a window under a guard time
+    bleed_curves = np.flatnonzero([bleed.any() for bleed in _blocks(links.bleed)])
+    gain_sq = None  # no data bleeds into a window under a guard time
     if bleed_curves.size:
-        # as floats, the type every product with the counts casts them to
-        bleed = np.array([blocks[c].bleed for c in bleed_curves], dtype=float)
         gain_sq = gains.gain[ap]
         np.square(gain_sq, out=gain_sq)
     served = np.zeros(n_ue, dtype=bool)
     served[net.serving] = True
     return RateOperands(ap=ap, w=w, link=link, slabs=np.cumsum(np.bincount(rank)).tolist(),
-                        cross=tuple(np.asarray(block.cross, dtype=complex) for block in blocks),
                         gain=gain, diag=diag, by_w=place, bleed_curves=bleed_curves,
-                        bleed=bleed, gain_sq=gain_sq, served=served,
-                        gain_sum=gains.gain.sum(axis=0)[served])
+                        gain_sq=gain_sq, served=served, gain_sum=gains.gain.sum(axis=0)[served])
 
 
 def conjugate_bf_rate(net, gains, links, p_dl, noise_w, m_antennas, overhead, operands=None):
@@ -348,10 +315,9 @@ def conjugate_bf_rate(net, gains, links, p_dl, noise_w, m_antennas, overhead, op
     served link, the LMMSE gain ``gain_scale``, the aligned cross row
     ``cross`` (c_rw,u) and the data counts ``bleed`` (n_rw(u)) of the
     contamination term. ``overhead`` is one factor, or one per block.
-    ``operands`` is the :func:`rate_operands` of the same links' power-free
-    fields, as ``rate_operands(net, gains, *blocks)`` of the curves' one-curve
-    ``LinkEstimates``; for one curve they are built here when not given.
-    The SE and SINR are (U,) for one curve and (curves, U) for several.
+    ``operands`` caches :func:`rate_operands` of the same links, or of
+    their power-free fields; it is built here when not given. The SE and
+    SINR are (U,) for one curve and (curves, U) for several.
     """
     op = rate_operands(net, gains, links) if operands is None else operands
     n_ue = net.n_ues
@@ -364,14 +330,14 @@ def conjugate_bf_rate(net, gains, links, p_dl, noise_w, m_antennas, overhead, op
                     out=np.zeros_like(link_gamma), where=keep)
     scale = links.gain_scale.reshape(link_gamma.shape)
     s = np.sqrt(eta) * scale
-    # Re and Im of (s conj(c)) g for real s and g, without the complex products;
-    # each rank's rows add to the first rows, so every [w, u] bin sums its
-    # links in link order, as np.add.at does
+    # Re and Im of (s conj(c)) g for real s and g, each rank's rows added to the first rows
     s_rows = s[:, op.link, None]
     part = np.empty((op.link.size, 2 * n_ue))
-    terms = np.empty((len(op.cross), op.slabs[0], n_ue))  # |A_wu| [block, w, u], largest first
-    for c, cross in enumerate(op.cross):
-        np.take(cross, op.link, axis=0, out=part.view(complex), mode="clip")
+    crosses = _blocks(links.cross)
+    terms = np.empty((len(crosses), op.slabs[0], n_ue))  # |A_wu| [block, w, u], largest first
+    for c, cross in enumerate(crosses):
+        np.take(np.asarray(cross, dtype=complex), op.link, axis=0, out=part.view(complex),
+                mode="clip")
         part *= s_rows[c]
         part *= op.gain
         for lo, hi in zip(op.slabs, op.slabs[1:]):
@@ -383,10 +349,12 @@ def conjugate_bf_rate(net, gains, links, p_dl, noise_w, m_antennas, overhead, op
     terms.ravel()[op.diag] = 0.0
     np.square(terms, out=terms)
     contamination = terms[:, op.by_w].sum(axis=1)
-    if op.bleed is not None:
-        bterm = (eta * scale**2)[op.bleed_curves, :, None] * op.bleed
+    # the products cast the integer counts exactly
+    bleeds = _blocks(links.bleed)
+    for c in op.bleed_curves:
+        bterm = (eta[c] * scale[c]**2)[:, None] * bleeds[c]
         bterm *= op.gain_sq
-        contamination[op.bleed_curves] += bterm.sum(axis=1)
+        contamination[c] += bterm.sum(axis=0)
     served = op.served
     coherent = gamma / cluster_len
     np.sqrt(coherent, out=coherent)

@@ -17,40 +17,6 @@ de-rotates the observation first. A link's expected NMSE is
 1 - gamma / (beta psi), and its desired, interference and noise powers sum
 to M * Sigma_y. Each link's cross row pilot_mat @ conj(mf.row) is computed
 once and feeds the frame, the covariance and the rate bound.
-
-Batched layout: a frame's served links are its (R, k) serving array read row
-by row, AP index ``repeat(arange(R), k)`` and UE index ``serving.ravel()``,
-so AP r owns rows r*k ... r*k + k - 1 of every per-link array. The MF rows,
-window counts and interference profiles of all links come from one call
-each. The frame (``cfpilot.airframe.ReceivedFrame``) is already in the MF
-domain: its per-AP signal and filtered noise give every link's observation
-as signal + noise / sqrt(p_ul), with no product over a received matrix.
-
-Curve blocks: the frames of a sweep point's curves share the network's
-serving array, so :func:`estimate_trial_links` stacks them along the link
-axis, frame c's links in block c (rows c*R*k ... (c+1)*R*k - 1 of every
-per-link array), and runs the power-dependent part once over all blocks.
-Every operation is per link, so a block's results do not depend on the
-other blocks. One frame is the one-block case.
-
-Only the observation depends on the transmit power. Everything else is a
-frame's power-free part (:func:`link_setup`), which the frames of one
-draw at several powers share: ``estimate_trial_links(*frames,
-previous=...)`` recomputes just the four power-dependent fields of
-``previous``, the same draws' estimates at another power or their
-:func:`stack_links`, from the signal and noise that ``previous`` holds
-stacked over the links (``LinkSetup.signal`` and ``.noise``). When one
-curve of a sweep is drawn again, only its block is set up again.
-
-Of the power-free part, the MF rows, the cross rows and their cross powers
-(:func:`cfpilot.analytics.cross_powers`) read only the pilot book and the
-network, not the regime. They are the ``BookLinks`` of the frame's book setup
-(``cfpilot.pilots.BookSetup``), made by :func:`book_links` for the first
-frame synthesized with it. An AP's links' MF rows are zero outside one
-column span, the union of their windows; they are built over that span
-only, and the cross rows and frame synthesis read only its columns. Per
-frame only the data and bleed counts, the target entry, the gains and the
-interference sum are computed.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -63,21 +29,22 @@ from .pilots import REGIME_UPNG, make_mf_sequence, mf_start
 
 @dataclass
 class BookLinks:
-    """The regime-free matched-filter part of a book setup, in the batched layout.
+    """The regime-free matched-filter part of a book setup, in the one-frame link layout
+    of ``LinkEstimates``, made by the first frame synthesized with the setup.
 
     ``span[r]`` is AP r's column span (lo_r, hi_r), the union of its links'
-    MF windows [start, start + tau_p); their rows are zero outside it.
-    ``mf`` is the served links' ``MFSequence`` without its rows, which
-    ``rows`` holds transposed, one column per link, over the spans: row j
-    holds frame column lo_r + j of AP r's links, for j below the widest
-    span's width. ``basis[r]`` views AP r's k columns over its span as a
-    real (hi_r - lo_r) x 2k matrix, each link's real part then its
+    MF windows [s, s + tau_p), s their ``pilots.mf_start``; their rows are
+    zero outside it, so frame synthesis and the cross rows read only its
+    columns. ``mf`` is the served links' ``MFSequence`` without its rows,
+    which ``rows`` holds transposed, one column per link, over the spans:
+    row j holds frame column lo_r + j of AP r's links, for j below the
+    widest span's width. ``basis[r]`` views AP r's k columns over its span
+    as a real (hi_r - lo_r) x 2k matrix, each link's real part then its
     imaginary part. ``align`` is the conjugated window phase as a column,
     ``c`` the cross rows pilot_mat @ conj(mf.row), ``cross`` the aligned
     ones align * c (``c`` itself where every phase is exactly 1, as for
     random and DFT books) and ``cross_power`` the links' regime-free
-    interference factors. ``data`` is where frame synthesis keeps the
-    layout of the UPNG data samples inside the spans.
+    interference factors (:func:`cfpilot.analytics.cross_powers`).
     """
 
     mf: object
@@ -88,7 +55,6 @@ class BookLinks:
     c: np.ndarray
     cross: np.ndarray
     cross_power: np.ndarray
-    data: object = None
 
 
 def book_links(setup):
@@ -126,7 +92,7 @@ class LinkSetup:
 
     ``align`` is the conjugated window phase as a column, ``signal`` and
     ``noise`` the frames' per-AP MF signals and filtered noise stacked
-    (links x M), and the per-link arrays follow the batched layout above.
+    (links x M); every array runs over the links of ``LinkEstimates``.
     """
 
     align: np.ndarray
@@ -142,16 +108,19 @@ class LinkSetup:
 class LinkEstimates:
     """Per served-link results of one trial's frames, in (curve block, AP, UE) order.
 
-    ``gain_scale`` holds the scalar LMMSE gain Sigma_yh / Sigma_y per link,
-    ``cross`` the aligned deterministic pilot-part MF cross coefficients of
-    every UE inside that link's estimate (n_links, U), and ``bleed`` the
-    count of every other UE's data samples inside that link's MF window (a
-    read-only array of zeros under a guard time); all three feed the
-    downlink rate bound's contamination term. A stack of several frames
-    leaves ``cross`` and ``bleed`` None (:func:`stack_links`). ``gamma`` is
-    (R, U) for one frame and (curves, R, U) for several. ``nmse``,
-    ``gamma``, ``noise_power`` and ``gain_scale`` read the transmit power;
-    the rest, with ``setup``, do not.
+    A frame's links are its (R, k) serving array read row by row, so AP r
+    owns rows r*k ... r*k + k - 1 of every per-link array. Several frames
+    (:func:`stack_links`) are curve blocks of that layout, frame c's links
+    in rows c*R*k ... (c+1)*R*k - 1. ``gain_scale`` holds the scalar LMMSE
+    gain Sigma_yh / Sigma_y per link, ``cross`` the aligned deterministic
+    pilot-part MF cross coefficients of every UE inside that link's
+    estimate (links x U), and ``bleed`` the count of every other UE's data
+    samples inside that link's MF window (a read-only array of zeros under
+    a guard time); all three feed the downlink rate bound's contamination
+    term. A stack holds ``cross`` and ``bleed`` as tuples of its blocks'
+    arrays. ``gamma`` is (R, U) for one frame and (curves, R, U) for
+    several. ``nmse``, ``gamma``, ``noise_power`` and ``gain_scale`` read
+    the transmit power; the rest, with ``setup``, do not.
     """
 
     ap: np.ndarray
@@ -206,8 +175,11 @@ def link_setup(frame):
 def stack_links(blocks):
     """One-frame power-free ``LinkEstimates`` (:func:`link_setup`) stacked along the link axis.
 
-    A stack of several blocks leaves ``cross`` and ``bleed`` None: the rate
-    bound reads them from the blocks (``cfpilot.analytics.rate_operands``).
+    Every frame of a sweep point serves the network's links, so each block
+    has the same size, and every operation on the stack is per link: a
+    block's results do not depend on the others. ``cross`` and ``bleed``
+    keep each block's arrays by reference, so the curves of one book share
+    their cross rows.
     """
     if len(blocks) == 1:
         return blocks[0]
@@ -220,7 +192,8 @@ def stack_links(blocks):
         ap=stacked(blocks, "ap"), ue=stacked(blocks, "ue"), nmse=None, gamma=None,
         desired_power=stacked(blocks, "desired_power"),
         interference_power=stacked(blocks, "interference_power"), noise_power=None,
-        gain_scale=None, cross=None, bleed=None,
+        gain_scale=None, cross=tuple(block.cross for block in blocks),
+        bleed=tuple(block.bleed for block in blocks),
         setup=LinkSetup(**{f.name: stacked(setups, f.name) for f in fields(LinkSetup)}))
 
 
@@ -232,10 +205,10 @@ def estimate_trial_links(*frames, previous=None, p_ul=None):
     NMSE, the per-antenna estimate quality gamma = Sigma_yh^2 / Sigma_y laid
     out as an (R, U) array per frame, and the expected MF power breakdown
     used by the diagnostic dump. ``p_ul`` is the transmit power, by default
-    the frames' own. ``previous`` is the frames' power-free fields, the
-    frames' signal and noise among them: their :func:`stack_links`, or
-    their estimates at another power. They are computed here when not
-    given.
+    the frames' own. Only the observation reads it: given ``previous``, the
+    frames' power-free fields (their :func:`stack_links`, or their
+    estimates at another power, which hold the frames' signal and noise),
+    only the four power-dependent fields are computed.
     """
     links = stack_links([link_setup(f) for f in frames]) if previous is None else previous
     s, first = links.setup, frames[0]

@@ -274,23 +274,23 @@ class TrialDraws:
     The network, gains and fading read no sweep variable, the max-min
     assignment only ``tau_p``, and a curve's frame ``tau_p`` and its
     configured extension but not the power. Until the sweep's last point,
-    the draws keep one record of the last point: each curve's frame and
-    power-free ``LinkEstimates`` block, the blocks stacked, whose setup
-    holds the frames' MF-domain signal and noise that a later power
-    receives again, and the rate bound's power-free ``RateOperands``.
-    Within a point, the curves
-    whose pilot books read no stream share one ``BookSetup`` per
-    :func:`_book_key`, which is dropped once the last of them has drawn its
-    frame.
+    the draws keep one record of the last point: the curves' (``tau_p``,
+    extension) keys, each curve's frame (less its ``setup``) and power-free
+    ``LinkEstimates`` block, the blocks stacked, whose setup holds the
+    frames' MF-domain signal and noise that a later power receives again,
+    the rate bound's power-free ``RateOperands`` and the curves' overhead
+    factors. A later point reuses the frames and blocks of the curves whose
+    key is unchanged, and draws and sets up only the others; nothing reads
+    a record after the sweep's last point, so none is kept there. Within a
+    point, the curves whose pilot books read no stream share one
+    ``BookSetup`` per :func:`_book_key`, which is dropped once the last of
+    them has drawn its frame.
     """
 
     def __init__(self, cfg, trial):
         self.cfg, self.trial = cfg, trial
         self._maxmin = {}  # tau_p -> max-min pilot assignment
         self._books = {}  # book key -> BookSetup, for a later curve of the point
-        # (per-curve (tau_p, extension) keys, frames and LinkEstimates blocks, the
-        # stacked LinkEstimates, RateOperands, per-curve overhead factors) of the
-        # last point
         self._record = None
 
     @cached_property
@@ -338,13 +338,9 @@ class TrialDraws:
 
     def point(self, pc):
         """Every curve's frame at point ``pc``, less its ``setup``, with the curves'
-        stacked links and their rate bound.
+        stacked links and their rate bound, through the draws' record.
 
-        A later point of the same draws reuses the record: the frames of the
-        curves whose (``tau_p``, extension) key is unchanged, received at the
-        new power, their links' power-free fields and the rate bound's
-        power-free operands. Only the other curves are drawn and set up
-        again, each right after its frame is drawn.
+        A curve is set up right after its frame is drawn.
         """
         curves = len(pc.curves)
         keys = [(pc.tau_p, _extension(pc, parse_curve(curve)[0])) for curve in pc.curves]
@@ -360,7 +356,7 @@ class TrialDraws:
                     # so nothing holds the book setup past this curve
                     frames[ci] = frame = replace(frame, setup=None)
             links = stack_links(blocks)
-            operands = analytics.rate_operands(frames[0].net, frames[0].chan.gains, *blocks)
+            operands = analytics.rate_operands(frames[0].net, frames[0].chan.gains, links)
             overhead = np.array([analytics.overhead_factor(pc.tau_c, f.book.tau_p, f.book.tau_ex)
                                  for f in frames])
         # a record is read only by a later point of the sweep; without one the

@@ -82,15 +82,14 @@ class MFSequence:
     known rotation of the pilot fragment inside the MF window relative to
     the base sequence (unity for random/dft; for the extended scheme
     exp(j 2 pi m (t_w - t_u) / tau_p)). The estimator de-rotates the MF
-    output by its conjugate before applying the LMMSE gain. ``start`` is
-    the window's first frame sample, so the row is nonzero only on the
-    frame samples [start, start + tau_p). ``pilot`` and ``data`` count, per
-    UE at the link's AP (last axis), the window samples that carry its
-    pilot and the ones after its pilot, where UPNG data is sent.
+    output by its conjugate before applying the LMMSE gain. A row is
+    nonzero only on its window, the tau_p frame samples from
+    :func:`mf_start` on. ``pilot`` and ``data`` count, per UE at the link's
+    AP (last axis), the window samples that carry its pilot and the ones
+    after its pilot, where UPNG data is sent.
     """
 
     row: np.ndarray
-    start: np.ndarray
     align_phase: np.ndarray
     ap: np.ndarray
     ue: np.ndarray
@@ -229,7 +228,7 @@ def make_mf_sequence(book, net, r, u, lo=0, width=None):
     row = np.zeros(u.shape + (width,), dtype=complex)
     np.put_along_axis(row, (start - lo)[..., None] + np.arange(tau_p), seq, axis=-1)
     pilot, data = window_counts(start[..., None], tau_p, net.t_ur[r], book.seq_len)
-    return MFSequence(row=row, start=start, align_phase=phase, ap=r, ue=u,
+    return MFSequence(row=row, align_phase=phase, ap=r, ue=u,
                       pilot=pilot, data=data)
 
 

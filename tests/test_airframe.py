@@ -240,6 +240,7 @@ def _span_edge_inputs(network):
     return book, net, toy_chan(net, noise_w=1e-3), REGIME_UPNG
 
 
+@pytest.mark.blas_kernel
 @pytest.mark.parametrize("curve,network", [
     *(pytest.param(curve, network, id=f"{curve}-{network}")
       for curve in ("dft:upg", "dft:upng", "dft_ext:upg", "dft_ext:upng", "random:upng")

@@ -443,6 +443,7 @@ def test_fig7_trial_builds_one_setup_per_book(monkeypatch):
     assert calls == {"make_pilot_book": 3, "make_mf_sequence": 3, "book_setup": 3}
 
 
+@pytest.mark.blas_kernel
 @pytest.mark.parametrize("powers", [(-12.0, 20.0), (20.0, -36.0)], ids=["up", "down"])
 @pytest.mark.parametrize("fig", ["fig6", "fig7", "fig9"])
 def test_later_power_equals_fresh_evaluation(fig, powers):
@@ -467,6 +468,29 @@ def test_later_power_equals_fresh_evaluation(fig, powers):
                 assert np.array_equal(a, b), f.name
 
 
+@pytest.mark.blas_kernel
+@pytest.mark.parametrize("fig", ["fig6", "fig7", "fig9"])
+def test_rate_bound_reads_a_stack_of_curves(fig):
+    # the stack estimate_trial_links(*frames) returns carries its rate inputs:
+    # the seven-argument rate bound on it, and the one given its operands,
+    # give the bits of the point's stacked pass
+    cfg = figure_config(fig, desk_scale=True, trials=3, sweep_values=(20.0,))
+    for trial in range(cfg.trials):
+        frames = [frame for _, frame in trial_frames(cfg, 20.0, trial)]
+        _, _, want = harness.TrialDraws(cfg, trial).point(harness.point_config(cfg, 20.0))
+        links = estimate_trial_links(*frames)
+        overhead = np.array([analytics.overhead_factor(cfg.tau_c, f.book.tau_p, f.book.tau_ex)
+                             for f in frames])
+        args = (frames[0].net, frames[0].chan.gains, links, frames[0].p_ul, cfg.noise_w,
+                cfg.antennas, overhead)
+        for got in (analytics.conjugate_bf_rate(*args),
+                    analytics.conjugate_bf_rate(*args, operands=analytics.rate_operands(
+                        *args[:3]))):
+            assert np.array_equal(got.se_per_ue, want.se_per_ue), (fig, trial)
+            assert np.array_equal(got.sinr_per_ue, want.sinr_per_ue), (fig, trial)
+
+
+@pytest.mark.blas_kernel
 @pytest.mark.parametrize("fig,values,builds,stacks", [
     # five curves, each drawn once per trial
     pytest.param("fig6", (-12.0, 4.0, 20.0), 5, 1, id="fig6-values0-5"),
@@ -514,6 +538,7 @@ def _one_block_record(cfg, value, trial, ci):
             **{key: getattr(links, key) for key in RECORD_FIELDS if key not in ("se", "tau_ex")}}
 
 
+@pytest.mark.blas_kernel
 @pytest.mark.parametrize("fig,overrides,fewer", [
     # fig7's curves against its first two; the same indices keep the same streams
     pytest.param("fig7", {"sweep_values": (-12.0, 20.0)}, ("dft:upg", "dft:upng"),
@@ -947,6 +972,7 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@pytest.mark.blas_kernel
 @pytest.mark.parametrize("fig", ("fig6", "fig7", "fig8", "fig9"))
 def test_figure_csv_matches_golden_digest(tmp_path, fig):
     # `figure <fig> --desk-scale --trials 20`
@@ -955,6 +981,7 @@ def test_figure_csv_matches_golden_digest(tmp_path, fig):
     assert _sha256(out) == GOLDEN_SHA256[fig]
 
 
+@pytest.mark.blas_kernel
 def test_diag_csv_matches_golden_digest(tmp_path):
     # `sweep --diag` at desk scale over the random, DFT and extended-DFT
     # data paths and the synchronous baseline
@@ -967,6 +994,7 @@ def test_diag_csv_matches_golden_digest(tmp_path):
     assert _sha256(tmp_path / "diag.csv") == GOLDEN_SHA256["diag"]
 
 
+@pytest.mark.blas_kernel
 def test_per_link_reference():
     # every link's NMSE and every UE's SE of the recorded seed-1 runs keeps
     # the per-link rule of tests/per_link.py, under any OpenBLAS kernel
@@ -975,6 +1003,7 @@ def test_per_link_reference():
     assert not broken, broken
 
 
+@pytest.mark.blas_kernel
 def test_tau_p_sweep_matches_golden_digest(tmp_path):
     # `sweep --diag` at desk scale over pilot lengths 4, 8 and 16, with the
     # extended-DFT curve and the synchronous baseline; recorded at c357d35
