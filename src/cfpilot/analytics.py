@@ -120,7 +120,11 @@ def cross_powers(book, mf, cross):
     m_idx = book.assignment
     m_target = m_idx[mf.ue][..., None]
     if book.scheme == SCHEME_DFT:
-        return _dft_cross_table(book.tau_p)[m_target - m_idx + book.tau_p - 1, mf.pilot]
+        # the table's flat indices: one index array gathers faster than two
+        at = m_target - m_idx
+        at += book.tau_p - 1
+        at *= book.tau_p + 1
+        return np.take(_dft_cross_table(book.tau_p), at + mf.pilot)
     if book.scheme == SCHEME_DFT_EXT:
         coherent = np.where(m_idx == m_target, float(book.tau_p) ** 2, 0.0)
         return np.where(mf.pilot == book.tau_p, coherent, np.abs(cross) ** 2)
@@ -135,11 +139,14 @@ def interference_profile(gains, regime, mf, cross_power):
     regime-free ``cross_power`` (:func:`cross_powers`) plus the data samples
     the regime sends. The target's entry holds its own data samples only.
     """
-    data = mf.data * (regime == REGIME_UPNG)
-    factor = cross_power + data
-    target = mf.ue[..., None]
-    np.put_along_axis(factor, target, np.take_along_axis(data, target, axis=-1), axis=-1)
-    return gains.gain[mf.ap] * factor
+    upng = regime == REGIME_UPNG
+    prof = gains.gain[mf.ap]
+    prof *= cross_power + mf.data if upng else cross_power
+    # the target's entry, links flattened
+    flat = prof.reshape(-1, prof.shape[-1])
+    link, ue = np.arange(flat.shape[0]), mf.ue.ravel()
+    flat[link, ue] = gains.gain[mf.ap.ravel(), ue] * (mf.data.reshape(flat.shape)[link, ue] * upng)
+    return prof
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,13 @@ def sample_fading(m, rng, size=None):
     Returns shape ``(*size, m)``; a bare length-m vector when size is None.
     """
     shape = (m,) if size is None else tuple(np.atleast_1d(size)) + (m,)
-    return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    # in place, no complex temporaries: a real s scales a + ib to s a + i s b
+    g = np.empty(shape, dtype=complex)
+    g.real = rng.standard_normal(shape)
+    g.imag = rng.standard_normal(shape)
+    parts = g.view(float)
+    parts *= np.sqrt(0.5)
+    return g
 
 
 @dataclass
@@ -59,10 +65,23 @@ class ChannelMatrixSet:
     h: np.ndarray
     gains: LinkGains
     noise_w: float
+    _served: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m_antennas(self):
         return self.h.shape[2]
+
+    def served(self, serving):
+        """The gains, fading (links x M) and squared norms of the links (r, serving[r, j]),
+        AP by AP, of a network's (R, k) ``serving`` array. Kept for the last array
+        asked for: every frame on this draw serves the same links."""
+        if self._served is None or self._served[0] is not serving:
+            ap, ue = np.repeat(np.arange(serving.shape[0]), serving.shape[1]), serving.ravel()
+            h = self.h[ap, ue]
+            # a stacked vdot: a sum of squares rounds differently
+            sq_h = np.matmul(h.conj()[:, None, :], h[:, :, None])[:, 0, 0].real
+            self._served = (serving, self.gains.gain[ap, ue], h, sq_h)
+        return self._served[1:]
 
 
 def draw_link_gains(net, rng, sigma_sh_db=4.0):
@@ -74,6 +93,7 @@ def draw_link_gains(net, rng, sigma_sh_db=4.0):
 
 def draw_channels(net, gains, m, rng, noise_w):
     """Draw one Rayleigh fading block for every (AP, UE) link."""
-    g = sample_fading(m, rng, size=net.d_ru.shape)
-    h = np.sqrt(gains.gain)[..., None] * g
+    h = sample_fading(m, rng, size=net.d_ru.shape)
+    parts = h.view(float)
+    parts *= np.sqrt(gains.gain)[..., None]
     return ChannelMatrixSet(h=h, gains=gains, noise_w=noise_w)

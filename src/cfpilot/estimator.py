@@ -68,10 +68,16 @@ def book_links(setup):
     # each link's row over its AP's span, padded to the widest span
     mf = make_mf_sequence(book, net, ap, ue, np.repeat(lo, k), int((hi - lo).max()))
     rows = mf.row.conj()
-    c = np.empty((ap.size, net.n_ues), dtype=complex)
-    for r, (a, b) in enumerate(span):
-        links = slice(r * k, (r + 1) * k)
-        np.matmul(setup.row(r, a, b), rows[links, :b - a, None], out=c[links, :, None])
+    if net.t_ur.any():
+        c = np.empty((ap.size, net.n_ues), dtype=complex)
+        for r, (a, b) in enumerate(span):
+            links = slice(r * k, (r + 1) * k)
+            np.matmul(setup.row(r, a, b), rows[links, :b - a, None], out=c[links, :, None])
+    else:
+        # delay-free: every AP reads the same rows over the same span, so a UE's
+        # cross row is one GEMV, whichever AP serves it
+        _, first, which = np.unique(ue, return_index=True, return_inverse=True)
+        c = np.matmul(setup.row(0, *span[0]), rows[first, :, None])[which, :, 0]
     # freed before the kept transposed copy is made: three row arrays at once
     # would raise a full-scale run's peak memory
     del rows
@@ -143,18 +149,15 @@ def link_setup(frame):
     ap, ue = mf.ap, mf.ue
     link = np.arange(ap.size)
     prof = analytics.interference_profile(chan.gains, frame.regime, mf, b.cross_power)
-    g = chan.gains.gain[ap, ue]
+    g, h, sq_h = chan.served(frame.net.serving)
     pilot = mf.pilot[link, ue]
     interference = prof.sum(axis=-1)
-    h = chan.h[ap, ue]
     # no data samples fall into a window under a guard time
     bleed = np.broadcast_to(np.zeros((), mf.data.dtype), mf.data.shape)
     if frame.regime == REGIME_UPNG:
         bleed = mf.data.copy()
         bleed[link, ue] = 0
     m_ant = chan.m_antennas
-    # a stacked vdot: a sum of squares rounds differently
-    sq_h = np.matmul(h.conj()[:, None, :], h[:, :, None])[:, 0, 0].real
     return LinkEstimates(
         ap=ap,
         ue=ue,

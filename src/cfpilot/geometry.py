@@ -103,19 +103,20 @@ def discretize_delay(d_m, area):
 
 
 def _pairwise_distances(ap_pos, ue_pos):
-    diff = ap_pos[:, None, :] - ue_pos[None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1))
+    # in place, the sum of two squares that a sum over a size-2 axis gives
+    dx = np.subtract.outer(ap_pos[:, 0], ue_pos[:, 0])
+    dy = np.subtract.outer(ap_pos[:, 1], ue_pos[:, 1])
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
-def topology_from_positions(area, ap_pos, ue_pos, cluster_size=4):
-    """Build a realization from fixed AP and UE positions."""
-    ap_pos = np.asarray(ap_pos, dtype=float).reshape(-1, 2)
-    ue_pos = np.asarray(ue_pos, dtype=float).reshape(-1, 2)
-    d = _pairwise_distances(ap_pos, ue_pos)
+def _realization(area, ap_pos, ue_pos, d, cluster_size):
+    """The realization of positions whose AP-UE distances are ``d``."""
     t = discretize_delay(d, area)
     k = min(cluster_size, ue_pos.shape[0])
-    order = np.argsort(d, axis=1, kind="stable")
-    serving = order[:, :k]
+    serving = np.argsort(d, axis=1, kind="stable")[:, :k]
     return NetworkRealization(
         ap_pos=ap_pos,
         ue_pos=ue_pos,
@@ -123,8 +124,15 @@ def topology_from_positions(area, ap_pos, ue_pos, cluster_size=4):
         t_ur=t,
         serving=serving,
         t_max_r=t.max(axis=1),
-        t_w_r=np.take_along_axis(t, serving, axis=1).max(axis=1),
+        t_w_r=t[np.arange(t.shape[0])[:, None], serving].max(axis=1),
     )
+
+
+def topology_from_positions(area, ap_pos, ue_pos, cluster_size=4):
+    """Build a realization from fixed AP and UE positions."""
+    ap_pos = np.asarray(ap_pos, dtype=float).reshape(-1, 2)
+    ue_pos = np.asarray(ue_pos, dtype=float).reshape(-1, 2)
+    return _realization(area, ap_pos, ue_pos, _pairwise_distances(ap_pos, ue_pos), cluster_size)
 
 
 def sample_topology(area, cluster_size, rng):
@@ -152,18 +160,21 @@ def sample_topology(area, cluster_size, rng):
         raise PlacementError(f"area.ue_mean: no UE in {MAX_PLACEMENT_ROUNDS} Poisson draws "
                              f"(ue_mean={area.ue_mean})")
     ue_pos = rng.uniform(0.0, area.side_m, size=(n_ue, 2))
+    d = _pairwise_distances(ap_pos, ue_pos)
+    # a round redraws the UEs inside a disk and recomputes their distances only
+    bad = np.flatnonzero(d.min(axis=0) < area.gamma_m)
     for _ in range(MAX_PLACEMENT_ROUNDS):
-        d = _pairwise_distances(ap_pos, ue_pos)
-        bad = d.min(axis=0) < area.gamma_m
-        if not bad.any():
+        if not bad.size:
             break
-        ue_pos[bad] = rng.uniform(0.0, area.side_m, size=(int(bad.sum()), 2))
+        ue_pos[bad] = rng.uniform(0.0, area.side_m, size=(bad.size, 2))
+        d[:, bad] = _pairwise_distances(ap_pos, ue_pos[bad])
+        bad = bad[d[:, bad].min(axis=0) < area.gamma_m]
     else:
         raise PlacementError(
             "area.gamma_m: could not place UEs outside all restricted disks after "
             f"{MAX_PLACEMENT_ROUNDS} rounds (gamma_m={area.gamma_m}, side_m={area.side_m})"
         )
-    return topology_from_positions(area, ap_pos, ue_pos, cluster_size)
+    return _realization(area, ap_pos, ue_pos, d, cluster_size)
 
 
 def synchronize(net):
@@ -178,5 +189,5 @@ def synchronize(net):
 
 def delay_spread_min_extension(net):
     """Smallest cyclic extension that covers every AP's in-cluster delay spread."""
-    served = np.take_along_axis(net.t_ur, net.serving, axis=1)
+    served = net.t_ur[np.arange(net.n_aps)[:, None], net.serving]
     return int((served.max(axis=1) - served.min(axis=1)).max())

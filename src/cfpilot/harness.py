@@ -275,13 +275,15 @@ class TrialDraws:
     assignment only ``tau_p``, and a curve's frame ``tau_p`` and its
     configured extension but not the power. Until the sweep's last point,
     the draws keep one record of the last point: the curves' (``tau_p``,
-    extension) keys, each curve's frame (less its ``setup``) and power-free
-    ``LinkEstimates`` block, the blocks stacked, whose setup holds the
+    extension) keys, each curve's frame (less its ``setup``), the curves'
+    power-free ``LinkEstimates`` blocks stacked, whose setup holds the
     frames' MF-domain signal and noise that a later power receives again,
     the rate bound's power-free ``RateOperands`` and the curves' overhead
     factors. A later point reuses the frames and blocks of the curves whose
-    key is unchanged, and draws and sets up only the others; nothing reads
-    a record after the sweep's last point, so none is kept there. Within a
+    key is unchanged, and draws and sets up only the others. Only a
+    ``tau_ex`` sweep changes some keys and keeps others, so only its record
+    keeps each curve's block; nothing reads a record after the sweep's last
+    point, so none is kept there. Within a
     point, the curves whose pilot books read no stream share one
     ``BookSetup`` per :func:`_book_key`, which is dropped once the last of
     them has drawn its frame.
@@ -359,10 +361,10 @@ class TrialDraws:
             operands = analytics.rate_operands(frames[0].net, frames[0].chan.gains, links)
             overhead = np.array([analytics.overhead_factor(pc.tau_c, f.book.tau_p, f.book.tau_ex)
                                  for f in frames])
-        # a record is read only by a later point of the sweep; without one the
-        # blocks are freed before the power-dependent pass
+        # a record is read only by a later point of the sweep, and its blocks only
+        # on a tau_ex sweep; unkept blocks are freed before the power-dependent pass
         later = getattr(pc, pc.sweep_variable) != pc.sweep_values[-1]
-        blocks = blocks if later else None
+        blocks = blocks if later and pc.sweep_variable == "tau_ex" else None
         p_ul = dbm_to_watts(pc.p_dbm)
         links = estimate_trial_links(*frames, previous=links, p_ul=p_ul)
         rate = analytics.conjugate_bf_rate(frames[0].net, frames[0].chan.gains, links, p_dl=p_ul,

@@ -120,15 +120,19 @@ def assign_maxmin_distance(ue_positions, tau_p):
     # a stacked dot, rounded like np.linalg.norm of each pair: norm(axis=-1),
     # hypot and einsum round differently and can flip a near-tie
     dist = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None]))[..., 0, 0]
-    # nearest[v, m]: distance from UE v to the closest UE holding index m so far
-    nearest = np.full((n, tau_p), np.inf)
-    load = np.zeros(tau_p, dtype=np.int64)
+    # nearest[m, v]: distance from UE v to the closest UE holding index m so far
+    nearest = np.full((tau_p, n), np.inf)
+    # -inf on the indices above the lowest load: loads differ by at most 1, so
+    # every tau_p UEs all loads are equal again
+    above = np.zeros(tau_p)
     assignment = np.empty(n, dtype=np.int64)
     for u in range(n):
-        m = int(np.argmax(np.where(load == load.min(), nearest[u], -np.inf)))
+        m = int(np.argmax(nearest[:, u] + above))
         assignment[u] = m
-        load[m] += 1
-        np.minimum(nearest[:, m], dist[u], out=nearest[:, m])
+        above[m] = -np.inf
+        if (u + 1) % tau_p == 0:
+            above[:] = 0.0
+        np.minimum(nearest[m], dist[u], out=nearest[m])
     return assignment
 
 
@@ -217,7 +221,8 @@ def make_mf_sequence(book, net, r, u, lo=0, width=None):
         if not (net.serving[r] == u[..., None]).any(axis=-1).all():
             raise ValueError("extended-DFT MF windows are defined for served UEs only")
         m = book.assignment[u]
-        seq = dft_sequence(m[..., None], tau_p)
+        # each pilot index's row, gathered: the same bits as a row per link, fewer exps
+        seq = dft_sequence(np.arange(tau_p)[:, None], tau_p)[m]
         # the angle in real arithmetic: a complex division rounds differently
         phase = np.exp(1j * (2 * np.pi * m * (start - t) / tau_p))
     else:
@@ -226,7 +231,10 @@ def make_mf_sequence(book, net, r, u, lo=0, width=None):
     if width is None:
         width = book.seq_len + int(net.t_max_r[r].max())
     row = np.zeros(u.shape + (width,), dtype=complex)
-    np.put_along_axis(row, (start - lo)[..., None] + np.arange(tau_p), seq, axis=-1)
+    # each link's window [start - lo, start - lo + tau_p) of its row, links flattened
+    flat = row.reshape(-1, width)
+    cols = (start - lo).reshape(-1, 1) + np.arange(tau_p)
+    flat[np.arange(flat.shape[0])[:, None], cols] = seq.reshape(-1, tau_p)
     pilot, data = window_counts(start[..., None], tau_p, net.t_ur[r], book.seq_len)
     return MFSequence(row=row, align_phase=phase, ap=r, ue=u,
                       pilot=pilot, data=data)

@@ -14,6 +14,7 @@ from oracles import (
 from cfpilot.airframe import synthesize_frame
 from cfpilot.channel import LinkGains, draw_channels, draw_link_gains, sample_fading
 from cfpilot.estimator import estimate_trial_links
+from cfpilot.harness import TrialDraws, figure_config, point_config
 from cfpilot.geometry import (
     SimArea,
     delay_spread_min_extension,
@@ -382,3 +383,25 @@ def _assert_links_equal(got, want):
             assert np.all(np.abs(a - b) <= per_link.bound("nmse", b)), name
         else:
             assert np.array_equal(a, b), name
+
+
+@pytest.mark.blas_kernel
+@pytest.mark.parametrize("fig", ["fig7", "fig9"])
+def test_delay_free_cross_rows_equal_per_link_rows(fig):
+    # on a delay-free network every AP reads the same pilot rows over the same
+    # span, so the book computes a served UE's cross row once, whichever AP
+    # serves it; each link's row must still be, bit for bit, the GEMV of its own
+    # AP's rows that the book computes on a delayed network
+    cfg = figure_config(fig, trials=3)
+    pc = point_config(cfg, 20.0)
+    for trial in range(3):
+        setup = TrialDraws(cfg, trial).frame(pc, cfg.curves.index("sync")).setup
+        net, links = setup.net, setup.links
+        assert net.t_max_r.max() == 0
+        k = net.serving.shape[1]
+        rows = np.ascontiguousarray(links.rows.T).conj()
+        want = np.empty_like(links.c)
+        for r, (a, b) in enumerate(links.span):
+            at = slice(r * k, (r + 1) * k)
+            np.matmul(setup.row(r, a, b), rows[at, :b - a, None], out=want[at, :, None])
+        assert want.tobytes() == links.c.tobytes(), trial

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,40 @@ def test_sample_topology_deterministic():
     np.testing.assert_array_equal(a.ue_pos, b.ue_pos)
     np.testing.assert_array_equal(a.t_ur, b.t_ur)
     np.testing.assert_array_equal(a.serving, b.serving)
+
+
+class _CountingRng:
+    """A Generator whose ``uniform`` calls are counted: the AP and UE draws and one
+    per UE redraw round."""
+
+    def __init__(self, seed):
+        self._inner = np.random.default_rng(seed)
+        self.uniform_calls = 0
+
+    def uniform(self, *args, **kwargs):
+        self.uniform_calls += 1
+        return self._inner.uniform(*args, **kwargs)
+
+    def poisson(self, *args, **kwargs):
+        return self._inner.poisson(*args, **kwargs)
+
+
+@pytest.mark.parametrize("gamma_m", [AREA.gamma_m, 40.0])
+def test_sample_topology_keeps_fresh_distances(gamma_m):
+    # the distances kept across redraw rounds, recomputed only for the redrawn
+    # UEs, and everything built from them are those of the final positions, bit
+    # for bit; at 40 m every seed takes 3 or more rounds
+    area = replace(AREA, gamma_m=gamma_m)
+    for seed in range(5):
+        rng = _CountingRng(seed)
+        net = sample_topology(area, 4, rng)
+        if gamma_m == 40.0:
+            assert rng.uniform_calls - 2 >= 3
+        fresh = topology_from_positions(area, net.ap_pos, net.ue_pos, 4)
+        for name in ("d_ru", "t_ur", "serving", "t_max_r", "t_w_r"):
+            got, want = getattr(net, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (seed, name)
+        assert net.d_ru.min() >= gamma_m
 
 
 def test_sample_topology_min_one_ue():

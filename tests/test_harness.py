@@ -352,15 +352,42 @@ def test_one_point_sweep_keeps_no_curve_record():
     run_trial(cfg, 20.0, 0, draws)
     assert "channel" in vars(draws)
     assert _kept_records(draws) == []
-    # a multi-point sweep keeps one record until its last point: each curve's
-    # power-free links and their stack, and still no book setup
+    # a multi-point power sweep keeps one record until its last point: the
+    # curves' power-free links stacked, and still no book setup; no later power
+    # redraws a curve, so no curve's own block is kept
     cfg = small_cfg(sweep_values=(-4.0, 20.0), curves=curves)
     draws = harness.TrialDraws(cfg, 0)
     run_trial(cfg, -4.0, 0, draws)
     kept = _kept_records(draws)
-    assert len([r for r in kept if isinstance(r, LinkEstimates)]) == len(curves) + 1
+    assert len([r for r in kept if isinstance(r, LinkEstimates)]) == 1
     assert not any(isinstance(r, BookSetup) for r in kept)
     run_trial(cfg, 20.0, 0, draws)
+    assert _kept_records(draws) == []
+
+
+def test_trial_frames_share_one_served_channel():
+    # every frame of a trial serves the same links, the synchronized network's
+    # too, so their blocks share one gather of the served links' channel
+    cfg = figure_config("fig7", desk_scale=True, trials=1)
+    draws = harness.TrialDraws(cfg, 0)
+    pc = harness.point_config(cfg, 20.0)
+    blocks = [estimator.link_setup(draws.frame(pc, ci)) for ci in range(len(cfg.curves))]
+    first = blocks[0].setup
+    assert all(b.setup.h is first.h and b.setup.sq_h is first.sq_h for b in blocks)
+    chan = draws.channel[1]
+    assert first.h.tobytes() == chan.h[blocks[0].ap, blocks[0].ue].tobytes()
+
+
+def test_tau_ex_sweep_keeps_each_curve_block():
+    # a tau_ex sweep redraws dft_ext and keeps sync, so its record holds each
+    # curve's power-free block next to their stack until the last point
+    cfg = figure_config("fig8", desk_scale=True, trials=1, sweep_values=(0, 3))
+    draws = harness.TrialDraws(cfg, 0)
+    run_trial(cfg, 0, 0, draws)
+    kept = _kept_records(draws)
+    assert len([r for r in kept if isinstance(r, LinkEstimates)]) == len(cfg.curves) + 1
+    assert not any(isinstance(r, BookSetup) for r in kept)
+    run_trial(cfg, 3, 0, draws)
     assert _kept_records(draws) == []
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from oracles import assign_maxmin_loop, dft_cross_inner
 
 from cfpilot.analytics import dft_cross_power
@@ -140,6 +142,19 @@ def test_maxmin_assignment_equals_pair_loop():
             pos = rng.uniform(0.0, 1000.0, size=(n, 2))
         assert np.array_equal(assign_maxmin_distance(pos, tau_p),
                               assign_maxmin_loop(pos, tau_p)), (i, n, tau_p)
+
+
+@given(tau_p=st.integers(1, 9),
+       points=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=30))
+@example(tau_p=4, points=[(1, 1)] * 6)
+@example(tau_p=8, points=[(0, 0), (3, 3), (0, 0)])
+@example(tau_p=3, points=[(0, 0), (0, 0), (1, 2), (2, 1), (1, 2), (3, 0), (0, 3)])
+def test_maxmin_assignment_matches_loop_on_lattice(tau_p, points):
+    # on a 4 x 4 lattice coincident UEs and equal distances tie exactly, and the
+    # lowest index wins; fewer UEs than tau_p, and more but not a multiple of it
+    # (the loads even out every tau_p UEs), are both drawn
+    pos = 15.0 * np.array(points, dtype=float)
+    assert np.array_equal(assign_maxmin_distance(pos, tau_p), assign_maxmin_loop(pos, tau_p))
 
 
 def test_mf_sequence_shapes_and_window():
