@@ -141,7 +141,7 @@ def interference_profile(gains, regime, mf, cross_power):
     """
     upng = regime == REGIME_UPNG
     prof = gains.gain[mf.ap]
-    prof *= cross_power + mf.data if upng else cross_power
+    prof *= (cross_power + mf.data) if upng else cross_power
     # the target's entry, links flattened
     flat = prof.reshape(-1, prof.shape[-1])
     link, ue = np.arange(flat.shape[0]), mf.ue.ravel()

@@ -363,6 +363,16 @@ def test_one_point_sweep_keeps_no_curve_record():
     assert not any(isinstance(r, BookSetup) for r in kept)
     run_trial(cfg, 20.0, 0, draws)
     assert _kept_records(draws) == []
+    # a tau_ex sweep (desk fig8) redraws dft_ext and keeps sync, so its record
+    # also keeps each curve's block to restack
+    cfg = figure_config("fig8", desk_scale=True, trials=1, sweep_values=(0, 3))
+    draws = harness.TrialDraws(cfg, 0)
+    run_trial(cfg, 0, 0, draws)
+    kept = _kept_records(draws)
+    assert len([r for r in kept if isinstance(r, LinkEstimates)]) == len(cfg.curves) + 1
+    assert not any(isinstance(r, BookSetup) for r in kept)
+    run_trial(cfg, 3, 0, draws)
+    assert _kept_records(draws) == []
 
 
 def test_trial_frames_share_one_served_channel():
@@ -376,19 +386,6 @@ def test_trial_frames_share_one_served_channel():
     assert all(b.setup.h is first.h and b.setup.sq_h is first.sq_h for b in blocks)
     chan = draws.channel[1]
     assert first.h.tobytes() == chan.h[blocks[0].ap, blocks[0].ue].tobytes()
-
-
-def test_tau_ex_sweep_keeps_each_curve_block():
-    # a tau_ex sweep redraws dft_ext and keeps sync, so its record holds each
-    # curve's power-free block next to their stack until the last point
-    cfg = figure_config("fig8", desk_scale=True, trials=1, sweep_values=(0, 3))
-    draws = harness.TrialDraws(cfg, 0)
-    run_trial(cfg, 0, 0, draws)
-    kept = _kept_records(draws)
-    assert len([r for r in kept if isinstance(r, LinkEstimates)]) == len(cfg.curves) + 1
-    assert not any(isinstance(r, BookSetup) for r in kept)
-    run_trial(cfg, 3, 0, draws)
-    assert _kept_records(draws) == []
 
 
 def test_no_reference_cycle_keeps_a_book_alive(monkeypatch):
