@@ -13,15 +13,12 @@ Results are therefore byte-identical for a given (config, seed) no matter how
 many workers run them.
 """
 
-import csv
 import ctypes
-import glob
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import cache, cached_property
 from itertools import islice
@@ -275,9 +272,10 @@ class TrialDraws:
     assignment only ``tau_p``, and a curve's frame ``tau_p`` and its
     configured extension but not the power. Until the sweep's last point,
     the draws keep one record of the last point: the curves' (``tau_p``,
-    extension) keys, each curve's frame (less its ``setup``), the curves'
-    power-free ``LinkEstimates`` blocks stacked, whose setup holds the
-    frames' MF-domain signal and noise that a later power receives again,
+    extension) keys, each curve's frame (less its ``setup``, ``y`` and
+    ``noise``), the curves' power-free ``LinkEstimates`` blocks stacked,
+    whose setup holds the frames' MF-domain signal and noise that a later
+    power receives again,
     the rate bound's power-free ``RateOperands`` and the curves' overhead
     factors. A later point reuses the frames and blocks of the curves whose
     key is unchanged, and draws and sets up only the others. Only a
@@ -339,8 +337,8 @@ class TrialDraws:
         return frame
 
     def point(self, pc):
-        """Every curve's frame at point ``pc``, less its ``setup``, with the curves'
-        stacked links and their rate bound, through the draws' record.
+        """Every curve's frame at point ``pc``, less its ``setup``, ``y`` and ``noise``, with
+        the curves' stacked links and their rate bound, through the draws' record.
 
         A curve is set up right after its frame is drawn.
         """
@@ -355,8 +353,9 @@ class TrialDraws:
                 if not kept_keys or kept_keys[ci] != key:
                     frame = self.frame(pc, ci)
                     blocks[ci] = link_setup(frame)
-                    # so nothing holds the book setup past this curve
-                    frames[ci] = frame = replace(frame, setup=None)
+                    # so nothing holds the book setup past this curve; the block
+                    # holds the frame's signal and noise
+                    frames[ci] = frame = replace(frame, y=None, noise=None, setup=None)
             links = stack_links(blocks)
             operands = analytics.rate_operands(frames[0].net, frames[0].chan.gains, links)
             overhead = np.array([analytics.overhead_factor(pc.tau_c, f.book.tau_p, f.book.tau_ex)
@@ -419,6 +418,7 @@ def _run_task(task):
 def _openblas(name, restype, *argtypes):
     """numpy's bundled OpenBLAS function ``openblas_<name>``, typed and looked up once
     per process; None without a bundled OpenBLAS."""
+    import glob
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
         lib = ctypes.CDLL(path)
         for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}"):
@@ -442,6 +442,14 @@ def _set_blas_threads(count):
     previous = get()
     _openblas("set_num_threads", None, ctypes.c_int)(count)
     return previous
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """``concurrent.futures.ProcessPoolExecutor(*args, **kwargs)``, imported by the first
+    pool: a serial run never loads ``multiprocessing``. ``run_sweep`` reads this name
+    on every call, so a replacement set on the module runs."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(*args, **kwargs)
 
 
 @dataclass
@@ -551,6 +559,7 @@ def write_rows(rows, path, fmt, columns=CSV_COLUMNS):
                 raise ConfigError(f"{col} is {row[col]} ({where}); nothing is written")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if fmt == "csv":
+            import csv
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             writer.writerows([_fmt(row[col]) for col in columns] for row in rows)

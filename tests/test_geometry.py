@@ -48,6 +48,14 @@ def test_fixed_positions_hook():
     assert list(net.serving[0]) == [0]
 
 
+def test_cluster_size_is_capped_at_the_ue_count():
+    # a cluster larger than the trial's UE count serves every UE at each AP
+    net = topology_from_positions(AREA, [[0.0, 0.0], [500.0, 500.0]],
+                                  [[100.0, 0.0], [0.0, 200.0], [300.0, 300.0]], cluster_size=5)
+    assert net.serving.shape == (2, 3)
+    assert all(sorted(row) == [0, 1, 2] for row in net.serving.tolist())
+
+
 def test_sample_topology_respects_restricted_radius():
     rng = np.random.default_rng(0)
     for _ in range(5):

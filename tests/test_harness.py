@@ -5,6 +5,8 @@ import gc
 import hashlib
 import json
 import multiprocessing
+import os
+import pathlib
 import subprocess
 import sys
 import types
@@ -268,6 +270,44 @@ def test_one_pool_per_sweep_trial_major(monkeypatch):
                      {"chunksize": 3})]
 
 
+# Imports cfpilot and a desk config in a fresh interpreter, then runs the
+# config's sweep serially and on a pool. Prints the modules the imports and the
+# config added to those numpy loads, whether the two sweeps' rows are equal, and
+# the stdlib modules loaded once a pool has run.
+STARTUP_CODE = """
+import sys
+import numpy
+before = set(sys.modules)
+import cfpilot, cfpilot.cli
+from cfpilot import harness
+harness.figure_config("fig6", desk_scale=True)
+added = sorted(set(sys.modules) - before)
+rows = [harness.run_sweep(harness.figure_config("fig6", desk_scale=True, trials=2,
+                                                workers=workers)).rows
+        for workers in (1, 2)]
+import json
+print(json.dumps([added, rows[0] == rows[1], sorted(sys.modules)]))
+"""
+DEFERRED_IMPORTS = ("concurrent.futures", "multiprocessing", "argparse", "csv", "glob")
+
+
+def test_fresh_import_defers_what_only_some_runs_use():
+    # a fresh process that imports cfpilot and builds a config loads neither
+    # the process pool's modules nor those of the command line, the CSV writer
+    # and the OpenBLAS lookup; a pooled sweep loads the pool on first use and
+    # gives the serial rows
+    src = pathlib.Path(harness.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", STARTUP_CODE], capture_output=True, text=True,
+                          timeout=300, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    added, same_rows, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "cfpilot.cli" in added
+    assert not set(DEFERRED_IMPORTS) & set(added)
+    assert same_rows
+    assert "concurrent.futures" in loaded
+
+
 @pytest.fixture
 def draws_made(monkeypatch, tmp_path):
     """Count the networks, frames (by pilot scheme) and max-min assignments drawn.
@@ -342,6 +382,12 @@ def _kept_records(draws):
     return kept
 
 
+def _assert_frames_hold_no_arrays(kept, curves):
+    frames = [r for r in kept if isinstance(r, ReceivedFrame)]
+    assert len(frames) == curves
+    assert all(f.y is None and f.noise is None for f in frames)
+
+
 def test_one_point_sweep_keeps_no_curve_record():
     # no later point reads the frames or estimates of a one-point sweep, so
     # its draws keep the network and fading but drop each curve's record;
@@ -354,13 +400,15 @@ def test_one_point_sweep_keeps_no_curve_record():
     assert _kept_records(draws) == []
     # a multi-point power sweep keeps one record until its last point: the
     # curves' power-free links stacked, and still no book setup; no later power
-    # redraws a curve, so no curve's own block is kept
+    # redraws a curve, so no curve's own block is kept; the frames are kept
+    # without their signal and noise, which the stack holds
     cfg = small_cfg(sweep_values=(-4.0, 20.0), curves=curves)
     draws = harness.TrialDraws(cfg, 0)
     run_trial(cfg, -4.0, 0, draws)
     kept = _kept_records(draws)
     assert len([r for r in kept if isinstance(r, LinkEstimates)]) == 1
     assert not any(isinstance(r, BookSetup) for r in kept)
+    _assert_frames_hold_no_arrays(kept, len(curves))
     run_trial(cfg, 20.0, 0, draws)
     assert _kept_records(draws) == []
     # a tau_ex sweep (desk fig8) redraws dft_ext and keeps sync, so its record
@@ -371,6 +419,7 @@ def test_one_point_sweep_keeps_no_curve_record():
     kept = _kept_records(draws)
     assert len([r for r in kept if isinstance(r, LinkEstimates)]) == len(cfg.curves) + 1
     assert not any(isinstance(r, BookSetup) for r in kept)
+    _assert_frames_hold_no_arrays(kept, len(cfg.curves))
     run_trial(cfg, 3, 0, draws)
     assert _kept_records(draws) == []
 
@@ -708,16 +757,17 @@ def test_dump_frame_roundtrip(tmp_path):
 def test_dump_frame_is_run_trial_frame(tmp_path, monkeypatch, variable, value):
     # the dumped frame is the one run_trial estimates from for the first
     # sweep value, trial 0, curve 0: the sweep's power, pilot length or
-    # extension, not the fixed config value
+    # extension, not the fixed config value; it is caught where its links are
+    # set up, since the point keeps the frame's signal in the links only
     cfg = small_cfg(tau_p=32, curves=("dft_ext:upg", "dft:upg"),
                     sweep_variable=variable, sweep_values=(value, value + 1))
     built = []
 
-    def capture(*frames, **kwargs):
-        built.append(frames[0])
-        return estimate_trial_links(*frames, **kwargs)
+    def capture(frame):
+        built.append(frame)
+        return estimator.link_setup(frame)
 
-    monkeypatch.setattr(harness, "estimate_trial_links", capture)
+    monkeypatch.setattr(harness, "link_setup", capture)
     run_trial(cfg, value, 0)
     monkeypatch.undo()
     want = built[0]
