@@ -66,11 +66,14 @@ class ReceivedFrame:
     noise Z_r mf, so a link's MF output at power ``p_ul`` is
     ``y + noise / sqrt(p_ul)``. ``stream`` is the state of the frame's random
     stream before its draws, which :meth:`replay` reads. ``setup`` is the
-    frame's ``BookSetup``, shared with the other frames of its book.
+    frame's ``BookSetup``, shared with the other frames of its book. The
+    frames a sweep point returns and keeps (``harness.TrialDraws.point``)
+    carry ``y``, ``noise`` and ``setup`` None: their links' ``LinkSetup``
+    holds the signal and noise, so they are estimated only with ``previous``.
     """
 
-    y: list
-    noise: list
+    y: list | None
+    noise: list | None
     p_ul: float
     regime: str
     book: object

@@ -4,6 +4,7 @@ Exit codes: 0 success, 2 configuration error (including an infeasible UE
 placement), 3 I/O error.
 """
 
+import argparse
 import sys
 
 from . import analytics, harness
@@ -40,8 +41,6 @@ def _config_fields(args):
 
 
 def build_parser():
-    import argparse  # only a command line reads it
-
     parser = argparse.ArgumentParser(prog="cfpilot", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -13,7 +13,9 @@ Results are therefore byte-identical for a given (config, seed) no matter how
 many workers run them.
 """
 
+import csv
 import ctypes
+import glob
 import json
 import math
 import os
@@ -340,7 +342,9 @@ class TrialDraws:
         """Every curve's frame at point ``pc``, less its ``setup``, ``y`` and ``noise``, with
         the curves' stacked links and their rate bound, through the draws' record.
 
-        A curve is set up right after its frame is drawn.
+        A curve is set up right after its frame is drawn. The returned and kept
+        frames' signal and noise are in the links' setup only, so they are
+        estimated with ``previous`` (:func:`estimate_trial_links`).
         """
         curves = len(pc.curves)
         keys = [(pc.tau_p, _extension(pc, parse_curve(curve)[0])) for curve in pc.curves]
@@ -418,7 +422,6 @@ def _run_task(task):
 def _openblas(name, restype, *argtypes):
     """numpy's bundled OpenBLAS function ``openblas_<name>``, typed and looked up once
     per process; None without a bundled OpenBLAS."""
-    import glob
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
         lib = ctypes.CDLL(path)
         for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}"):
@@ -559,7 +562,6 @@ def write_rows(rows, path, fmt, columns=CSV_COLUMNS):
                 raise ConfigError(f"{col} is {row[col]} ({where}); nothing is written")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if fmt == "csv":
-            import csv
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             writer.writerows([_fmt(row[col]) for col in columns] for row in rows)

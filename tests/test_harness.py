@@ -288,14 +288,13 @@ rows = [harness.run_sweep(harness.figure_config("fig6", desk_scale=True, trials=
 import json
 print(json.dumps([added, rows[0] == rows[1], sorted(sys.modules)]))
 """
-DEFERRED_IMPORTS = ("concurrent.futures", "multiprocessing", "argparse", "csv", "glob")
+POOL_IMPORTS = ("concurrent.futures", "multiprocessing")
 
 
-def test_fresh_import_defers_what_only_some_runs_use():
-    # a fresh process that imports cfpilot and builds a config loads neither
-    # the process pool's modules nor those of the command line, the CSV writer
-    # and the OpenBLAS lookup; a pooled sweep loads the pool on first use and
-    # gives the serial rows
+def test_fresh_import_defers_the_process_pool():
+    # a fresh process that imports cfpilot and builds a config does not load
+    # the process pool's modules, which only a sweep with workers > 1 uses; a
+    # pooled sweep loads the pool on first use and gives the serial rows
     src = pathlib.Path(harness.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", STARTUP_CODE], capture_output=True, text=True,
@@ -303,7 +302,7 @@ def test_fresh_import_defers_what_only_some_runs_use():
     assert proc.returncode == 0, proc.stderr
     added, same_rows, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert "cfpilot.cli" in added
-    assert not set(DEFERRED_IMPORTS) & set(added)
+    assert not set(POOL_IMPORTS) & set(added)
     assert same_rows
     assert "concurrent.futures" in loaded
 
