@@ -40,21 +40,43 @@ DEFAULT_DATA_ALPHABET = np.exp(2j * np.pi * np.arange(4) / 4)
 FRAME_MAGIC = b"ACFE"
 
 
-def _ap_draws(book, net, chan, regime, rng):
+def _data_counts(net, regime):
+    """Per AP, the UPNG data samples its frame draws."""
+    # a UE at delay t sends t_max_r - t data samples at AP r: none on a delay-free network
+    return (net.n_ues * net.t_max_r - net.t_ur.sum(axis=1)) * (regime == REGIME_UPNG)
+
+
+def noise_draws(book, net, m_ant, regime):
+    """How many noise normals a frame draws in one call: all of them when no UE sends
+    data (UPG, or a delay-free network), else none (:func:`_ap_draws`)."""
+    if regime == REGIME_UPNG and _data_counts(net, regime).any():
+        return 0
+    return 2 * m_ant * (book.seq_len * net.n_aps + int(net.t_max_r.sum()))
+
+
+def _ap_draws(book, net, m_ant, regime, rng, normals=None):
     """Yield each AP's draws from ``rng``, in AP order: its UPNG data, then its noise.
 
     The data are the ``DEFAULT_DATA_ALPHABET`` indices of the symbols UE by
     UE, UE u's filling its last t_max_r - t_ur samples after the first L
     (None under UPG or when no UE sends any). The noise is (2M, L + t_max_r)
     standard normals, Z_r's real parts then its imaginary parts over
-    sqrt(noise_w / 2). Frame synthesis and replay both draw through here.
+    sqrt(noise_w / 2). Without data, every AP's noise is one call's
+    consecutive draws (:func:`noise_draws`), the same numbers as one call per
+    AP; ``normals`` are that call's draws made already, and ``rng`` is then
+    not read. Frame synthesis and replay both draw through here.
     """
-    m_ant = chan.m_antennas
-    # a UE at delay t sends t_max_r - t data samples at AP r: none on a delay-free network
-    n_data = (net.n_ues * net.t_max_r - net.t_ur.sum(axis=1)) * (regime == REGIME_UPNG)
-    for n, cols in zip(n_data.tolist(), (book.seq_len + net.t_max_r).tolist()):
+    n_data, cols = _data_counts(net, regime), book.seq_len + net.t_max_r
+    if not n_data.any():
+        if normals is None:
+            normals = rng.standard_normal(2 * m_ant * int(cols.sum()))
+        ends = np.cumsum(2 * m_ant * cols).tolist()
+        for lo, hi in zip([0] + ends, ends):
+            yield None, normals[lo:hi].reshape(2 * m_ant, -1)
+        return
+    for n, c in zip(n_data.tolist(), cols.tolist()):
         idx = rng.integers(0, len(DEFAULT_DATA_ALPHABET), size=n) if n else None
-        yield idx, rng.standard_normal((2 * m_ant, cols))
+        yield idx, rng.standard_normal((2 * m_ant, c))
 
 
 @dataclass
@@ -92,7 +114,7 @@ class ReceivedFrame:
         book, net, chan = self.book, self.net, self.chan
         setup = book_setup(book, net) if self.setup is None else self.setup
         scale, sigma, m_ant = np.sqrt(self.p_ul), np.sqrt(chan.noise_w / 2.0), chan.m_antennas
-        draws = _ap_draws(book, net, chan, self.regime, np.random.Generator(bit_generator))
+        draws = _ap_draws(book, net, m_ant, self.regime, np.random.Generator(bit_generator))
         for r, (idx, w) in enumerate(draws):
             x = setup.row(r)
             if idx is not None:
@@ -130,20 +152,9 @@ def _span_data(book, net, links):
     return bounds, at, rows, ap, ue, starts
 
 
-def synthesize_frame(book, net, chan, regime, p_ul, rng, setup=None):
-    """Synthesize the received pilot-phase frame at every AP, in the MF domain.
-
-    All UEs contribute (interference is not restricted to served links).
-    The transmitted row of UE u at AP r is [zeros(t_ur), pilot, tail],
-    L + t_max_r samples long; the tail is zeros under UPG and i.i.d. QPSK
-    symbols (``DEFAULT_DATA_ALPHABET``) under UPNG. Noise entries are i.i.d.
-    CN(0, noise_w). Per AP, ``rng`` draws the data symbols, then the noise's
-    real part, then its imaginary part. ``setup`` is the ``BookSetup`` of
-    ``book`` on ``net`` that earlier frames made; a new one is made when not
-    given, and its matched-filter part on its first frame.
-    """
-    if p_ul <= 0:
-        raise ValueError("p_ul must be positive")
+def frame_setup(book, net, setup=None):
+    """The ``BookSetup`` of ``book`` on ``net`` with its matched-filter part, which a frame
+    reads: ``setup``, which earlier frames made, or a new one when not given."""
     if book.n_ues != net.n_ues:
         raise ValueError("pilot book and network disagree on UE count")
     if setup is None:
@@ -152,7 +163,27 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng, setup=None):
         raise ValueError("book setup of another pilot book or network")
     if setup.links is None:
         setup.links = book_links(setup)
-    links, stream = setup.links, rng.bit_generator.state
+    return setup
+
+
+def synthesize_frame(book, net, chan, regime, p_ul, rng, setup=None, drawn=None):
+    """Synthesize the received pilot-phase frame at every AP, in the MF domain.
+
+    All UEs contribute (interference is not restricted to served links).
+    The transmitted row of UE u at AP r is [zeros(t_ur), pilot, tail],
+    L + t_max_r samples long; the tail is zeros under UPG and i.i.d. QPSK
+    symbols (``DEFAULT_DATA_ALPHABET``) under UPNG. Noise entries are i.i.d.
+    CN(0, noise_w). Per AP, ``rng`` draws the data symbols, then the noise's
+    real part, then its imaginary part. ``setup`` is as in :func:`frame_setup`.
+    ``drawn``, for a frame in which no UE sends data, is ``(stream, normals)``:
+    the state of ``rng`` before the frame's draws and the :func:`noise_draws`
+    normals it has drawn since; ``rng`` is then not read.
+    """
+    if p_ul <= 0:
+        raise ValueError("p_ul must be positive")
+    setup = frame_setup(book, net, setup)
+    links = setup.links
+    stream, normals = (rng.bit_generator.state, None) if drawn is None else drawn
     n_aps, k = net.serving.shape
     m_ant = chan.m_antennas
     # AP r's links' rows x_r mf, (k, U): the cross rows, plus their data under UPNG
@@ -163,7 +194,7 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng, setup=None):
     # indices of the symbols in the span
     parts = np.empty((n_aps, 2 * m_ant, 2 * k))
     codes = []
-    for r, (idx, w) in enumerate(_ap_draws(book, net, chan, regime, rng)):
+    for r, (idx, w) in enumerate(_ap_draws(book, net, m_ant, regime, rng, normals)):
         lo, hi = links.span[r]
         np.matmul(w[:, lo:hi], links.basis[r], out=parts[r])
         if idx is not None:

@@ -31,16 +31,20 @@ def sample_shadowing(rng, sigma_db=4.0, size=None):
     return 10.0 ** (x / 10.0)
 
 
-def sample_fading(m, rng, size=None):
+def sample_fading(m, rng, size=None, normals=None):
     """i.i.d. standard complex Gaussian vector(s): entries CN(0, 1).
 
     Returns shape ``(*size, m)``; a bare length-m vector when size is None.
+    ``rng`` draws every real part, then every imaginary part, in one
+    ``(2, *size, m)`` call; ``normals`` are those draws made already, and
+    ``rng`` is then not read.
     """
     shape = (m,) if size is None else tuple(np.atleast_1d(size)) + (m,)
+    if normals is None:
+        normals = rng.standard_normal((2, *shape))
     # in place, no complex temporaries: a real s scales a + ib to s a + i s b
     g = np.empty(shape, dtype=complex)
-    g.real = rng.standard_normal(shape)
-    g.imag = rng.standard_normal(shape)
+    g.real, g.imag = normals
     parts = g.view(float)
     parts *= np.sqrt(0.5)
     return g
@@ -91,9 +95,10 @@ def draw_link_gains(net, rng, sigma_sh_db=4.0):
     return LinkGains(beta=beta, psi=psi)
 
 
-def draw_channels(net, gains, m, rng, noise_w):
-    """Draw one Rayleigh fading block for every (AP, UE) link."""
-    h = sample_fading(m, rng, size=net.d_ru.shape)
+def draw_channels(net, gains, m, rng, noise_w, normals=None):
+    """Draw one Rayleigh fading block for every (AP, UE) link; ``normals`` as in
+    :func:`sample_fading`."""
+    h = sample_fading(m, rng, size=net.d_ru.shape, normals=normals)
     parts = h.view(float)
     parts *= np.sqrt(gains.gain)[..., None]
     return ChannelMatrixSet(h=h, gains=gains, noise_w=noise_w)

@@ -28,7 +28,7 @@ from itertools import islice
 import numpy as np
 
 from . import analytics, pilots
-from .airframe import synthesize_frame, write_frame_dump
+from .airframe import frame_setup, noise_draws, synthesize_frame, write_frame_dump
 from .channel import dbm_to_watts, draw_channels, draw_link_gains
 from .estimator import estimate_trial_links, link_setup, stack_links
 from .geometry import SimArea, delay_spread_min_extension, sample_topology, synchronize
@@ -270,6 +270,10 @@ def _book_key(pc, ci):
 class TrialDraws:
     """One trial's draws, each made on first use and kept for the sweep points that read it.
 
+    ``helper``, a serial sweep's :class:`_DrawHelper`, draws the fading and a
+    frame's noise ahead while the trial sets up what does not read them;
+    without it they are drawn inline, the same bits.
+
     The network, gains and fading read no sweep variable, the max-min
     assignment only ``tau_p``, and a curve's frame ``tau_p`` and its
     configured extension but not the power. Until the sweep's last point,
@@ -289,24 +293,35 @@ class TrialDraws:
     them has drawn its frame.
     """
 
-    def __init__(self, cfg, trial):
-        self.cfg, self.trial = cfg, trial
+    def __init__(self, cfg, trial, helper=None):
+        self.cfg, self.trial, self.helper = cfg, trial, helper
         self._maxmin = {}  # tau_p -> max-min pilot assignment
         self._books = {}  # book key -> BookSetup, for a later curve of the point
         self._record = None
+        self._fading = None  # the fading's stream and fill, until the channel is drawn
+
+    @cached_property
+    def network(self):
+        """The trial's network and its large-scale gains. The fading's normals are
+        handed to the draw helper here, before the set-up work that needs no fading."""
+        cfg, net_rng = self.cfg, _stream(self.cfg.seed, self.trial, 0)
+        net = sample_topology(cfg.area(), cfg.cluster_size, net_rng)
+        gains = draw_link_gains(net, net_rng, cfg.sigma_sh_db)
+        rng, shape = _stream(cfg.seed, self.trial, 1), (2, *net.d_ru.shape, cfg.antennas)
+        self._fading = rng, None if self.helper is None else self.helper.fill(rng, shape)
+        return net, gains
 
     @cached_property
     def channel(self):
         """The trial's network and its channel draws."""
-        cfg, trial = self.cfg, self.trial
-        net_rng = _stream(cfg.seed, trial, 0)
-        net = sample_topology(cfg.area(), cfg.cluster_size, net_rng)
-        gains = draw_link_gains(net, net_rng, cfg.sigma_sh_db)
-        chan = draw_channels(net, gains, cfg.antennas, _stream(cfg.seed, trial, 1), cfg.noise_w)
-        return net, chan
+        (net, gains), (rng, fill) = self.network, self._fading
+        self._fading = None
+        normals = None if fill is None else fill.result()
+        return net, draw_channels(net, gains, self.cfg.antennas, rng, self.cfg.noise_w, normals)
 
-    def frame(self, pc, ci):
-        """Draw curve ``ci``'s frame at sweep point ``pc`` (a :func:`point_config`).
+    def _prepare(self, pc, ci):
+        """Curve ``ci``'s regime, pilot book, network, book setup (None when not made yet),
+        transmit stream and noise fill (None when drawn inline) at point ``pc``.
 
         The curve's pilot book, UPNG data and noise come from its own
         transmit stream. ``sync`` runs on the synchronized network, which
@@ -314,13 +329,12 @@ class TrialDraws:
         to the curve network's largest in-cluster delay spread. A book
         setup an earlier curve of the point made for this key is reused.
         """
-        net, chan = self.channel
+        net, _ = self.network
         if pc.assignment == ASSIGN_MAXMIN_DISTANCE and pc.tau_p not in self._maxmin:
             self._maxmin[pc.tau_p] = pilots.assign_maxmin_distance(net.ue_pos, pc.tau_p)
         scheme, regime = parse_curve(pc.curves[ci])
         tx_rng = _stream(pc.seed, self.trial, 2, ci)
-        key = _book_key(pc, ci)
-        setup = self._books.pop(key, None)
+        setup = self._books.pop(_book_key(pc, ci), None)
         if setup is None:
             tau_ex = _extension(pc, scheme)
             if scheme == CURVE_SYNC:
@@ -332,9 +346,23 @@ class TrialDraws:
                                    assignment=self._maxmin.get(pc.tau_p))
         else:
             book, net = setup.book, setup.net
-        frame = synthesize_frame(book, net, chan, regime, dbm_to_watts(pc.p_dbm), tx_rng, setup)
-        later = {_book_key(pc, cj) for cj in range(ci + 1, len(pc.curves))}
-        if key is not None and key in later:
+        fill = None
+        if self.helper is not None:
+            fill = self.helper.fill(tx_rng, (noise_draws(book, net, pc.antennas, regime),))
+        return regime, book, net, setup, tx_rng, fill
+
+    def frame(self, pc, ci, prepared=None):
+        """Draw curve ``ci``'s frame at sweep point ``pc`` (a :func:`point_config`) from its
+        :meth:`_prepare` output, made here when not given. The book is set up
+        before the frame waits for its fills."""
+        regime, book, net, setup, tx_rng, fill = prepared or self._prepare(pc, ci)
+        setup = frame_setup(book, net, setup)
+        _, chan = self.channel
+        drawn = None if fill is None else (fill.stream, fill.result())
+        frame = synthesize_frame(book, net, chan, regime, dbm_to_watts(pc.p_dbm), tx_rng,
+                                 setup, drawn)
+        key = _book_key(pc, ci)
+        if key is not None and key in {_book_key(pc, cj) for cj in range(ci + 1, len(pc.curves))}:
             self._books[key] = frame.setup
         return frame
 
@@ -353,13 +381,18 @@ class TrialDraws:
         if keys != kept_keys:
             links = operands = None  # rebuilt below; freed before drawing
             frames, blocks = list(frames or [None] * curves), list(blocks or [None] * curves)
-            for ci, key in enumerate(keys):
-                if not kept_keys or kept_keys[ci] != key:
-                    frame = self.frame(pc, ci)
-                    blocks[ci] = link_setup(frame)
-                    # so nothing holds the book setup past this curve; the block
-                    # holds the frame's signal and noise
-                    frames[ci] = frame = replace(frame, y=None, noise=None, setup=None)
+            todo = [ci for ci, key in enumerate(keys) if not kept_keys or kept_keys[ci] != key]
+            # the next curve's noise is handed to the draw helper before this one is set up
+            prepared = self._prepare(pc, todo[0])
+            for ci, after in zip(todo, todo[1:] + [None]):
+                # drop the drawn noise before the next curve's is allocated
+                frame, prepared = self.frame(pc, ci, prepared), None
+                if after is not None:
+                    prepared = self._prepare(pc, after)
+                blocks[ci] = link_setup(frame)
+                # so nothing holds the book setup past this curve; the block
+                # holds the frame's signal and noise
+                frames[ci] = frame = replace(frame, y=None, noise=None, setup=None)
             links = stack_links(blocks)
             operands = analytics.rate_operands(frames[0].net, frames[0].chan.gains, links)
             overhead = np.array([analytics.overhead_factor(pc.tau_c, f.book.tau_p, f.book.tau_ex)
@@ -420,11 +453,11 @@ def _run_task(task):
 
 @cache
 def _openblas(name, restype, *argtypes):
-    """numpy's bundled OpenBLAS function ``openblas_<name>``, typed and looked up once
-    per process; None without a bundled OpenBLAS."""
+    """numpy's bundled OpenBLAS function ``openblas_<name>``, or the unprefixed ``name``,
+    typed and looked up once per process; None without a bundled OpenBLAS."""
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
         lib = ctypes.CDLL(path)
-        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}"):
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}", name):
             if hasattr(lib, symbol):
                 fn = getattr(lib, symbol)
                 fn.restype, fn.argtypes = restype, list(argtypes)
@@ -445,6 +478,77 @@ def _set_blas_threads(count):
     previous = get()
     _openblas("set_num_threads", None, ctypes.c_int)(count)
     return previous
+
+
+def _stop_idle_blas_threads():
+    """Stop OpenBLAS's worker threads, which spin ~140 ms of CPU after any 2-thread
+    product even once one thread is set. A later 1-thread product starts none;
+    setting a larger count again starts them. Nothing without a bundled OpenBLAS."""
+    shutdown = _openblas("blas_thread_shutdown_", ctypes.c_int)
+    if shutdown is not None:
+        shutdown()
+
+
+# Fewest standard normals a fill hands to the draw helper. Handing a fill over and
+# taking it back costs the main thread 0.05-0.15 ms while it runs numpy work
+# meanwhile (2-core Xeon KVM guest), the time of 4k-10k inline draws at 13-16 ns
+# each, so only a larger fill gains. A desk-scale fill (at most 8.5k normals) is
+# drawn inline, a full-scale one (35.8k or more: a delay-free frame's noise) on
+# the helper.
+DRAW_HELPER_MIN = 1 << 14
+
+
+class _Fill:
+    """``rng``'s next standard normals into ``out``, drawn on the draw helper.
+
+    ``stream`` is ``rng``'s state before them. The main thread reads ``rng``
+    again only after :meth:`result`.
+    """
+
+    def __init__(self, pool, rng, out):
+        self.rng, self.out, self.stream = rng, out, rng.bit_generator.state
+        self._job = pool.submit(rng.standard_normal, out=out)
+
+    def result(self):
+        """``out``, filled; drawn here if the helper has not started the fill."""
+        if self._job.cancel():
+            self.rng.standard_normal(out=self.out)
+        else:
+            self._job.result()
+        return self.out
+
+
+class _DrawHelper:
+    """One thread of a serial sweep that fills buffers of standard normals while the
+    main thread sets the sweep point up (``TrialDraws.point``).
+
+    The thread starts at the first fill of at least ``DRAW_HELPER_MIN``
+    normals, and OpenBLAS's idle threads are then stopped. In a process that
+    may run on one CPU only the thread never starts: it would only take
+    turns with the main thread. Every other fill is None: its caller draws
+    it inline. :meth:`close` joins the thread.
+    """
+
+    def __init__(self):
+        affinity = getattr(os, "sched_getaffinity", None)
+        self._cpus = len(affinity(0)) if affinity else 1
+        self._pool = None
+
+    def fill(self, rng, shape):
+        """A :class:`_Fill` of a new ``shape`` array, allocated here, or None."""
+        size = math.prod(shape)
+        if self._cpus < 2 or not size or size < DRAW_HELPER_MIN:
+            return None
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="cfpilot-draws")
+            _stop_idle_blas_threads()
+        return _Fill(self._pool, rng, np.empty(shape))
+
+    def close(self):
+        """Drop the fills not started and join the thread."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -487,10 +591,13 @@ def run_sweep(cfg, diag=False, progress=False):
     Trials run trial-major: every sweep point of trial t, then trial t+1.
     A task is ``(cfg, value, trial, draws)``, with one ``TrialDraws`` per
     trial; serially the tasks are made lazily, so a trial's draws end with
-    it. With ``workers`` > 1 one pool runs the sweep, a trial's points in
-    one task chunk, which pickles the trial's draws once. Serially, and in
-    each pool worker, OpenBLAS runs on one thread; the caller's own count
-    is back when the sweep returns or raises.
+    it. With ``workers`` > 1 one pool of at most ``trials`` processes runs
+    the sweep, a trial's points in one task chunk, which pickles the trial's
+    draws once. Serially, and in each pool worker, OpenBLAS runs on one
+    thread; the caller's own count is back when the sweep returns or raises.
+    A serial sweep hands its large standard-normal fills to one draw helper
+    thread (:class:`_DrawHelper`), joined before it returns or raises; the
+    draws are the same bits.
 
     Per-link NMSE ratios are pooled over all trials of a point and reported
     as linear mean plus 10/90 percentiles in dB; the rate column is the mean
@@ -498,11 +605,14 @@ def run_sweep(cfg, diag=False, progress=False):
     """
     validate_config(cfg)
     points = len(cfg.sweep_values)
+    helper = _DrawHelper() if cfg.workers == 1 else None
     tasks = ((cfg, value, trial, draws) for trial in range(cfg.trials)
-             for draws in [TrialDraws(cfg, trial)] for value in cfg.sweep_values)
+             for draws in [TrialDraws(cfg, trial, helper)] for value in cfg.sweep_values)
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_set_blas_threads,
-                                 initargs=(1,)) as pool:
+        # a fork pool starts all its processes at its first task, so no more than
+        # there are trials, the task chunks
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, cfg.trials),
+                                 initializer=_set_blas_threads, initargs=(1,)) as pool:
             records = pool.map(_run_task, tasks, chunksize=points)
             outputs = list(_progress(records, cfg) if progress else records)
     else:
@@ -511,6 +621,7 @@ def run_sweep(cfg, diag=False, progress=False):
             records = map(_run_task, tasks)
             outputs = list(_progress(records, cfg) if progress else records)
         finally:
+            helper.close()
             if previous is not None:
                 _set_blas_threads(previous)
     rows, diag_rows = [], []

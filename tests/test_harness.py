@@ -4,11 +4,13 @@ import ctypes
 import gc
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import pathlib
 import subprocess
 import sys
+import threading
 import types
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -268,6 +270,119 @@ def test_one_pool_per_sweep_trial_major(monkeypatch):
     run_sweep(cfg)
     assert maps == [([(-4.0, 0), (4.0, 0), (20.0, 0), (-4.0, 1), (4.0, 1), (20.0, 1)],
                      {"chunksize": 3})]
+
+
+def test_pool_starts_no_more_processes_than_trials(monkeypatch):
+    # a fork pool starts all its processes at its first task, and a sweep has
+    # one task chunk per trial, so more workers than trials would only idle
+    started = []
+
+    def recording(*args, **kwargs):
+        started.append(kwargs["max_workers"])
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", recording)
+    cfg = figure_config("fig6", desk_scale=True, trials=2, sweep_values=(20.0,), workers=8)
+    pooled = run_sweep(cfg).rows
+    assert started == [2]
+    assert pooled == run_sweep(replace(cfg, workers=1)).rows
+
+
+# whether this process may run on more than one CPU, where a serial sweep's
+# draw helper starts at its first fill above the threshold
+MULTI_CPU = len(os.sched_getaffinity(0)) > 1
+
+
+@pytest.fixture
+def helper_fills(monkeypatch, tmp_path):
+    """Log the size of every fill handed to the draw helper.
+
+    Each fill appends a line to a file, so fills in pool workers forked from
+    this process, which inherit the patch, are logged too.
+    """
+    log = tmp_path / "fills.log"
+
+    class Logged(harness._Fill):
+        def __init__(self, pool, rng, out):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{out.size}\n")
+            super().__init__(pool, rng, out)
+
+    monkeypatch.setattr(harness, "_Fill", Logged)
+    return lambda: log.read_text(encoding="utf-8").split() if log.exists() else []
+
+
+@pytest.mark.draw_helper
+@pytest.mark.parametrize("fig,overrides,fills", [
+    # random books draw from the transmit stream before the frame's noise
+    pytest.param("fig6", POWERS, None, id="fig6"),
+    # the max-min assignment and the delay-free sync curve
+    pytest.param("fig7", POWERS, None, id="fig7"),
+    # the later point redraws dft_ext: per trial the fading and 2 + 1 frames
+    pytest.param("fig8", dict(sweep_values=(0.0, 3.0)), 3 * 4, id="fig8-tau_ex"),
+])
+def test_draw_helper_changes_no_bits(tmp_path, monkeypatch, helper_fills, fig, overrides, fills):
+    # every fill the helper draws is the stream's next normals, so the rows and
+    # --diag rows are the bytes of a sweep that draws them all inline, and a
+    # frame's recorded stream replays its dump-frame file byte for byte
+    cfg = figure_config(fig, desk_scale=True, trials=3, **overrides)
+    monkeypatch.setattr(harness, "DRAW_HELPER_MIN", math.inf)
+    inline = _rows_bytes(run_sweep(cfg, diag=True), tmp_path / "inline.csv")
+    assert helper_fills() == []
+    monkeypatch.setattr(harness, "DRAW_HELPER_MIN", 0)
+    built = []
+
+    def capture(frame):
+        built.append(frame)
+        return estimator.link_setup(frame)
+
+    monkeypatch.setattr(harness, "link_setup", capture)
+    helped = _rows_bytes(run_sweep(cfg, diag=True), tmp_path / "helped.csv")
+    assert helped == inline
+    if MULTI_CPU:
+        assert len(helper_fills()) == (fills or len(helper_fills())) > 0
+    else:
+        assert helper_fills() == []
+    # the sweep's first frame is trial 0's first curve at the first point
+    dump_frame(cfg, tmp_path / "f.bin", ap=1)
+    assert (read_frame_dump(tmp_path / "f.bin").tobytes()
+            == full_frames(built[0])[0][1].astype(np.complex64).tobytes())
+
+
+@pytest.mark.draw_helper
+@pytest.mark.parametrize("case", ["returns", "raises", "workers2", "one_cpu", "below_threshold"])
+def test_draw_helper_lifecycle(monkeypatch, helper_fills, case):
+    # the helper lives only inside a serial sweep: no thread is left and the
+    # caller's OpenBLAS count is back when the sweep returns or raises; a pool,
+    # a process on one CPU and fills below the threshold never start it
+    if case == "workers2" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the logging patch only when forked")
+    caller, threads = _blas_threads(), threading.enumerate()
+    cfg = figure_config("fig7", desk_scale=True, trials=2, sweep_values=(20.0,))
+    if case != "below_threshold":
+        monkeypatch.setattr(harness, "DRAW_HELPER_MIN", 0)
+    if case == "workers2":
+        cfg = replace(cfg, workers=2)
+    if case == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    if case == "raises":
+        calls = []
+
+        def failing(frame):
+            calls.append(frame)
+            if len(calls) == 2:  # the next curve's fill is out
+                raise RuntimeError("set-up failed")
+            return estimator.link_setup(frame)
+
+        monkeypatch.setattr(harness, "link_setup", failing)
+        with pytest.raises(RuntimeError, match="set-up failed"):
+            run_sweep(cfg)
+    else:
+        run_sweep(cfg)
+    assert threading.enumerate() == threads
+    assert _blas_threads() == caller
+    started = case in ("returns", "raises") and MULTI_CPU
+    assert bool(helper_fills()) == started
 
 
 # Imports cfpilot and a desk config in a fresh interpreter, then runs the
