@@ -68,11 +68,13 @@ def _ap_draws(book, net, m_ant, regime, rng, normals=None):
     """
     n_data, cols = _data_counts(net, regime), book.seq_len + net.t_max_r
     if not n_data.any():
+        sizes = (2 * m_ant * cols).tolist()
         if normals is None:
-            normals = rng.standard_normal(2 * m_ant * int(cols.sum()))
-        ends = np.cumsum(2 * m_ant * cols).tolist()
-        for lo, hi in zip([0] + ends, ends):
-            yield None, normals[lo:hi].reshape(2 * m_ant, -1)
+            normals = rng.standard_normal(sum(sizes))
+        lo = 0
+        for size in sizes:
+            yield None, normals[lo:lo + size].reshape(2 * m_ant, -1)
+            lo += size
         return
     for n, c in zip(n_data.tolist(), cols.tolist()):
         idx = rng.integers(0, len(DEFAULT_DATA_ALPHABET), size=n) if n else None
