@@ -482,8 +482,9 @@ def _set_blas_threads(count):
 
 def _stop_idle_blas_threads():
     """Stop OpenBLAS's worker threads, which spin ~140 ms of CPU after any 2-thread
-    product even once one thread is set. A later 1-thread product starts none;
-    setting a larger count again starts them. Nothing without a bundled OpenBLAS."""
+    product even once one thread is set, and at once when a larger count is set
+    after a stop. The count is kept: a later product on more than one thread
+    starts them again, a 1-thread product none. Nothing without a bundled OpenBLAS."""
     shutdown = _openblas("blas_thread_shutdown_", ctypes.c_int)
     if shutdown is not None:
         shutdown()
@@ -526,7 +527,7 @@ class _DrawHelper:
     normals, and OpenBLAS's idle threads are then stopped. In a process that
     may run on one CPU only the thread never starts: it would only take
     turns with the main thread. Every other fill is None: its caller draws
-    it inline. :meth:`close` joins the thread.
+    it inline. :meth:`close` joins the thread; ``started`` tells whether it ran.
     """
 
     def __init__(self):
@@ -545,9 +546,13 @@ class _DrawHelper:
             _stop_idle_blas_threads()
         return _Fill(self._pool, rng, np.empty(shape))
 
+    @property
+    def started(self):
+        return self._pool is not None
+
     def close(self):
         """Drop the fills not started and join the thread."""
-        if self._pool is not None:
+        if self.started:
             self._pool.shutdown(cancel_futures=True)
 
 
@@ -624,6 +629,9 @@ def run_sweep(cfg, diag=False, progress=False):
             helper.close()
             if previous is not None:
                 _set_blas_threads(previous)
+                if helper.started:
+                    # the restored count would start a thread that spins at once
+                    _stop_idle_blas_threads()
     rows, diag_rows = [], []
     for point, sweep_value in enumerate(cfg.sweep_values):
         pc = point_config(cfg, sweep_value)
