@@ -41,16 +41,23 @@ FRAME_MAGIC = b"ACFE"
 
 
 def _data_counts(net, regime):
-    """Per AP, the UPNG data samples its frame draws."""
-    # a UE at delay t sends t_max_r - t data samples at AP r: none on a delay-free network
-    return (net.n_ues * net.t_max_r - net.t_ur.sum(axis=1)) * (regime == REGIME_UPNG)
+    """Per AP, the UPNG data samples its frame draws; None when no UE sends any
+    (under UPG, or on a delay-free network)."""
+    if regime != REGIME_UPNG:
+        return None
+    # a UE at delay t sends t_max_r - t data samples at AP r
+    n_data = net.n_ues * net.t_max_r - net.t_ur.sum(axis=1)
+    return n_data if n_data.any() else None
 
 
-def noise_draws(book, net, m_ant, regime):
-    """How many noise normals a frame draws in one call: all of them when no UE sends
-    data (UPG, or a delay-free network), else none (:func:`_ap_draws`)."""
-    if regime == REGIME_UPNG and _data_counts(net, regime).any():
-        return 0
+def sends_data(net, regime):
+    """Whether a UE sends UPNG data in a frame of ``regime`` on ``net``. Without, the
+    frame's noise is one call's :func:`noise_draws` normals (:func:`_ap_draws`)."""
+    return _data_counts(net, regime) is not None
+
+
+def noise_draws(book, net, m_ant):
+    """How many noise normals a frame draws: (2M, L + t_max_r) at AP r."""
     return 2 * m_ant * (book.seq_len * net.n_aps + int(net.t_max_r.sum()))
 
 
@@ -62,12 +69,13 @@ def _ap_draws(book, net, m_ant, regime, rng, normals=None):
     (None under UPG or when no UE sends any). The noise is (2M, L + t_max_r)
     standard normals, Z_r's real parts then its imaginary parts over
     sqrt(noise_w / 2). Without data, every AP's noise is one call's
-    consecutive draws (:func:`noise_draws`), the same numbers as one call per
-    AP; ``normals`` are that call's draws made already, and ``rng`` is then
-    not read. Frame synthesis and replay both draw through here.
+    consecutive draws, the same numbers as one call per AP; ``normals``,
+    for such a frame only, are that call's draws made already, and ``rng``
+    is then not read. Frame synthesis and replay both draw through here.
     """
-    n_data, cols = _data_counts(net, regime), book.seq_len + net.t_max_r
-    if not n_data.any():
+    cols = book.seq_len + net.t_max_r
+    n_data = None if normals is not None else _data_counts(net, regime)
+    if n_data is None:
         sizes = (2 * m_ant * cols).tolist()
         if normals is None:
             normals = rng.standard_normal(sum(sizes))
@@ -177,9 +185,10 @@ def synthesize_frame(book, net, chan, regime, p_ul, rng, setup=None, drawn=None)
     symbols (``DEFAULT_DATA_ALPHABET``) under UPNG. Noise entries are i.i.d.
     CN(0, noise_w). Per AP, ``rng`` draws the data symbols, then the noise's
     real part, then its imaginary part. ``setup`` is as in :func:`frame_setup`.
-    ``drawn``, for a frame in which no UE sends data, is ``(stream, normals)``:
-    the state of ``rng`` before the frame's draws and the :func:`noise_draws`
-    normals it has drawn since; ``rng`` is then not read.
+    ``drawn``, for a frame in which no UE sends data (:func:`sends_data`), is
+    ``(stream, normals)``: the state of ``rng`` before the frame's draws and
+    the :func:`noise_draws` normals it has drawn since; ``rng`` is then not
+    read.
     """
     if p_ul <= 0:
         raise ValueError("p_ul must be positive")

@@ -28,7 +28,8 @@ from itertools import islice
 import numpy as np
 
 from . import analytics, pilots
-from .airframe import frame_setup, noise_draws, synthesize_frame, write_frame_dump
+from .airframe import (frame_setup, noise_draws, sends_data, synthesize_frame,
+                       write_frame_dump)
 from .channel import dbm_to_watts, draw_channels, draw_link_gains
 from .estimator import estimate_trial_links, link_setup, stack_links
 from .geometry import SimArea, delay_spread_min_extension, sample_topology, synchronize
@@ -348,15 +349,19 @@ class TrialDraws:
             book, net = setup.book, setup.net
         fill = None
         if self.helper is not None:
-            fill = self.helper.fill(tx_rng, (noise_draws(book, net, pc.antennas, regime),))
+            size = noise_draws(book, net, pc.antennas)
+            # a frame with UPNG data draws integers between its APs' noise: inline
+            if self.helper.takes(size) and not sends_data(net, regime):
+                fill = self.helper.fill(tx_rng, (size,))
         return regime, book, net, setup, tx_rng, fill
 
     def frame(self, pc, ci, prepared=None):
         """Draw curve ``ci``'s frame at sweep point ``pc`` (a :func:`point_config`) from its
-        :meth:`_prepare` output, made here when not given. The book is set up
-        before the frame waits for its fills."""
+        :meth:`_prepare` output, made here when not given. Once the draw helper
+        runs, the book is set up before the frame waits for its fills."""
         regime, book, net, setup, tx_rng, fill = prepared or self._prepare(pc, ci)
-        setup = frame_setup(book, net, setup)
+        if self.helper is not None and self.helper.started:
+            setup = frame_setup(book, net, setup)
         _, chan = self.channel
         drawn = None if fill is None else (fill.stream, fill.result())
         frame = synthesize_frame(book, net, chan, regime, dbm_to_watts(pc.p_dbm), tx_rng,
@@ -535,10 +540,14 @@ class _DrawHelper:
         self._cpus = len(affinity(0)) if affinity else 1
         self._pool = None
 
+    def takes(self, size):
+        """Whether a fill of ``size`` normals goes to the helper thread."""
+        return self._cpus > 1 and size >= max(DRAW_HELPER_MIN, 1)
+
     def fill(self, rng, shape):
-        """A :class:`_Fill` of a new ``shape`` array, allocated here, or None."""
-        size = math.prod(shape)
-        if self._cpus < 2 or not size or size < DRAW_HELPER_MIN:
+        """A :class:`_Fill` of a new ``shape`` array, allocated here, or None when the
+        helper does not :meth:`takes` it."""
+        if not self.takes(math.prod(shape)):
             return None
         if self._pool is None:
             from concurrent.futures import ThreadPoolExecutor
@@ -629,9 +638,6 @@ def run_sweep(cfg, diag=False, progress=False):
             helper.close()
             if previous is not None:
                 _set_blas_threads(previous)
-                if helper.started:
-                    # the restored count would start a thread that spins at once
-                    _stop_idle_blas_threads()
     rows, diag_rows = [], []
     for point, sweep_value in enumerate(cfg.sweep_values):
         pc = point_config(cfg, sweep_value)
