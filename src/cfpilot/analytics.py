@@ -15,11 +15,9 @@ UPNG only) and its cross row c = pilot_mat @ conj(mf.row):
   pilot index) or the full coherent tau_p^2 (co-pilot). Every other UE,
   served or not, contributes |c|^2 plus its data samples.
 
-The target's own pilot samples set its desired part: Sigma_yh = pilot_u
-beta psi and desired power pilot_u^2 beta psi, which is tau_p (squared) on
-every random/DFT link and every covered extended link. Its own data samples
-(nonzero only on an uncovered extended link under UPNG) count as
-interference.
+The target's own pilot samples set Sigma_yh = pilot_u beta psi and its
+desired power pilot_u^2 beta psi; its own data samples (only on an uncovered
+extended link under UPNG) count as interference.
 
 Rate bound (pinned design): downlink conjugate beamforming with channel
 hardening, equal power fractions across each AP's served UEs and full per-AP
@@ -48,14 +46,8 @@ the classic coherent pilot-contamination term; under asynchronous reception
 every UE pair contributes. B_wu carries the same mechanism for the n_rw(u)
 data samples of UE u that fall inside the window without a guard time
 (independent across APs, hence summed incoherently). The golden test
-freezes one full evaluation.
-
-An independent downlink Monte-Carlo (``tests/downlink_oracle.py``) measures
-E[b_uu], Var[b_uu] and sum_w E|b_uw|^2 of the effective beamforming gains
-b_uw on the real estimates of a frozen network and checks this closed form
-per UE for plain DFT, extended DFT and the synchronous baseline. Acceptance
-criterion 9 checks the full-scale extended-vs-plain rate gain against it;
-README states the measured gain.
+freezes one full evaluation, and a downlink Monte-Carlo of the effective
+beamforming gains (``tests/downlink_oracle.py``) checks the closed form.
 """
 
 import functools
@@ -120,14 +112,20 @@ def cross_powers(book, mf, cross):
     m_idx = book.assignment
     m_target = m_idx[mf.ue][..., None]
     if book.scheme == SCHEME_DFT:
-        # the table's flat indices: one index array gathers faster than two
-        at = m_target - m_idx
-        at += book.tau_p - 1
-        at *= book.tau_p + 1
-        return np.take(_dft_cross_table(book.tau_p), at + mf.pilot)
+        # the table's flat indices (m_target - m_idx + tau_p - 1) (tau_p + 1) + pilot, in
+        # place: one index array gathers faster than two
+        step = book.tau_p + 1
+        at = np.subtract((m_target + (book.tau_p - 1)) * step, m_idx * step)
+        at = np.add(at, mf.pilot, out=at if at.shape == np.shape(mf.pilot) else None)
+        return np.take(_dft_cross_table(book.tau_p), at)
     if book.scheme == SCHEME_DFT_EXT:
-        coherent = np.where(m_idx == m_target, float(book.tau_p) ** 2, 0.0)
-        return np.where(mf.pilot == book.tau_p, coherent, np.abs(cross) ** 2)
+        # |c|^2, then the coherent or zero value of each covered UE, in place
+        power = np.abs(cross)
+        np.square(power, out=power)
+        covered = mf.pilot == book.tau_p
+        np.copyto(power, 0.0, where=covered)
+        np.copyto(power, float(book.tau_p) ** 2, where=covered & (m_idx == m_target))
+        return power
     raise ValueError(f"unknown pilot scheme {book.scheme!r}")
 
 
@@ -236,25 +234,17 @@ class RateOperands:
     curve and a later power of the same draws reuses them. The links'
     cross rows and data counts are read from the ``LinkEstimates`` itself.
 
-    ``ap`` and ``w`` are one curve block's links (AP, target UE), which
-    every block repeats. The A_wu terms are laid out by rank: a link's rank
-    is its place among its group's links (the links with its target w, in
-    link order), and the groups run from the largest. Row i holds block
-    link ``link[i]``; the rows of rank j start at row ``slabs[j - 1]``
-    (rank 0 at row 0), one per group with more than j links, so
-    ``slabs[0]`` counts the groups, and the groups that have a rank-j link
-    are a prefix of the rank-0 rows. So adding each rank's rows onto the
-    first rows sums every A_wu bin in link order, as ``np.add.at`` does
-    (``np.add.reduceat`` would not: it adds each group's first row to a
-    pairwise sum of the others). ``gain`` holds those rows' gain rows
-    b = beta_ru psi_ru with every entry twice, the second negated
-    (links x 2U): for real s, Re((s conj c) b) = (s Re c) b and
-    Im((s conj c) b) = (s Im c)(-b) hold exactly, so real products give
-    the bits of the complex ones. ``diag`` is the flat index of each
-    group's own entry A_ww in the summed (blocks x groups x U) terms, and
-    ``by_w`` lists the groups in the order of w. ``bleed_curves`` are the
-    blocks with data in a window and ``gain_sq`` the squared gain rows
-    (None when no block has any); B_wu sums a block's links in link order.
+    ``ap`` and ``w`` are one curve block's links (AP, target UE). The A_wu
+    terms are laid out by rank, a link's place among the links with its
+    target w: row i holds block link ``link[i]``, the rows of rank j start at
+    row ``slabs[j - 1]``, and adding each rank's rows onto the first rows sums
+    every A_wu bin in link order, as ``np.add.at`` does. ``gain`` holds those
+    rows' gain rows beta_ru psi_ru with every entry twice, the second negated
+    (links x 2U), so real products give the bits of the complex ones.
+    ``diag`` is the flat index of each group's own entry A_ww in the summed
+    (blocks x groups x U) terms, and ``by_w`` lists the groups in the order
+    of w. ``bleed_curves`` are the blocks with data in a window and
+    ``gain_sq`` the squared gain rows (None when no block has any).
     ``served`` masks the served UEs and ``gain_sum`` is their summed gains.
     """
 

@@ -8,15 +8,12 @@ i.i.d. channel model its covariance is Sigma_y * I with
 where pilot_u counts the target's own pilot samples inside the MF window
 (``MFSequence.pilot``; tau_p unless an extended-DFT target does not cover
 the window), the per-interferer terms come from
-:func:`cfpilot.analytics.interference_profile` (which also carries the
-target's own UPNG data samples), and its cross-covariance with the channel
-is Sigma_yh * I with Sigma_yh = pilot_u beta psi. The LMMSE estimate is
-therefore the scalar gain Sigma_yh / Sigma_y times the observation; for the
-extended scheme the known window phase (MFSequence ``align_phase``)
-de-rotates the observation first. A link's expected NMSE is
-1 - gamma / (beta psi), and its desired, interference and noise powers sum
-to M * Sigma_y. Each link's cross row pilot_mat @ conj(mf.row) is computed
-once and feeds the frame, the covariance and the rate bound.
+:func:`cfpilot.analytics.interference_profile` (with the target's own UPNG
+data samples), and Sigma_yh = pilot_u beta psi. The LMMSE estimate is the
+scalar gain Sigma_yh / Sigma_y times the observation, de-rotated first by
+the extended scheme's known window phase (``align_phase``). A link's NMSE
+is 1 - gamma / (beta psi). Each link's cross row pilot_mat @ conj(mf.row)
+is computed once and feeds the frame, the covariance and the rate bound.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -33,18 +30,14 @@ class BookLinks:
     of ``LinkEstimates``, made by the first frame synthesized with the setup.
 
     ``span[r]`` is AP r's column span (lo_r, hi_r), the union of its links'
-    MF windows [s, s + tau_p), s their ``pilots.mf_start``; their rows are
-    zero outside it, so frame synthesis and the cross rows read only its
-    columns. ``mf`` is the served links' ``MFSequence`` without its rows,
-    which ``rows`` holds transposed, one column per link, over the spans:
-    row j holds frame column lo_r + j of AP r's links, for j below the
-    widest span's width. ``basis[r]`` views AP r's k columns over its span
-    as a real (hi_r - lo_r) x 2k matrix, each link's real part then its
-    imaginary part. ``align`` is the conjugated window phase as a column,
-    ``c`` the cross rows pilot_mat @ conj(mf.row), ``cross`` the aligned
-    ones align * c (``c`` itself where every phase is exactly 1, as for
-    random and DFT books) and ``cross_power`` the links' regime-free
-    interference factors (:func:`cfpilot.analytics.cross_powers`).
+    MF windows, outside which their rows are zero. ``mf`` is the served
+    links' ``MFSequence`` without its rows, which ``rows`` holds transposed:
+    row j holds frame column lo_r + j of AP r's links. ``basis[r]`` views AP
+    r's k columns over its span as a real (hi_r - lo_r) x 2k matrix, each
+    link's real part then its imaginary part. ``align`` is the conjugated
+    window phase as a column, ``c`` the cross rows pilot_mat @ conj(mf.row),
+    ``cross`` align * c (``c`` where every phase is 1) and ``cross_power``
+    the regime-free interference factors (``analytics.cross_powers``).
     """
 
     mf: object
@@ -58,30 +51,35 @@ class BookLinks:
 
 
 def book_links(setup):
-    """The ``BookLinks`` of a ``BookSetup``, from each AP's pilot rows over its span in turn."""
+    """The ``BookLinks`` of a ``BookSetup``, from each AP's pilot rows over its span."""
     book, net = setup.book, setup.net
     n_aps, k = net.serving.shape
     ap, ue = np.repeat(np.arange(n_aps), k), net.serving.ravel()
     start = mf_start(book, net, ap, ue).reshape(n_aps, k)
     lo, hi = start.min(axis=1), start.max(axis=1) + book.tau_p
+    width = hi - lo
     span = list(zip(lo.tolist(), hi.tolist()))
-    # each link's row over its AP's span, padded to the widest span
-    mf = make_mf_sequence(book, net, ap, ue, np.repeat(lo, k), int((hi - lo).max()))
-    rows = mf.row.conj()
-    if net.t_ur.any():
-        c = np.empty((ap.size, net.n_ues), dtype=complex)
-        for r, (a, b) in enumerate(span):
-            links = slice(r * k, (r + 1) * k)
-            np.matmul(setup.row(r, a, b), rows[links, :b - a, None], out=c[links, :, None])
-    else:
-        # delay-free: every AP reads the same rows over the same span, so a UE's
-        # cross row is one GEMV, whichever AP serves it
-        _, first, which = np.unique(ue, return_index=True, return_inverse=True)
-        c = np.matmul(setup.row(0, *span[0]), rows[first, :, None])[which, :, 0]
-    # freed before the kept transposed copy is made: three row arrays at once
-    # would raise a full-scale run's peak memory
-    del rows
-    rows = mf.row.T.copy()
+    # each link's row over its AP's span, padded to the widest span: conjugated in place
+    # for the cross rows and back after them, the transposed rows are the kept ones
+    mf = make_mf_sequence(book, net, ap, ue, np.repeat(lo, k), int(width.max()))
+    rows = np.conjugate(mf.row.T, out=mf.row.T)
+    if net.t_max_r.any():
+        # one GEMV per link over its AP's span; a run of APs of one width in one call
+        c = np.empty((n_aps, k, net.n_ues), dtype=complex)
+        windows, (first, _) = setup.windows, setup.index
+        first = first + lo[:, None]
+        x = mf.row.reshape(n_aps, k, -1, 1)
+        for a, b in _runs(width):
+            n = int(width[a])
+            if b - a == 1:
+                np.matmul(windows[first[a], :n], x[a, :, :n], out=c[a, :, :, None])
+            else:
+                np.matmul(windows[first[a:b], :n][:, None], x[a:b, :, :n], out=c[a:b, ..., None])
+        c = c.reshape(ap.size, net.n_ues)
+    else:  # delay-free: one span and pilot rows, so a pilot index's links share a GEMV
+        _, first, which = np.unique(book.assignment[ue], return_index=True, return_inverse=True)
+        c = np.matmul(setup.row(0, *span[0]), mf.row[first, :, None])[which, :, 0]
+    np.conjugate(rows, out=rows)
     mf = replace(mf, row=None)
     parts = rows.view(float)
     basis = [parts[:b - a, 2 * r * k:2 * (r + 1) * k] for r, (a, b) in enumerate(span)]
@@ -90,6 +88,13 @@ def book_links(setup):
     cross = c if (mf.align_phase == 1).all() else align * c
     return BookLinks(mf=mf, span=span, rows=rows, basis=basis, align=align, c=c,
                      cross=cross, cross_power=analytics.cross_powers(book, mf, c))
+
+
+def _runs(width, most=8):
+    """(first, end) of the runs of at most ``most`` consecutive APs of one span ``width``."""
+    ends = [0, *(np.flatnonzero(np.diff(width)) + 1).tolist(), width.size]
+    for first, end in zip(ends, ends[1:]):
+        yield from ((a, min(a + most, end)) for a in range(first, end, most))
 
 
 @dataclass
@@ -117,16 +122,13 @@ class LinkEstimates:
     A frame's links are its (R, k) serving array read row by row, so AP r
     owns rows r*k ... r*k + k - 1 of every per-link array. Several frames
     (:func:`stack_links`) are curve blocks of that layout, frame c's links
-    in rows c*R*k ... (c+1)*R*k - 1. ``gain_scale`` holds the scalar LMMSE
-    gain Sigma_yh / Sigma_y per link, ``cross`` the aligned deterministic
-    pilot-part MF cross coefficients of every UE inside that link's
-    estimate (links x U), and ``bleed`` the count of every other UE's data
-    samples inside that link's MF window (a read-only array of zeros under
-    a guard time); all three feed the downlink rate bound's contamination
-    term. A stack holds ``cross`` and ``bleed`` as tuples of its blocks'
-    arrays. ``gamma`` is (R, U) for one frame and (curves, R, U) for
-    several. ``nmse``, ``gamma``, ``noise_power`` and ``gain_scale`` read
-    the transmit power; the rest, with ``setup``, do not.
+    in rows c*R*k ... (c+1)*R*k - 1. ``gain_scale`` holds the LMMSE gain
+    Sigma_yh / Sigma_y per link, ``cross`` the aligned pilot-part MF cross
+    coefficients of every UE (links x U), and ``bleed`` every other UE's data
+    samples in the link's window (read-only zeros under a guard time); a
+    stack holds ``cross`` and ``bleed`` as tuples of its blocks' arrays.
+    ``gamma`` is (R, U) for one frame and (curves, R, U) for several.
+    ``nmse``, ``gamma``, ``noise_power`` and ``gain_scale`` read the power.
     """
 
     ap: np.ndarray

@@ -277,21 +277,14 @@ class TrialDraws:
 
     The network, gains and fading read no sweep variable, the max-min
     assignment only ``tau_p``, and a curve's frame ``tau_p`` and its
-    configured extension but not the power. Until the sweep's last point,
-    the draws keep one record of the last point: the curves' (``tau_p``,
-    extension) keys, each curve's frame (less its ``setup``, ``y`` and
-    ``noise``), the curves' power-free ``LinkEstimates`` blocks stacked,
-    whose setup holds the frames' MF-domain signal and noise that a later
-    power receives again,
-    the rate bound's power-free ``RateOperands`` and the curves' overhead
-    factors. A later point reuses the frames and blocks of the curves whose
-    key is unchanged, and draws and sets up only the others. Only a
-    ``tau_ex`` sweep changes some keys and keeps others, so only its record
-    keeps each curve's block; nothing reads a record after the sweep's last
-    point, so none is kept there. Within a
-    point, the curves whose pilot books read no stream share one
-    ``BookSetup`` per :func:`_book_key`, which is dropped once the last of
-    them has drawn its frame.
+    configured extension but not the power. Until the sweep's last point the
+    draws keep a record of the last point: the curves' (``tau_p``, extension)
+    keys, frames (less ``setup``, ``y`` and ``noise``), stacked power-free
+    ``LinkEstimates`` blocks, ``RateOperands`` and overhead factors. A later
+    point draws and sets up only the curves whose key changed (only a
+    ``tau_ex`` sweep keeps each curve's block). Within a point, the curves
+    whose pilot books read no stream share one ``BookSetup`` per
+    :func:`_book_key`, dropped once the last of them has drawn its frame.
     """
 
     def __init__(self, cfg, trial, helper=None):
@@ -486,21 +479,15 @@ def _set_blas_threads(count):
 
 
 def _stop_idle_blas_threads():
-    """Stop OpenBLAS's worker threads, which spin ~140 ms of CPU after any 2-thread
-    product even once one thread is set, and at once when a larger count is set
-    after a stop. The count is kept: a later product on more than one thread
-    starts them again, a 1-thread product none. Nothing without a bundled OpenBLAS."""
+    """Stop OpenBLAS's worker threads, which spin after a 2-thread product; the count is
+    kept, and a later product on more threads starts them again. Nothing without OpenBLAS."""
     shutdown = _openblas("blas_thread_shutdown_", ctypes.c_int)
     if shutdown is not None:
         shutdown()
 
 
-# Fewest standard normals a fill hands to the draw helper. Handing a fill over and
-# taking it back costs the main thread 0.05-0.15 ms while it runs numpy work
-# meanwhile (2-core Xeon KVM guest), the time of 4k-10k inline draws at 13-16 ns
-# each, so only a larger fill gains. A desk-scale fill (at most 8.5k normals) is
-# drawn inline, a full-scale one (35.8k or more: a delay-free frame's noise) on
-# the helper.
+# Fewest standard normals a fill hands to the draw helper: a desk-scale fill is
+# drawn inline, a full-scale one on the helper (measured in CHANGES.md).
 DRAW_HELPER_MIN = 1 << 14
 
 

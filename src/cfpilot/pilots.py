@@ -15,15 +15,8 @@ Schemes:
 Matched-filter sequences are zero-padded copies: aligned at the UE's own
 delay for random/dft, or at the AP's common window start (max served delay)
 for the extended scheme, where the base, unextended row is used. Each one
-carries the window's sample counts per UE at that AP (:func:`window_counts`),
-which the covariance, the estimator and the rate bound all read.
-:func:`make_mf_sequence` builds the rows of any number of links at once: its
-AP and UE indices broadcast, and the estimator passes every served link of a
-frame in one call.
-
-A :class:`BookSetup` holds what every frame of one book on one network
-shares: the padded pilot window that AP r's zero-padded pilot rows are
-gathered from when read, and the matched-filter part made from those rows.
+carries the window's sample counts per UE at that AP (:func:`window_counts`).
+A :class:`BookSetup` holds what every frame of one book on one network shares.
 
 :func:`window_counts` is also the one coverage rule: a UE covers an MF
 window when its pilot fills it, ``MFSequence.pilot == tau_p``. For the
@@ -37,7 +30,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 SCHEME_RANDOM = "random"
 SCHEME_DFT = "dft"
@@ -86,7 +78,7 @@ class MFSequence:
     nonzero only on its window, the tau_p frame samples from
     :func:`mf_start` on. ``pilot`` and ``data`` count, per UE at the link's
     AP (last axis), the window samples that carry its pilot and the ones
-    after its pilot, where UPNG data is sent.
+    after its pilot, where UPNG data is sent (read-only when delay-free).
     """
 
     row: np.ndarray
@@ -188,15 +180,21 @@ def _dft_base(tau_p, length):
 
 
 def window_counts(start, tau_p, t, seq_len):
-    """Pilot and data sample counts of UEs at delays ``t`` inside the window.
+    """Pilot and data sample counts of UEs at delays ``t`` in the window, stacked (2, ...).
 
     The window is [start, start + tau_p); a UE sends its seq_len-sample
     pilot from t on and data (UPNG) from t + seq_len to the frame's end.
     """
-    # samples of the window before the pilot's start and end; np.minimum and
-    # np.maximum, not np.clip, which costs more than the rest on a per-link call
-    before = np.minimum(np.maximum(np.add.outer((0, seq_len), t - start), 0), tau_p)
-    return before[1] - before[0], tau_p - before[1]
+    return _counts(np.add.outer((0, seq_len), np.subtract(t, start)), tau_p)
+
+
+def _counts(before, tau_p):
+    """The counts, in place, from the window samples before the pilots' starts and ends."""
+    # in place: on a full-scale book a fresh links x UEs array costs more than its pass
+    np.clip(before, 0, tau_p, out=before)
+    np.subtract(before[1:], before[:1], out=before[:1])
+    np.subtract(tau_p, before[1:], out=before[1:])
+    return before
 
 
 def mf_start(book, net, r, u):
@@ -212,43 +210,61 @@ def make_mf_sequence(book, net, r, u, lo=0, width=None):
     broadcasting with the links. By default a row is tau_p + tau_ex + t_max
     samples from the frame's start, t_max the largest over the links' APs,
     so each one is as long as its AP's frame or longer, by trailing zeros.
+    The rows are column-major: ``row.T`` of the links flattened is C-ordered.
     """
     r, u = np.broadcast_arrays(np.asarray(r), np.asarray(u))
-    tau_p = book.tau_p
-    t = net.t_ur[r, u]
+    tau_p, seq_len = book.tau_p, book.seq_len
     start = mf_start(book, net, r, u)
+    if not net.t_max_r.any():  # delay-free: every window holds every pilot whole
+        counts = window_counts(0, tau_p, 0, seq_len).reshape(2, *[1] * (u.ndim + 1))
+        counts = np.broadcast_to(counts, (2, *u.shape, net.n_ues))
+    elif book.scheme == SCHEME_DFT_EXT:
+        # one window per AP: its counts, gathered
+        counts = np.take(window_counts(net.t_w_r[:, None], tau_p, net.t_ur, seq_len), r, axis=1)
+    else:
+        counts = np.empty((2, *u.shape, net.n_ues), dtype=net.t_ur.dtype)
+        # mode="clip" writes into counts[0] unbuffered; every index is in range
+        np.take(net.t_ur, r, axis=0, out=counts[0], mode="clip")
+        np.subtract(counts[0], start[..., None], out=counts[0])
+        np.add(counts[0], seq_len, out=counts[1])
+        counts = _counts(counts, tau_p)
     if book.scheme == SCHEME_DFT_EXT:
         if not (net.serving[r] == u[..., None]).any(axis=-1).all():
             raise ValueError("extended-DFT MF windows are defined for served UEs only")
         m = book.assignment[u]
-        # each pilot index's row, gathered: the same bits as a row per link, fewer exps
-        seq = dft_sequence(np.arange(tau_p)[:, None], tau_p)[m]
+        seq = _mf_base(tau_p)[m]
         # the angle in real arithmetic: a complex division rounds differently
-        phase = np.exp(1j * (2 * np.pi * m * (start - t) / tau_p))
+        phase = np.exp(1j * (2 * np.pi * m * (start - net.t_ur[r, u]) / tau_p))
     else:
         seq = book.sequences[u, :tau_p]
         phase = np.ones(u.shape, dtype=complex)
     if width is None:
-        width = book.seq_len + int(net.t_max_r[r].max())
-    row = np.zeros(u.shape + (width,), dtype=complex)
-    # each link's window [start - lo, start - lo + tau_p) of its row, links flattened
-    flat = row.reshape(-1, width)
-    cols = (start - lo).reshape(-1, 1) + np.arange(tau_p)
-    flat[np.arange(flat.shape[0])[:, None], cols] = seq.reshape(-1, tau_p)
-    pilot, data = window_counts(start[..., None], tau_p, net.t_ur[r], book.seq_len)
-    return MFSequence(row=row, align_phase=phase, ap=r, ue=u,
-                      pilot=pilot, data=data)
+        width = seq_len + int(net.t_max_r[r].max())
+    cols = np.zeros((width, u.size), dtype=complex)
+    # each link's window [start - lo, start - lo + tau_p) of its row: one run down its column
+    runs = np.ndarray(((width - tau_p + 1) * u.size, tau_p), complex, cols, 0, (16, 16 * u.size))
+    runs[(start - lo).reshape(-1) * u.size + np.arange(u.size)] = seq.reshape(-1, tau_p)
+    return MFSequence(row=cols.T.reshape(*u.shape, width), align_phase=phase, ap=r, ue=u,
+                      pilot=counts[0], data=counts[1])
+
+
+@functools.lru_cache(maxsize=64)
+def _mf_base(tau_p):
+    """Every extended-DFT MF row's unextended DFT row, read-only."""
+    base = dft_sequence(np.arange(tau_p)[:, None], tau_p)
+    base.flags.writeable = False
+    return base
 
 
 @dataclass
 class BookSetup:
     """What the frames of one pilot book on one network share, whatever their regime and power.
 
-    ``windows`` is every UE's padded pilot window; ``index`` (UE indices, R x U
-    window starts, per-AP column counts) gathers AP r's rows from it anew at each
-    :meth:`row` call. ``links`` is the matched-filter part that frame synthesis
-    and estimation read (``cfpilot.estimator.BookLinks``), made from the rows
-    by the first frame with this setup.
+    ``windows`` views every UE's padded pilot, one after another, through
+    windows of a frame's width; ``index`` (R x U window indices, per-AP
+    column counts) gathers AP r's rows from it at each :meth:`row` call.
+    ``links`` is the matched-filter part (``BookLinks``) that the first frame
+    with this setup makes.
     """
 
     book: PilotBook
@@ -260,16 +276,21 @@ class BookSetup:
     def row(self, r, lo=0, hi=None):
         """AP r's U x (L + t_max_r) pilot rows, row u [zeros(t_ur), pilot, zeros],
         or only their columns [lo, hi)."""
-        ue, start, cols = self.index
-        return self.windows[ue, start[r], lo:cols[r] if hi is None else hi]
+        first, cols = self.index
+        return self.windows[first[r] + lo, :(cols[r] if hi is None else hi) - lo]
 
 
 def book_setup(book, net):
     """The ``BookSetup`` of ``book`` on ``net``, without its matched-filter part."""
     t_max = int(net.t_max_r.max())
-    padded = np.zeros((net.n_ues, book.seq_len + 2 * t_max), dtype=complex)
-    padded[:, t_max:t_max + book.seq_len] = book.sequences
+    width = book.seq_len + 2 * t_max
+    # a zero row after the UEs' keeps the last UE's windows inside the array
+    padded = np.zeros((net.n_ues + 1, width), dtype=complex)
+    padded[:-1, t_max:t_max + book.seq_len] = book.sequences
     # the row at delay t is the window of the padded pilot that starts t_max - t in
-    windows = sliding_window_view(padded, book.seq_len + t_max, axis=-1)
-    cols = (book.seq_len + net.t_max_r).tolist()
-    return BookSetup(book, net, windows, (np.arange(net.n_ues), t_max - net.t_ur, cols))
+    # (a strided view: sliding_window_view's checks cost more than a row gather)
+    windows = np.ndarray((padded.size - width + t_max + 1, width - t_max), complex, padded,
+                         0, (16, 16))
+    windows.flags.writeable = False
+    first = np.arange(t_max, net.n_ues * width, width) - net.t_ur
+    return BookSetup(book, net, windows, (first, (book.seq_len + net.t_max_r).tolist()))

@@ -29,11 +29,18 @@
   forms of ``dft_cross_power`` (the sin-ratio on every entry, then masked)
   and ``conjugate_bf_rate`` (A_wu accumulated with ``np.add.at``), which
   the library must match bit for bit.
+* ``window_counts_oracle``, ``mf_sequence_oracle``, ``cross_powers_oracle``
+  and ``book_links_oracle``: ``window_counts``, ``make_mf_sequence``,
+  ``cross_powers`` and ``book_links`` as they were before the book set-up
+  made its window counts in one buffer (per AP on an extended-DFT book,
+  constants on a delay-free one) and its rows and cross powers in place;
+  every ``BookLinks`` and ``MFSequence`` field must match them byte for byte.
 * ``trial_frames``: every curve's frame of one trial at one sweep point,
   drawn as ``run_trial`` draws it.
 """
 
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,10 +48,10 @@ from cfpilot import analytics
 from cfpilot.airframe import DEFAULT_DATA_ALPHABET, synthesize_frame
 from cfpilot.analytics import RateReport, cross_powers, interference_profile, pilot_matrix
 from cfpilot.channel import draw_channels, sample_fading
-from cfpilot.estimator import LinkEstimates, estimate_trial_links
+from cfpilot.estimator import BookLinks, LinkEstimates, estimate_trial_links
 from cfpilot.harness import TrialDraws, point_config
-from cfpilot.pilots import (REGIME_UPNG, REGIMES, SCHEME_DFT_EXT, SCHEME_RANDOM, dft_sequence,
-                            make_mf_sequence)
+from cfpilot.pilots import (REGIME_UPNG, REGIMES, SCHEME_DFT, SCHEME_DFT_EXT, SCHEME_RANDOM,
+                            MFSequence, dft_sequence, make_mf_sequence, mf_start)
 
 CovariancePair = namedtuple("CovariancePair", ("sigma_yh", "sigma_y"))
 
@@ -380,3 +387,79 @@ def trial_frames(cfg, sweep_value, trial):
     draws, pc = TrialDraws(cfg, trial), point_config(cfg, sweep_value)
     for ci, curve in enumerate(cfg.curves):
         yield curve, draws.frame(pc, ci)
+
+
+def window_counts_oracle(start, tau_p, t, seq_len):
+    """``window_counts`` with a fresh array per step, as a (pilot, data) pair."""
+    before = np.minimum(np.maximum(np.add.outer((0, seq_len), t - start), 0), tau_p)
+    return before[1] - before[0], tau_p - before[1]
+
+
+def mf_sequence_oracle(book, net, r, u, lo=0, width=None):
+    """``make_mf_sequence`` with per-link window counts and a two-index row fill."""
+    r, u = np.broadcast_arrays(np.asarray(r), np.asarray(u))
+    tau_p = book.tau_p
+    t = net.t_ur[r, u]
+    start = mf_start(book, net, r, u)
+    if book.scheme == SCHEME_DFT_EXT:
+        if not (net.serving[r] == u[..., None]).any(axis=-1).all():
+            raise ValueError("extended-DFT MF windows are defined for served UEs only")
+        m = book.assignment[u]
+        seq = dft_sequence(np.arange(tau_p)[:, None], tau_p)[m]
+        phase = np.exp(1j * (2 * np.pi * m * (start - t) / tau_p))
+    else:
+        seq = book.sequences[u, :tau_p]
+        phase = np.ones(u.shape, dtype=complex)
+    if width is None:
+        width = book.seq_len + int(net.t_max_r[r].max())
+    row = np.zeros(u.shape + (width,), dtype=complex)
+    flat = row.reshape(-1, width)
+    cols = (start - lo).reshape(-1, 1) + np.arange(tau_p)
+    flat[np.arange(flat.shape[0])[:, None], cols] = seq.reshape(-1, tau_p)
+    pilot, data = window_counts_oracle(start[..., None], tau_p, net.t_ur[r], book.seq_len)
+    return MFSequence(row=row, align_phase=phase, ap=r, ue=u, pilot=pilot, data=data)
+
+
+def cross_powers_oracle(book, mf, cross):
+    """``cross_powers`` with a fresh array per step."""
+    if book.scheme == SCHEME_RANDOM:
+        return mf.pilot
+    m_idx = book.assignment
+    m_target = m_idx[mf.ue][..., None]
+    if book.scheme == SCHEME_DFT:
+        at = (m_target - m_idx + book.tau_p - 1) * (book.tau_p + 1)
+        return np.take(analytics._dft_cross_table(book.tau_p), at + mf.pilot)
+    coherent = np.where(m_idx == m_target, float(book.tau_p) ** 2, 0.0)
+    return np.where(mf.pilot == book.tau_p, coherent, np.abs(cross) ** 2)
+
+
+def book_links_oracle(setup):
+    """``book_links`` from the oracles above, with a conjugated copy of the rows and
+    each AP's pilot rows from ``pilot_rows_loop``."""
+    book, net = setup.book, setup.net
+    n_aps, k = net.serving.shape
+    ap, ue = np.repeat(np.arange(n_aps), k), net.serving.ravel()
+    start = mf_start(book, net, ap, ue).reshape(n_aps, k)
+    lo, hi = start.min(axis=1), start.max(axis=1) + book.tau_p
+    span = list(zip(lo.tolist(), hi.tolist()))
+    mf = mf_sequence_oracle(book, net, ap, ue, np.repeat(lo, k), int((hi - lo).max()))
+    rows = mf.row.conj()
+    if net.t_ur.any():
+        c = np.empty((ap.size, net.n_ues), dtype=complex)
+        for r, (a, b) in enumerate(span):
+            links = slice(r * k, (r + 1) * k)
+            pilot_mat = np.ascontiguousarray(pilot_rows_loop(book, net, r)[:, a:b])
+            np.matmul(pilot_mat, rows[links, :b - a, None], out=c[links, :, None])
+    else:
+        a, b = span[0]
+        pilot_mat = np.ascontiguousarray(pilot_rows_loop(book, net, 0)[:, a:b])
+        _, first, which = np.unique(ue, return_index=True, return_inverse=True)
+        c = np.matmul(pilot_mat, rows[first, :, None])[which, :, 0]
+    rows = mf.row.T.copy()
+    mf = replace(mf, row=None)
+    parts = rows.view(float)
+    basis = [parts[:b - a, 2 * r * k:2 * (r + 1) * k] for r, (a, b) in enumerate(span)]
+    align = np.conj(mf.align_phase)[:, None]
+    cross = c if (mf.align_phase == 1).all() else align * c
+    return BookLinks(mf=mf, span=span, rows=rows, basis=basis, align=align, c=c,
+                     cross=cross, cross_power=cross_powers_oracle(book, mf, c))

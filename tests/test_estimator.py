@@ -1,20 +1,23 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import per_link
 import pytest
 from oracles import (
+    book_links_oracle,
     empirical_covariance_oracle,
     estimate_links_loop,
     full_frames,
     link_covariances,
     link_profile,
+    mf_sequence_oracle,
 )
 
 from cfpilot.airframe import synthesize_frame
 from cfpilot.channel import LinkGains, draw_channels, draw_link_gains, sample_fading
-from cfpilot.estimator import estimate_trial_links
-from cfpilot.harness import TrialDraws, figure_config, point_config
+from cfpilot.estimator import book_links, estimate_trial_links
+from cfpilot.harness import FIGURE_IDS, TrialDraws, figure_config, point_config
 from cfpilot.geometry import (
     SimArea,
     delay_spread_min_extension,
@@ -22,7 +25,8 @@ from cfpilot.geometry import (
     synchronize,
     topology_from_positions,
 )
-from cfpilot.pilots import REGIME_UPG, REGIME_UPNG, REGIMES, make_mf_sequence, make_pilot_book
+from cfpilot.pilots import (REGIME_UPG, REGIME_UPNG, REGIMES, book_setup, make_mf_sequence,
+                            make_pilot_book)
 
 AREA = SimArea(side_m=836.660026534076, ap_count=1, ue_mean=1.0, gamma_m=20.0,
                tau_smp_s=50e-9)
@@ -405,3 +409,85 @@ def test_delay_free_cross_rows_equal_per_link_rows(fig):
             at = slice(r * k, (r + 1) * k)
             np.matmul(setup.row(r, a, b), rows[at, :b - a, None], out=want[at, :, None])
         assert want.tobytes() == links.c.tobytes(), trial
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _assert_links_equal_oracle(book, net):
+    setup = book_setup(book, net)
+    got, want = book_links(setup), book_links_oracle(setup)
+    assert got.span == want.span
+    for name in ("rows", "c", "cross", "cross_power", "align"):
+        assert _same_bytes(getattr(got, name), getattr(want, name)), name
+    for name in ("pilot", "data", "align_phase", "ap", "ue"):
+        assert _same_bytes(getattr(got.mf, name), getattr(want.mf, name)), name
+    assert all(_same_bytes(g, w) for g, w in zip(got.basis, want.basis))
+    # one link, and every served link with the default row length
+    r = net.n_aps - 1
+    for at in ((r, net.serving[r, 0]), (np.arange(net.n_aps)[:, None], net.serving)):
+        got, want = make_mf_sequence(book, net, *at), mf_sequence_oracle(book, net, *at)
+        for name in ("row", "pilot", "data", "align_phase"):
+            assert _same_bytes(getattr(got, name), getattr(want, name)), name
+
+
+def _books(cfg, values, trials):
+    for value in values:
+        pc = point_config(cfg, value)
+        for trial in trials:
+            draws = TrialDraws(cfg, trial)
+            for ci in range(len(cfg.curves)):
+                _, book, net, _, _, _ = draws._prepare(pc, ci)
+                yield book, net
+
+
+@pytest.mark.blas_kernel
+@pytest.mark.parametrize("fig", FIGURE_IDS)
+def test_book_links_equal_oracle_on_desk_presets(fig):
+    # every scheme (random, dft, dft_ext and the delay-free sync book); on fig8,
+    # tau_ex below, at and above the in-cluster delay spread
+    cfg = figure_config(fig, desk_scale=True, trials=2)
+    relations = set()
+    for trial in range(2):
+        spread = delay_spread_min_extension(TrialDraws(cfg, trial).network[0])
+        values = (0, spread, spread + 3) if fig == "fig8" else cfg.sweep_values
+        for book, net in _books(cfg, values, (trial,)):
+            _assert_links_equal_oracle(book, net)
+            if book.scheme == "dft_ext":
+                relations.add(int(np.sign(book.tau_ex - spread)))
+    assert fig != "fig8" or relations == {-1, 0, 1}
+
+
+@pytest.mark.blas_kernel
+def test_book_links_equal_oracle_at_full_scale():
+    cfg = figure_config("fig7", trials=3)
+    for book, net in _books(cfg, (20.0,), range(3)):
+        _assert_links_equal_oracle(book, net)
+
+
+# complex links x UEs buffers that one delayed full-scale book's set-up may hold at
+# once beyond its kept outputs: 0.77 measured, against 1.15 for the form in
+# book_links_oracle (tests/oracles.py)
+BOOK_LINKS_SPARE_BUFFERS = 1
+
+
+def test_book_links_peak_memory():
+    cfg = figure_config("fig7", trials=1)
+    for book, net in _books(cfg, (20.0,), range(1)):
+        if book.scheme != "dft" or not net.t_max_r.any():
+            continue
+        setup = book_setup(book, net)
+        tracemalloc.start()
+        try:
+            links = book_links(setup)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
+                for a in (links.rows, links.c, links.cross, links.cross_power,
+                          links.mf.pilot, links.mf.data)}
+        outputs = sum(a.nbytes for a in kept.values())
+        buffer = links.c.shape[0] * net.n_ues * 16  # one complex links x UEs array
+        assert peak <= outputs + BOOK_LINKS_SPARE_BUFFERS * buffer, (peak, outputs, buffer)
