@@ -251,21 +251,16 @@ def point_config(cfg, value):
     return replace(cfg, **{cfg.sweep_variable: kind(value)})
 
 
-def _extension(pc, scheme):
-    """A curve's configured extension at point ``pc``: ``tau_ex`` for ``dft_ext``, else 0."""
-    return pc.tau_ex if scheme == SCHEME_DFT_EXT else 0
+def _curve_key(pc, ci):
+    """What curve ``ci``'s frame reads of point ``pc``: its scheme, ``tau_p`` and
+    configured extension (``tau_ex`` for ``dft_ext``, else 0).
 
-
-def _book_key(pc, ci):
-    """The key of curve ``ci``'s book setup at point ``pc``; None when its book is its own.
-
-    A random book is drawn from the curve's own stream, so it is never
-    shared. The parsed scheme names the curve network too (``sync`` runs
-    DFT pilots on the synchronized network); on one network the configured
-    extension fixes the resolved one.
+    The scheme names the curve network too (``sync`` runs DFT pilots on the
+    synchronized network); on one network the configured extension fixes
+    the resolved one.
     """
     scheme = parse_curve(pc.curves[ci])[0]
-    return None if scheme == SCHEME_RANDOM else (scheme, pc.tau_p, _extension(pc, scheme))
+    return scheme, pc.tau_p, pc.tau_ex if scheme == SCHEME_DFT_EXT else 0
 
 
 class TrialDraws:
@@ -276,21 +271,21 @@ class TrialDraws:
     without it they are drawn inline, the same bits.
 
     The network, gains and fading read no sweep variable, the max-min
-    assignment only ``tau_p``, and a curve's frame ``tau_p`` and its
-    configured extension but not the power. Until the sweep's last point the
-    draws keep a record of the last point: the curves' (``tau_p``, extension)
-    keys, frames (less ``setup``, ``y`` and ``noise``), stacked power-free
-    ``LinkEstimates`` blocks, ``RateOperands`` and overhead factors. A later
-    point draws and sets up only the curves whose key changed (only a
-    ``tau_ex`` sweep keeps each curve's block). Within a point, the curves
-    whose pilot books read no stream share one ``BookSetup`` per
-    :func:`_book_key`, dropped once the last of them has drawn its frame.
+    assignment only ``tau_p``, and a curve's frame its :func:`_curve_key`
+    but not the power. Until the sweep's last point the draws keep a record
+    of the last point: the curves' keys, frames (less ``setup``, ``y`` and
+    ``noise``), stacked power-free ``LinkEstimates`` blocks, ``RateOperands``
+    and overhead factors. A later point draws and sets up only the curves
+    whose key changed (only a ``tau_ex`` sweep keeps each curve's block).
+    Within a point, the curves whose pilot books read no stream (all but
+    ``random``) share one ``BookSetup`` per key, dropped once the last of
+    them has drawn its frame.
     """
 
     def __init__(self, cfg, trial, helper=None):
         self.cfg, self.trial, self.helper = cfg, trial, helper
         self._maxmin = {}  # tau_p -> max-min pilot assignment
-        self._books = {}  # book key -> BookSetup, for a later curve of the point
+        self._books = {}  # curve key -> BookSetup, for a later curve of the point
         self._record = None
         self._fading = None  # the fading's stream and fill, until the channel is drawn
 
@@ -313,31 +308,32 @@ class TrialDraws:
         normals = None if fill is None else fill.result()
         return net, draw_channels(net, gains, self.cfg.antennas, rng, self.cfg.noise_w, normals)
 
-    def _prepare(self, pc, ci):
-        """Curve ``ci``'s regime, pilot book, network, book setup (None when not made yet),
-        transmit stream and noise fill (None when drawn inline) at point ``pc``.
+    def frame(self, pc, ci):
+        """Draw curve ``ci``'s frame at sweep point ``pc`` (a :func:`point_config`).
 
         The curve's pilot book, UPNG data and noise come from its own
         transmit stream. ``sync`` runs on the synchronized network, which
         keeps the UE positions the assignment reads; ``auto_min`` resolves
         to the curve network's largest in-cluster delay spread. A book
         setup an earlier curve of the point made for this key is reused.
+        Once the draw helper runs, the frame's noise is handed to it and the
+        book is set up before the frame waits for its fills.
         """
         net, _ = self.network
         if pc.assignment == ASSIGN_MAXMIN_DISTANCE and pc.tau_p not in self._maxmin:
             self._maxmin[pc.tau_p] = pilots.assign_maxmin_distance(net.ue_pos, pc.tau_p)
-        scheme, regime = parse_curve(pc.curves[ci])
+        key = scheme, tau_p, tau_ex = _curve_key(pc, ci)
+        regime = parse_curve(pc.curves[ci])[1]
         tx_rng = _stream(pc.seed, self.trial, 2, ci)
-        setup = self._books.pop(_book_key(pc, ci), None)
+        setup = self._books.pop(key, None)
         if setup is None:
-            tau_ex = _extension(pc, scheme)
             if scheme == CURVE_SYNC:
                 net, scheme = synchronize(net), SCHEME_DFT
             if tau_ex == "auto_min":
                 tau_ex = delay_spread_min_extension(net)
-            book = make_pilot_book(scheme, pc.tau_p, tau_ex, net.n_ues, tx_rng,
+            book = make_pilot_book(scheme, tau_p, tau_ex, net.n_ues, tx_rng,
                                    phase_levels=pc.phase_levels,
-                                   assignment=self._maxmin.get(pc.tau_p))
+                                   assignment=self._maxmin.get(tau_p))
         else:
             book, net = setup.book, setup.net
         fill = None
@@ -346,21 +342,14 @@ class TrialDraws:
             # a frame with UPNG data draws integers between its APs' noise: inline
             if self.helper.takes(size) and not sends_data(net, regime):
                 fill = self.helper.fill(tx_rng, (size,))
-        return regime, book, net, setup, tx_rng, fill
-
-    def frame(self, pc, ci, prepared=None):
-        """Draw curve ``ci``'s frame at sweep point ``pc`` (a :func:`point_config`) from its
-        :meth:`_prepare` output, made here when not given. Once the draw helper
-        runs, the book is set up before the frame waits for its fills."""
-        regime, book, net, setup, tx_rng, fill = prepared or self._prepare(pc, ci)
-        if self.helper is not None and self.helper.started:
-            setup = frame_setup(book, net, setup)
+            if self.helper.started:
+                setup = frame_setup(book, net, setup)
         _, chan = self.channel
         drawn = None if fill is None else (fill.stream, fill.result())
         frame = synthesize_frame(book, net, chan, regime, dbm_to_watts(pc.p_dbm), tx_rng,
                                  setup, drawn)
-        key = _book_key(pc, ci)
-        if key is not None and key in {_book_key(pc, cj) for cj in range(ci + 1, len(pc.curves))}:
+        later = {_curve_key(pc, cj) for cj in range(ci + 1, len(pc.curves))}
+        if key[0] != SCHEME_RANDOM and key in later:
             self._books[key] = frame.setup
         return frame
 
@@ -373,20 +362,16 @@ class TrialDraws:
         estimated with ``previous`` (:func:`estimate_trial_links`).
         """
         curves = len(pc.curves)
-        keys = [(pc.tau_p, _extension(pc, parse_curve(curve)[0])) for curve in pc.curves]
+        keys = [_curve_key(pc, ci) for ci in range(curves)]
         kept_keys, frames, blocks, links, operands, overhead = self._record or ((None,) * 6)
         self._record = None
         if keys != kept_keys:
             links = operands = None  # rebuilt below; freed before drawing
             frames, blocks = list(frames or [None] * curves), list(blocks or [None] * curves)
-            todo = [ci for ci, key in enumerate(keys) if not kept_keys or kept_keys[ci] != key]
-            # the next curve's noise is handed to the draw helper before this one is set up
-            prepared = self._prepare(pc, todo[0])
-            for ci, after in zip(todo, todo[1:] + [None]):
-                # drop the drawn noise before the next curve's is allocated
-                frame, prepared = self.frame(pc, ci, prepared), None
-                if after is not None:
-                    prepared = self._prepare(pc, after)
+            for ci, key in enumerate(keys):
+                if kept_keys and kept_keys[ci] == key:
+                    continue
+                frame = self.frame(pc, ci)
                 blocks[ci] = link_setup(frame)
                 # so nothing holds the book setup past this curve; the block
                 # holds the frame's signal and noise
@@ -629,7 +614,7 @@ def run_sweep(cfg, diag=False, progress=False):
     for point, sweep_value in enumerate(cfg.sweep_values):
         pc = point_config(cfg, sweep_value)
         trial_outputs = outputs[point::points]
-        for curve in cfg.curves:
+        for ci, curve in enumerate(cfg.curves):
             scheme, regime = parse_curve(curve)
             nmse = np.concatenate([out.curves[curve]["nmse"] for out in trial_outputs])
             se = np.concatenate([out.curves[curve]["se"] for out in trial_outputs])
@@ -640,7 +625,7 @@ def run_sweep(cfg, diag=False, progress=False):
                 "scheme": scheme,
                 "regime": regime,
                 "tau_p": pc.tau_p,
-                "tau_ex": _extension(pc, scheme),
+                "tau_ex": _curve_key(pc, ci)[2],
                 "nmse_db_mean": agg["mean_db"],
                 "nmse_db_p10": agg["p10_db"],
                 "nmse_db_p90": agg["p90_db"],
@@ -703,9 +688,9 @@ def crosscorr_rows(seed, **params):
     ``tau_p_min`` to ``tau_p_max`` in steps of ``tau_p_step``. A value out of
     range raises ConfigError naming its CLI flag.
     """
-    p = dict(FIG3_PRESET, **params)
-    for name, low in (("trials", 1), ("delay", 0), ("tau_p_min", 1), ("tau_p_step", 1),
-                      ("tau_p_max", p["tau_p_min"])):
+    p = dict(FIG3_PRESET, **params, seed=seed)
+    for name, low in (("seed", 0), ("trials", 1), ("delay", 0), ("tau_p_min", 1),
+                      ("tau_p_step", 1), ("tau_p_max", p["tau_p_min"])):
         if not p[name] >= low:
             raise ConfigError(f"--{name.replace('_', '-')}: must be at least {low}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))

@@ -265,13 +265,74 @@ def test_mf_domain_frame_matches_filtered_loop(curve, network):
     if network == "no-data-reach":
         assert net.t_max_r.max() > 0 and not reached.any()
     for p_ul in (0.1, 2.5):
-        loop_y = synthesize_frame_loop(book, net, chan, regime, p_ul, np.random.default_rng(5))[0]
-        for r, served in enumerate(net.serving):
-            rows = make_mf_sequence(book, net, r, served).row[:, :loop_y[r].shape[1]]
-            want = (loop_y[r] @ rows.conj().T).T / np.sqrt(p_ul)
-            got = frame.y[r] + frame.noise[r] / np.sqrt(p_ul)
-            err = np.linalg.norm(got - want, axis=-1)
-            assert np.all(err <= per_link.CANCEL * per_link.EPS * np.linalg.norm(want, axis=-1))
+        for err, want, _ in _filtered_loop_errors(frame, regime, p_ul):
+            assert np.all(err <= per_link.CANCEL * per_link.EPS * want)
+
+
+def _filtered_loop_errors(frame, regime, p_ul):
+    """Per AP, its served links' distances from the loop's filtered frame, with the norms
+    of that filtered frame and of its terms' magnitudes.
+
+    A link's MF output at ``p_ul`` is y + noise / sqrt(p_ul). The loop drawn
+    from seed 5 filters its full frame Y_r by the link's MF row, Y_r conj(mf)
+    / sqrt(p_ul), a sum whose terms' magnitudes are |Y_r| |mf| / sqrt(p_ul).
+    """
+    book, net, chan = frame.book, frame.net, frame.chan
+    loop_y = synthesize_frame_loop(book, net, chan, regime, p_ul, np.random.default_rng(5))[0]
+    for r, served in enumerate(net.serving):
+        rows = make_mf_sequence(book, net, r, served).row[:, :loop_y[r].shape[1]]
+        want = (loop_y[r] @ rows.conj().T).T / np.sqrt(p_ul)
+        terms = (np.abs(loop_y[r]) @ np.abs(rows).T).T / np.sqrt(p_ul)
+        got = frame.y[r] + frame.noise[r] / np.sqrt(p_ul)
+        yield (np.linalg.norm(got - want, axis=-1), np.linalg.norm(want, axis=-1),
+               np.linalg.norm(terms, axis=-1))
+
+
+def _small_delayed_net(data):
+    """A ``delayed_net`` of 1-4 APs and 2-7 UEs at delays 0-12, drawn from ``data``."""
+    n_aps, n_ues = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 7))
+    t = np.array(data.draw(st.lists(st.integers(0, 12), min_size=n_aps * n_ues,
+                                    max_size=n_aps * n_ues))).reshape(n_aps, n_ues)
+    return delayed_net(t)
+
+
+def _small_book(data, n_ues):
+    """A random, DFT or extended-DFT book of ``tau_p`` 1-8 (``tau_ex`` 0-6), drawn from
+    ``data``."""
+    scheme = data.draw(st.sampled_from(["random", "dft", "dft_ext"]))
+    tau_p = data.draw(st.integers(1, 8))
+    tau_ex = data.draw(st.integers(0, 6)) if scheme == "dft_ext" else 0
+    return make_pilot_book(scheme, tau_p, tau_ex, n_ues, np.random.default_rng(0))
+
+
+@pytest.mark.blas_kernel
+@settings(max_examples=60)
+@given(st.data())
+def test_frame_linear_in_each_ue(data):
+    # on a small random network, with one stream seed, a frame's MF signal is the
+    # sum of the frames whose channel keeps one UE each, and their noise is its
+    # bytes; every served link's MF output is the loop's filtered full frame
+    net = _small_delayed_net(data)
+    book = _small_book(data, net.n_ues)
+    regime = data.draw(st.sampled_from([REGIME_UPG, REGIME_UPNG]))
+    chan = toy_chan(net, m=data.draw(st.integers(1, 3)), noise_w=1e-3)
+    frame = synthesize_frame(book, net, chan, regime, 0.1, np.random.default_rng(5))
+    singles = []
+    for u in range(net.n_ues):
+        h = np.zeros_like(chan.h)
+        h[:, u] = chan.h[:, u]
+        singles.append(synthesize_frame(book, net, replace(chan, h=h), regime, 0.1,
+                                        np.random.default_rng(5), frame.setup))
+    for r in range(net.n_aps):
+        parts = np.array([single.y[r] for single in singles])
+        # the rounding of U products and their sum, on either side
+        bound = 8 * net.n_ues * per_link.EPS * np.abs(parts).sum(axis=0)
+        assert np.all(np.abs(parts.sum(axis=0) - frame.y[r]) <= bound)
+        assert all(single.noise[r].tobytes() == frame.noise[r].tobytes() for single in singles)
+    # a link's output can cancel to below 1/CANCEL of its terms here (as at M = 1),
+    # so its rounding is bounded by the terms' magnitudes
+    for err, _, terms in _filtered_loop_errors(frame, regime, 0.1):
+        assert np.all(err <= per_link.CANCEL * per_link.EPS * terms)
 
 
 @settings(max_examples=60)
@@ -280,16 +341,10 @@ def test_span_holds_every_served_window(data):
     # every nonzero entry of a served link's MF row lies in its AP's span
     # [lo_r, hi_r), and 0 <= lo_r < hi_r <= L + t_max_r; the book's rows hold
     # each link's row over its AP's span, and zeros up to the widest span
-    n_aps, n_ues = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 7))
-    t = np.array(data.draw(st.lists(st.integers(0, 12), min_size=n_aps * n_ues,
-                                    max_size=n_aps * n_ues))).reshape(n_aps, n_ues)
-    net = delayed_net(t)
-    scheme = data.draw(st.sampled_from(["random", "dft", "dft_ext"]))
-    tau_p = data.draw(st.integers(1, 8))
-    tau_ex = data.draw(st.integers(0, 6)) if scheme == "dft_ext" else 0
-    book = make_pilot_book(scheme, tau_p, tau_ex, n_ues, np.random.default_rng(0))
+    net = _small_delayed_net(data)
+    book = _small_book(data, net.n_ues)
     links = book_links(book_setup(book, net))
-    assert len(links.span) == n_aps
+    assert len(links.span) == net.n_aps
     k = net.serving.shape[1]
     for r, (lo, hi) in enumerate(links.span):
         assert 0 <= lo < hi <= book.seq_len + net.t_max_r[r]

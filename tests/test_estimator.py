@@ -439,8 +439,8 @@ def _books(cfg, values, trials):
         for trial in trials:
             draws = TrialDraws(cfg, trial)
             for ci in range(len(cfg.curves)):
-                _, book, net, _, _, _ = draws._prepare(pc, ci)
-                yield book, net
+                frame = draws.frame(pc, ci)
+                yield frame.book, frame.net
 
 
 @pytest.mark.blas_kernel

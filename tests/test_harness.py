@@ -366,16 +366,13 @@ def test_draw_helper_lifecycle(monkeypatch, helper_fills, case):
     if case == "one_cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     if case == "raises":
-        calls = []
+        def failing(*args):
+            # the first frame's noise fill is out, after the fading's
+            assert len(helper_fills()) == 2 * MULTI_CPU
+            raise RuntimeError("draw failed")
 
-        def failing(frame):
-            calls.append(frame)
-            if len(calls) == 2:  # the next curve's fill is out
-                raise RuntimeError("set-up failed")
-            return estimator.link_setup(frame)
-
-        monkeypatch.setattr(harness, "link_setup", failing)
-        with pytest.raises(RuntimeError, match="set-up failed"):
+        monkeypatch.setattr(harness, "draw_channels", failing)
+        with pytest.raises(RuntimeError, match="draw failed"):
             run_sweep(cfg)
     else:
         run_sweep(cfg)
@@ -1092,6 +1089,7 @@ CROSSCORR_BAD_ARGS = [
     (["crosscorr", "--tau-p-min", "0"], "--tau-p-min"),
     (["crosscorr", "--tau-p-step", "0"], "--tau-p-step"),
     (["crosscorr", "--tau-p-min", "20", "--tau-p-max", "10"], "--tau-p-max"),
+    (["crosscorr", "--seed", "-1"], "--seed"),
 ]
 
 
